@@ -11,7 +11,6 @@ from .core import (  # noqa: F401
     ScenarioConfig,
     SignalBuffer,
     SubbandSpec,
-    derive_timing,
     load_scenario,
     save_scenario,
     seeded_rng,

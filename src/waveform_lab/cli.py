@@ -2,8 +2,9 @@
 
 Verbs: psd | guardtone | throughput | selftest. Every command writes a run
 manifest before any data file, then finalizes it with output hashes and wall
-clock, so partial runs are detectable. All CSVs use "." decimals and "\\n"
-line endings; identical (scenario, seed, version) reruns are byte-identical.
+clock, or marks it failed with the error, so partial runs are detectable.
+Files are replaced atomically. All CSVs use "." decimals and "\\n" line
+endings; identical (scenario, seed, version) reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .core import (
     ConfigError,
+    RappConfig,
     ScenarioConfig,
     SignalBuffer,
     load_scenario,
@@ -74,10 +76,17 @@ def resolve_scenario_path(name_or_path: str) -> tuple[Path, str]:
     raise ConfigError(f"scenario {name_or_path!r} is neither a file nor a known preset")
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write to a temp file beside `path`, then rename it into place, so a
+    reader never sees a half-written file under the final name."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def _write_csv(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ln in lines:
-            fh.write(ln + "\n")
+    _write_atomic(path, "".join(ln + "\n" for ln in lines))
 
 
 def _file_hash(path: Path) -> str:
@@ -85,6 +94,9 @@ def _file_hash(path: Path) -> str:
 
 
 class ManifestWriter:
+    """Run manifest; `status` goes running -> complete, or failed (with the
+    error) when the verb raises inside the `with` block."""
+
     def __init__(self, out_dir: Path, command: str, scn_hash: str, seed: int, preset: str):
         self.path = out_dir / "manifest.json"
         self.started = time.monotonic()
@@ -100,10 +112,19 @@ class ManifestWriter:
         }
         self._flush()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None:
+            self.doc["status"] = "failed"
+            self.doc["error"] = f"{exc_type.__name__}: {exc}"
+            self.doc["wall_clock_s"] = round(time.monotonic() - self.started, 3)
+            self._flush()
+        return False
+
     def _flush(self):
-        with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_atomic(self.path, json.dumps(self.doc, indent=2, sort_keys=True) + "\n")
 
     def finalize(self, outputs: dict[str, Path]):
         self.doc["outputs"] = {
@@ -148,57 +169,52 @@ def cmd_psd(args) -> int:
     cfg, _, preset = _load_and_check(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset)
+    with ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset) as manifest:
+        long_cfg = _scale_ttis(cfg, args.ttis)
+        fs = cfg.sample_rate_hz
+        offsets = [sb.timing_offset_samples for sb in long_cfg.subbands]
 
-    long_cfg = _scale_ttis(cfg, args.ttis)
-    fs = cfg.sample_rate_hz
-    offsets = [sb.timing_offset_samples for sb in long_cfg.subbands]
+        order, backoff = scenario_filter_profile(cfg)
+        filtered_parts, plain_parts = [], []
+        for i, sb in enumerate(long_cfg.subbands):
+            bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
+            fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
+            policy = derive_tail_policy(fir, sb.numerology, DEFAULT_TAIL_THRESHOLD)
+            sig_f, _ = tx_subband(sb, fs, bits, policy=policy, fir=fir)
+            filtered_parts.append(sig_f)
+            plain_parts.append(tx_subband_unfiltered(sb, fs, bits, policy=policy))
+        fofdm = assemble(filtered_parts, offsets)
+        ofdm = assemble(plain_parts, offsets)
 
-    order, backoff = scenario_filter_profile(cfg)
-    filtered_parts, plain_parts = [], []
-    for i, sb in enumerate(long_cfg.subbands):
-        bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
-        fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
-        policy = derive_tail_policy(fir, sb.numerology, DEFAULT_TAIL_THRESHOLD)
-        sig_f, _ = tx_subband(sb, fs, bits, policy=policy, fir=fir)
-        sig_p, _ = tx_subband_unfiltered(sb, fs, bits, policy=policy)
-        filtered_parts.append(sig_f)
-        plain_parts.append(sig_p)
-    fofdm = assemble(filtered_parts, offsets)
-    ofdm = assemble(plain_parts, offsets)
+        if args.pa_on:
+            pa_cfg = cfg.impairments.pa or RappConfig(input_backoff_db=9.6, smoothness=2.0)
+            fofdm = pa_rapp(fofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
+            ofdm = pa_rapp(ofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
 
-    pa_cfg = cfg.impairments.pa
-    if args.pa_on and pa_cfg is None:
-        from .core import RappConfig
-        pa_cfg = RappConfig(input_backoff_db=9.6, smoothness=2.0)
-    if args.pa_on and pa_cfg is not None:
-        fofdm = pa_rapp(fofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
-        ofdm = pa_rapp(ofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
+        lo = min(sb.occupied_low_hz for sb in cfg.subbands)
+        hi = max(sb.occupied_high_hz for sb in cfg.subbands)
+        segment = min(4096, 1 << (len(fofdm) // 2).bit_length() - 1)
+        psd_f = psd_welch(fofdm, segment_size=segment, in_band_hz=(lo, hi))
+        psd_o = psd_welch(ofdm, segment_size=segment, in_band_hz=(lo, hi))
 
-    lo = min(sb.occupied_low_hz for sb in cfg.subbands)
-    hi = max(sb.occupied_high_hz for sb in cfg.subbands)
-    segment = min(4096, 1 << (len(fofdm) // 2).bit_length() - 1)
-    psd_f = psd_welch(fofdm, segment_size=segment, in_band_hz=(lo, hi))
-    psd_o = psd_welch(ofdm, segment_size=segment, in_band_hz=(lo, hi))
+        scale = fs / FULL_SCALE_RATE_HZ
+        offsets_hz = [mhz * 1e6 * scale for mhz in (0.5, 1.0, 2.0)]
+        summary = ["waveform,offset_hz,oobe_dbr"]
+        for name, est in (("ofdm", psd_o), ("fofdm", psd_f)):
+            for off, val in zip(offsets_hz, oobe(est, (lo, hi), offsets_hz)):
+                summary.append(f"{name},{off:.6g},{val:.6f}")
 
-    scale = fs / FULL_SCALE_RATE_HZ
-    offsets_hz = [mhz * 1e6 * scale for mhz in (0.5, 1.0, 2.0)]
-    summary = ["waveform,offset_hz,oobe_dbr"]
-    for name, est in (("ofdm", psd_o), ("fofdm", psd_f)):
-        for off, val in zip(offsets_hz, oobe(est, (lo, hi), offsets_hz)):
-            summary.append(f"{name},{off:.6g},{val:.6f}")
-
-    outputs = {}
-    for name, est in (("ofdm", psd_o), ("fofdm", psd_f)):
-        path = out_dir / f"{name}_psd.csv"
-        _write_csv(path, ["freq_hz,power_dbr"] + [
-            f"{f:.6f},{p:.6f}" for f, p in zip(est.freqs_hz, est.power_dbr)
-        ])
-        outputs[f"{name}_psd"] = path
-    summary_path = out_dir / "oobe_summary.csv"
-    _write_csv(summary_path, summary)
-    outputs["oobe_summary"] = summary_path
-    manifest.finalize(outputs)
+        outputs = {}
+        for name, est in (("ofdm", psd_o), ("fofdm", psd_f)):
+            path = out_dir / f"{name}_psd.csv"
+            _write_csv(path, ["freq_hz,power_dbr"] + [
+                f"{f:.6f},{p:.6f}" for f, p in zip(est.freqs_hz, est.power_dbr)
+            ])
+            outputs[f"{name}_psd"] = path
+        summary_path = out_dir / "oobe_summary.csv"
+        _write_csv(summary_path, summary)
+        outputs["oobe_summary"] = summary_path
+        manifest.finalize(outputs)
     print(f"psd: wrote {len(outputs)} files to {out_dir}")
     return 0
 
@@ -211,29 +227,28 @@ def cmd_guardtone(args) -> int:
     cfg, _, preset = _load_and_check(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = ManifestWriter(out_dir, "guardtone", scenario_hash(cfg), cfg.seed, preset)
+    with ManifestWriter(out_dir, "guardtone", scenario_hash(cfg), cfg.seed, preset) as manifest:
+        guards = [int(g) for g in args.guards.split(",")]
+        offsets = [float(o) for o in args.offsets_db.split(",")]
+        mods = tuple(m.strip() for m in args.modulations.split(","))
+        from .modem import BITS_PER_SYMBOL
+        for m in mods:
+            if m not in BITS_PER_SYMBOL:
+                raise ConfigError(f"unknown modulation flag {m!r}")
 
-    guards = [int(g) for g in args.guards.split(",")]
-    offsets = [float(o) for o in args.offsets_db.split(",")]
-    mods = tuple(m.strip() for m in args.modulations.split(","))
-    from .modem import BITS_PER_SYMBOL
-    for m in mods:
-        if m not in BITS_PER_SYMBOL:
-            raise ConfigError(f"unknown modulation flag {m!r}")
-
-    result = guardtone_sweep(cfg, guards, offsets, args.snr_db, args.trials,
-                             modulations=mods)
-    sweep_path = out_dir / "guardtone_sweep.csv"
-    _write_csv(sweep_path, result.csv_lines())
-    base_lines = ["modulation,snr_db,evm_db_edge,evm_db_inner,ber"]
-    for mod in mods:
-        b = result.baselines[mod]
-        base_lines.append(
-            f"{mod},{b.snr_db:.6g},{b.evm_db_edge:.6f},{b.evm_db_inner:.6f},{b.ber:.8g}"
-        )
-    base_path = out_dir / "guardtone_baseline.csv"
-    _write_csv(base_path, base_lines)
-    manifest.finalize({"sweep": sweep_path, "baseline": base_path})
+        result = guardtone_sweep(cfg, guards, offsets, args.snr_db, args.trials,
+                                 modulations=mods)
+        sweep_path = out_dir / "guardtone_sweep.csv"
+        _write_csv(sweep_path, result.csv_lines())
+        base_lines = ["modulation,snr_db,evm_db_edge,evm_db_inner,ber"]
+        for mod in mods:
+            b = result.baselines[mod]
+            base_lines.append(
+                f"{mod},{b.snr_db:.6g},{b.evm_db_edge:.6f},{b.evm_db_inner:.6f},{b.ber:.8g}"
+            )
+        base_path = out_dir / "guardtone_baseline.csv"
+        _write_csv(base_path, base_lines)
+        manifest.finalize({"sweep": sweep_path, "baseline": base_path})
     print(f"guardtone: {len(result.rows)} rows -> {sweep_path}")
     return 0
 
@@ -274,21 +289,22 @@ def cmd_throughput(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     blob = path.read_bytes()
-    manifest = ManifestWriter(out_dir, "throughput",
-                              hashlib.sha256(blob).hexdigest(), args.seed or 0, preset)
-    report = normalized_throughput(subbands, baseline)
-    lines = ["name,data_tone_fraction,cp_overhead_fraction,normalized_throughput,bandwidth_weight"]
-    for s in report.subbands:
-        lines.append(
-            f"{s.name},{s.data_tone_fraction:.9f},{s.cp_overhead_fraction:.9f},"
-            f"{s.normalized_throughput:.9f},{s.bandwidth_weight:.6g}"
-        )
-    lines.append(f"total_fofdm,,,{report.fofdm_total:.9f},")
-    lines.append(f"total_ofdm,,,{report.ofdm_total:.9f},")
-    lines.append(f"gain_percent,,,{report.gain_percent:.9f},")
-    out_path = out_dir / "throughput.csv"
-    _write_csv(out_path, lines)
-    manifest.finalize({"throughput": out_path})
+    with ManifestWriter(out_dir, "throughput",
+                        hashlib.sha256(blob).hexdigest(), args.seed or 0, preset) as manifest:
+        report = normalized_throughput(subbands, baseline)
+        lines = ["name,data_tone_fraction,cp_overhead_fraction,normalized_throughput,"
+                 "bandwidth_weight"]
+        for s in report.subbands:
+            lines.append(
+                f"{s.name},{s.data_tone_fraction:.9f},{s.cp_overhead_fraction:.9f},"
+                f"{s.normalized_throughput:.9f},{s.bandwidth_weight:.6g}"
+            )
+        lines.append(f"total_fofdm,,,{report.fofdm_total:.9f},")
+        lines.append(f"total_ofdm,,,{report.ofdm_total:.9f},")
+        lines.append(f"gain_percent,,,{report.gain_percent:.9f},")
+        out_path = out_dir / "throughput.csv"
+        _write_csv(out_path, lines)
+        manifest.finalize({"throughput": out_path})
     print(f"throughput: OFDM {report.ofdm_total:.4f}, f-OFDM {report.fofdm_total:.4f}, "
           f"gain {report.gain_percent:.1f}%")
     print(f"note: {report.caveat}")
@@ -429,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="scenario file path or preset name")
             sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker count (reserved; runs are sequential)")
 
     sp = sub.add_parser("psd", help="PSD and OOBE of OFDM vs f-OFDM")
     common(sp)

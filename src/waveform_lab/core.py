@@ -59,30 +59,6 @@ class Numerology:
 
 
 @dataclass(frozen=True)
-class TimingInfo:
-    symbol_duration_s: float
-    cp_duration_s: float
-    samples_per_symbol: int
-
-
-def derive_timing(n: Numerology, sample_rate_hz: float) -> TimingInfo:
-    """Symbol/CP durations of a numerology under a given sample rate."""
-    if n.scs_hz <= 0 or n.fft_size <= 0 or n.symbols_per_tti <= 0:
-        raise ConfigError(f"invalid numerology: {n}")
-    if not 0 <= n.cp_samples < n.fft_size:
-        raise ConfigError(f"cp_samples {n.cp_samples} out of range for fft {n.fft_size}")
-    if sample_rate_hz <= 0:
-        raise ConfigError("sample rate must be positive")
-    if not _rates_consistent(n, sample_rate_hz):
-        raise ConfigError(f"scs {n.scs_hz} x fft {n.fft_size} != sample rate {sample_rate_hz}")
-    return TimingInfo(
-        symbol_duration_s=1.0 / n.scs_hz,
-        cp_duration_s=n.cp_samples / sample_rate_hz,
-        samples_per_symbol=n.fft_size + n.cp_samples,
-    )
-
-
-@dataclass(frozen=True)
 class SubbandSpec:
     """Spectral placement and per-subband configuration.
 
@@ -249,6 +225,10 @@ def _rates_consistent(n: Numerology, sample_rate_hz: float) -> bool:
         return False
 
 
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
     """Check every scenario invariant; violations are data, not exceptions."""
     out: list[Violation] = []
@@ -256,18 +236,21 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
     def bad(idx, msg):
         out.append(Violation(idx, msg))
 
-    if not (isinstance(cfg.sample_rate_hz, (int, float)) and cfg.sample_rate_hz > 0):
-        bad(None, "sample_rate_hz must be positive")
-    if not (isinstance(cfg.total_bandwidth_hz, (int, float)) and cfg.total_bandwidth_hz > 0):
-        bad(None, "total_bandwidth_hz must be positive")
+    if not (_finite(cfg.sample_rate_hz) and cfg.sample_rate_hz > 0):
+        bad(None, "sample_rate_hz must be positive and finite")
+    if not (_finite(cfg.total_bandwidth_hz) and cfg.total_bandwidth_hz > 0):
+        bad(None, "total_bandwidth_hz must be positive and finite")
     if not (isinstance(cfg.seed, int) and 0 <= cfg.seed < 2**64):
         bad(None, "seed must be an unsigned 64-bit integer")
 
     imp = cfg.impairments
-    if imp.snr_db is not None and not isinstance(imp.snr_db, (int, float)):
-        bad(None, "snr_db must be a number or off")
-    if imp.pa is not None and not imp.pa.smoothness > 0:
-        bad(None, "pa smoothness must be positive")
+    if imp.snr_db is not None and not _finite(imp.snr_db):
+        bad(None, "snr_db must be a finite number or off")
+    if imp.pa is not None:
+        if not _finite(imp.pa.input_backoff_db):
+            bad(None, "pa input_backoff_db must be finite")
+        if not (_finite(imp.pa.smoothness) and imp.pa.smoothness > 0):
+            bad(None, "pa smoothness must be positive and finite")
     if imp.channel != "ideal":
         from . import impairments as _imp  # local import; avoids module cycle
         if imp.channel not in _imp.available_profiles():
@@ -282,9 +265,13 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
             bad(i, "guard tone counts must be nonnegative")
         if sb.modulation not in MODULATIONS:
             bad(i, f"unknown modulation {sb.modulation!r}")
+        if not _finite(sb.power_offset_db):
+            bad(i, "power_offset_db must be finite")
+        if sb.timing_offset_samples < 0:
+            bad(i, "timing_offset_samples must be nonnegative")
         n = sb.numerology
-        if n.scs_hz <= 0 or n.fft_size <= 0:
-            bad(i, "numerology scs_hz and fft_size must be positive")
+        if not (_finite(n.scs_hz) and n.scs_hz > 0) or n.fft_size <= 0:
+            bad(i, "numerology scs_hz and fft_size must be positive and finite")
             continue
         if n.symbols_per_tti <= 0:
             bad(i, "symbols_per_tti must be positive")

@@ -36,7 +36,7 @@ class FirFilter:
     taps: np.ndarray
     spec: FilterSpec
     sample_rate_hz: float
-    mainlobe_samples: int
+    mainlobe_samples: int           # span between the first minima around the peak tap
     mainlobe_is_full: bool = False
 
     def __post_init__(self):
@@ -127,12 +127,6 @@ def _mainlobe(mag: np.ndarray) -> tuple[int, bool]:
         # No interior minima: taps are monotone around the peak to both ends.
         return len(mag), True
     return right - left, False
-
-
-def mainlobe_width(f: FirFilter) -> int:
-    """Distance in samples between the first minima bracketing the peak tap."""
-    lobe, _ = _mainlobe(np.abs(np.asarray(f.taps)))
-    return lobe
 
 
 @dataclass(frozen=True)

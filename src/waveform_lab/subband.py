@@ -70,12 +70,11 @@ DEFAULT_TAIL_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class TailPolicy:
-    mode: str  # "none" | "extended_cp"
     extra_cp_samples: int = 0
     rx_advance_samples: int = 0
 
 
-TAIL_NONE = TailPolicy(mode="none")
+TAIL_NONE = TailPolicy()
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class SubbandTxArtifacts:
     fir: FirFilter
     grid: ResourceGrid
     bits: np.ndarray
-    filter_delay_samples: int  # group delay of one filter pass
 
 
 def default_filter_order(sample_rate_hz: float, passband_hz: float) -> int:
@@ -163,7 +161,6 @@ def derive_tail_policy(f: FirFilter, n, threshold: float = 1.0) -> TailPolicy:
     if lobe <= n.cp_samples * threshold:
         return TAIL_NONE
     return TailPolicy(
-        mode="extended_cp",
         extra_cp_samples=max(lobe - n.cp_samples, 0),
         rx_advance_samples=lobe // 2,
     )
@@ -171,8 +168,6 @@ def derive_tail_policy(f: FirFilter, n, threshold: float = 1.0) -> TailPolicy:
 
 def _extended_numerology(spec: SubbandSpec, policy: TailPolicy):
     n = spec.numerology
-    if policy.mode == "none":
-        return n
     return replace(n, cp_samples=n.cp_samples + policy.extra_cp_samples)
 
 
@@ -197,6 +192,17 @@ def payload_bits(spec: SubbandSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.int64)
 
 
+def _upconverted(
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy
+) -> tuple[ResourceGrid, np.ndarray]:
+    """Grid and its OFDM signal (CP extended per policy) shifted to the
+    subband, before any filter or power offset: the plain-OFDM chain."""
+    grid = build_grid(spec, bits)
+    baseband = ofdm_modulate(grid, _extended_numerology(spec, policy))
+    t = np.arange(len(baseband))
+    return grid, baseband.samples * np.exp(2j * np.pi * spec.shift_hz * t / sample_rate_hz)
+
+
 def tx_subband(
     spec: SubbandSpec,
     sample_rate_hz: float,
@@ -207,11 +213,7 @@ def tx_subband(
     """Modulate, upconvert, filter, and scale one subband."""
     if fir is None:
         fir = design_subband_filter(spec, sample_rate_hz)
-    grid = build_grid(spec, bits)
-    n_ext = _extended_numerology(spec, policy)
-    baseband = ofdm_modulate(grid, n_ext)
-    t = np.arange(len(baseband))
-    up = baseband.samples * np.exp(2j * np.pi * spec.shift_hz * t / sample_rate_hz)
+    grid, up = _upconverted(spec, sample_rate_hz, bits, policy)
     filtered = _overlap_save(up, fir.taps, default_block_size(len(fir.taps)))
     amp = 10.0 ** (spec.power_offset_db / 20.0)
     signal = SignalBuffer(amp * filtered, sample_rate_hz)
@@ -219,7 +221,6 @@ def tx_subband(
         fir=fir,
         grid=grid,
         bits=np.asarray(bits, dtype=np.int64) if bits is not None else np.empty(0, np.int64),
-        filter_delay_samples=(len(fir.taps) - 1) // 2,
     )
     return signal, artifacts
 
@@ -229,28 +230,11 @@ def tx_subband_unfiltered(
     sample_rate_hz: float,
     bits,
     policy: TailPolicy = TAIL_NONE,
-) -> tuple[SignalBuffer, SubbandTxArtifacts]:
-    """Plain-OFDM reference chain: same grid and upconversion, no filter."""
-    grid = build_grid(spec, bits)
-    n_ext = _extended_numerology(spec, policy)
-    baseband = ofdm_modulate(grid, n_ext)
-    t = np.arange(len(baseband))
-    up = baseband.samples * np.exp(2j * np.pi * spec.shift_hz * t / sample_rate_hz)
+) -> SignalBuffer:
+    """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
+    _, up = _upconverted(spec, sample_rate_hz, bits, policy)
     amp = 10.0 ** (spec.power_offset_db / 20.0)
-    unit = FirFilter(
-        taps=np.ones(1, dtype=np.complex128),
-        spec=FilterSpec(order=0, passband_width_hz=sample_rate_hz / 2,
-                        center_offset_hz=0.0, window="external"),
-        sample_rate_hz=sample_rate_hz,
-        mainlobe_samples=1,
-    )
-    artifacts = SubbandTxArtifacts(
-        fir=unit,
-        grid=grid,
-        bits=np.asarray(bits, dtype=np.int64) if bits is not None else np.empty(0, np.int64),
-        filter_delay_samples=0,
-    )
-    return SignalBuffer(amp * up, sample_rate_hz), artifacts
+    return SignalBuffer(amp * up, sample_rate_hz)
 
 
 def genie_estimates(
@@ -491,25 +475,42 @@ def guardtone_sweep(
     victim_template = base.subbands[0]
     edge_count = _edge_tone_count(victim_template)
 
+    def run_cell(subs: list[SubbandSpec], cell: str, mod: str) -> _ErrorAccumulator:
+        """All trials of one cell: transmit every subband, assemble, add noise,
+        and receive the victim (subs[0])."""
+        firs = [design_subband_filter(s, fs, order=filter_order,
+                                      edge_backoff_tones=edge_backoff)
+                for s in subs]
+        policies = [derive_tail_policy(f, s.numerology, DEFAULT_TAIL_THRESHOLD)
+                    for s, f in zip(subs, firs)]
+        victim = subs[0]
+        edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
+        offsets = [s.timing_offset_samples for s in subs]
+        acc = _ErrorAccumulator()
+        for trial in range(trials):
+            # The victim's payload and the noise are drawn as in the baseline,
+            # so baseline deltas isolate inter-subband interference.
+            signals, artifacts = [], []
+            for i, (s, f, p) in enumerate(zip(subs, firs, policies)):
+                label = f"bits/{cell}/{trial}/s{i}" if i else f"bits/baseline/{mod}/{trial}"
+                bits = payload_bits(s, seeded_rng(base.seed, label))
+                sig, art = tx_subband(s, fs, bits, policy=p, fir=f)
+                signals.append(sig)
+                artifacts.append(art)
+            comp = assemble(signals, offsets)
+            noise = _sweep_noise(len(comp), sigma2,
+                                 seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
+            noisy = SignalBuffer(comp.samples + noise, fs)
+            res = rx_subband(noisy, victim, artifacts[0], policy=policies[0])
+            acc.add(artifacts[0].grid, res.grid, edge, artifacts[0].bits, res.bits)
+        return acc
+
     # Baselines: isolated victim, one per modulation, same noise calibration.
     baselines = {}
     for mod in modulations:
         spec = replace(victim_template, modulation=mod, power_offset_db=0.0,
                        timing_offset_samples=0)
-        fir = design_subband_filter(spec, fs, order=filter_order,
-                                    edge_backoff_tones=edge_backoff)
-        policy = derive_tail_policy(fir, spec.numerology, DEFAULT_TAIL_THRESHOLD)
-        acc = _ErrorAccumulator()
-        edge = np.arange(spec.data_tones - edge_count, spec.data_tones)
-        for trial in range(trials):
-            bits = payload_bits(spec, seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
-            sig, art = tx_subband(spec, fs, bits, policy=policy, fir=fir)
-            noise = _sweep_noise(len(sig), sigma2,
-                                 seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
-            noisy = SignalBuffer(sig.samples + noise, fs)
-            res = rx_subband(noisy, spec, art, policy=policy)
-            acc.add(art.grid, res.grid, edge, bits, res.bits)
-        baselines[mod] = acc.row(-1, 0.0, mod, snr_db)
+        baselines[mod] = run_cell([spec], f"baseline/{mod}", mod).row(-1, 0.0, mod, snr_db)
 
     rows = []
     for guard in guard_counts:
@@ -520,42 +521,12 @@ def guardtone_sweep(
                                         power_offset_db=power_db))
                     continue
                 subs = _sweep_geometry(base, guard, power_db, mod)
-                scn = replace(base, subbands=tuple(subs))
-                rep = validate_scenario(scn)
+                rep = validate_scenario(replace(base, subbands=tuple(subs)))
                 if not rep.ok:
                     raise ConfigError(
                         f"sweep cell guard={guard} invalid: {rep.violations[0].message}"
                     )
-                firs = [design_subband_filter(s, fs, order=filter_order,
-                                              edge_backoff_tones=edge_backoff)
-                        for s in subs]
-                policies = [derive_tail_policy(f, s.numerology, DEFAULT_TAIL_THRESHOLD)
-                            for s, f in zip(subs, firs)]
-                victim = subs[0]
-                edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
-                acc = _ErrorAccumulator()
-                cell = f"g{guard}/p{power_db:g}/{mod}"
-                for trial in range(trials):
-                    signals, artifacts = [], []
-                    for i, (s, f, p) in enumerate(zip(subs, firs, policies)):
-                        bits = (
-                            payload_bits(s, seeded_rng(base.seed,
-                                                       f"bits/baseline/{mod}/{trial}"))
-                            if i == 0 else
-                            payload_bits(s, seeded_rng(base.seed,
-                                                       f"bits/{cell}/{trial}/s{i}"))
-                        )
-                        sig, art = tx_subband(s, fs, bits, policy=p, fir=f)
-                        signals.append(sig)
-                        artifacts.append(art)
-                    comp = assemble(signals, [s.timing_offset_samples for s in subs])
-                    noise = _sweep_noise(
-                        len(comp), sigma2,
-                        seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"),
-                    )
-                    noisy = SignalBuffer(comp.samples + noise[:len(comp)], fs)
-                    res = rx_subband(noisy, victim, artifacts[0], policy=policies[0])
-                    acc.add(artifacts[0].grid, res.grid, edge, artifacts[0].bits, res.bits)
+                acc = run_cell(subs, f"g{guard}/p{power_db:g}/{mod}", mod)
                 rows.append(acc.row(guard, power_db, mod, snr_db))
 
     rows.sort(key=lambda r: (r.guard_tones, r.power_offset_db, r.modulation))

@@ -155,10 +155,16 @@ def test_guardtone_seed_override_changes_rows(tmp_path):
 
 def test_guardtone_unknown_modulation(tmp_path, capsys):
     scn = _shrunk_desk(tmp_path)
-    rc = main(["guardtone", "--scenario", scn, "--out", str(tmp_path / "x"),
+    out = tmp_path / "x"
+    rc = main(["guardtone", "--scenario", scn, "--out", str(out),
                "--modulations", "1024qam"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    # The run failed after the manifest was opened: it says so, not "running".
+    doc = _read_manifest(out)
+    assert doc["status"] == "failed"
+    assert "1024qam" in doc["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +210,13 @@ def test_selftest_detects_corruption(capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_jobs_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_invalid_scenario_exit_code(tmp_path, capsys):

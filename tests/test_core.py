@@ -3,9 +3,12 @@ scenario (de)serialization, and seeded randomness."""
 
 import json
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waveform_lab.core import (
     ConfigError,
@@ -16,7 +19,6 @@ from waveform_lab.core import (
     ScenarioConfig,
     SignalBuffer,
     SubbandSpec,
-    derive_timing,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -28,6 +30,8 @@ from waveform_lab.core import (
 
 DESK = Numerology(scs_hz=15e3, fft_size=512, cp_samples=36, symbols_per_tti=14)
 FS = 7.68e6
+DESK_PRESET = load_scenario(
+    resources.files("waveform_lab") / "data" / "presets" / "three-subband-desk.json")
 
 
 def _scenario(subbands, fs=FS, bw=6.5e6, seed=1):
@@ -58,28 +62,29 @@ def _subband(start, width, **kw):
 # ---------------------------------------------------------------------------
 
 def test_numerology_symbol_timing():
-    t = derive_timing(DESK, FS)
-    assert t.symbol_duration_s == pytest.approx(1 / 15e3)
-    assert t.cp_duration_s == pytest.approx(36 / FS)
-    assert t.samples_per_symbol == 548
+    assert DESK.symbol_duration_s == pytest.approx(1 / 15e3)
+    assert DESK.cp_samples / DESK.sample_rate_hz == pytest.approx(36 / FS)
+    assert DESK.samples_per_symbol == 548
 
 
 def test_timing_narrow_spacing():
     # 3.75 kHz spacing at the same rate: four times the symbol duration.
     n = Numerology(scs_hz=3.75e3, fft_size=2048, cp_samples=20, symbols_per_tti=14)
-    t = derive_timing(n, FS)
-    assert t.symbol_duration_s == pytest.approx(266.67e-6, rel=1e-4)
+    assert n.sample_rate_hz == pytest.approx(FS)
+    assert n.symbol_duration_s == pytest.approx(266.67e-6, rel=1e-4)
 
 
 def test_timing_rate_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        derive_timing(DESK, 7.69e6)
+    report = validate_scenario(_scenario([_subband(-24, 48)], fs=7.69e6))
+    assert [v.subband for v in report.violations] == [0]
+    assert "sample rate" in report.violations[0].message
 
 
 def test_timing_cp_exceeding_symbol_rejected():
     bad = Numerology(scs_hz=15e3, fft_size=512, cp_samples=512, symbols_per_tti=14)
-    with pytest.raises(ConfigError):
-        derive_timing(bad, FS)
+    report = validate_scenario(_scenario([_subband(-24, 48, numerology=bad)]))
+    assert [v.subband for v in report.violations] == [0]
+    assert "cp_samples" in report.violations[0].message
 
 
 def test_numerology_sample_rate_property():
@@ -165,6 +170,53 @@ def test_validate_rejects_fractional_width():
     assert not validate_scenario(cfg).ok
 
 
+def _with_subband(cfg, index, **changes):
+    subs = list(cfg.subbands)
+    subs[index] = replace(subs[index], **changes)
+    return replace(cfg, subbands=tuple(subs))
+
+
+# Every float field of a scenario -> setter(cfg, value, subband index).
+_FLOAT_FIELDS = {
+    "sample_rate_hz": lambda c, v, i: replace(c, sample_rate_hz=v),
+    "total_bandwidth_hz": lambda c, v, i: replace(c, total_bandwidth_hz=v),
+    "snr_db": lambda c, v, i: replace(c, impairments=ImpairmentConfig(snr_db=v)),
+    "pa.input_backoff_db": lambda c, v, i: replace(
+        c, impairments=ImpairmentConfig(pa=RappConfig(v))),
+    "pa.smoothness": lambda c, v, i: replace(
+        c, impairments=ImpairmentConfig(pa=RappConfig(9.6, v))),
+    "power_offset_db": lambda c, v, i: _with_subband(c, i, power_offset_db=v),
+    "numerology.scs_hz": lambda c, v, i: _with_subband(
+        c, i, numerology=replace(c.subbands[i].numerology, scs_hz=v)),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", math.nan),
+    ("snr_db", math.inf),
+    ("power_offset_db", math.nan),
+    ("power_offset_db", -math.inf),
+    ("pa.input_backoff_db", math.nan),
+    ("timing_offset_samples", -5),
+])
+def test_validate_rejects_nonfinite_and_negative_offsets(field, value):
+    assert validate_scenario(DESK_PRESET).ok
+    if field == "timing_offset_samples":
+        cfg = _with_subband(DESK_PRESET, 0, timing_offset_samples=value)
+    else:
+        cfg = _FLOAT_FIELDS[field](DESK_PRESET, value, 0)
+    report = validate_scenario(cfg)
+    assert any(field.split(".")[-1] in v.message for v in report.violations)
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=st.sampled_from(sorted(_FLOAT_FIELDS)),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       index=st.integers(0, len(DESK_PRESET.subbands) - 1))
+def test_validate_rejects_any_nonfinite_float(field, value, index):
+    assert not validate_scenario(_FLOAT_FIELDS[field](DESK_PRESET, value, index)).ok
+
+
 def test_validate_reports_subband_index():
     cfg = _scenario([_subband(-100, 48), _subband(200, 48)])
     report = validate_scenario(cfg)
@@ -224,6 +276,42 @@ def test_scenario_hash_tracks_content():
     a = _scenario([_subband(-24, 48)])
     b = _scenario([_subband(-24, 48)], seed=2)
     assert scenario_hash(a) != scenario_hash(b)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scenarios = st.builds(
+    ScenarioConfig,
+    sample_rate_hz=_finite,
+    total_bandwidth_hz=_finite,
+    subbands=st.lists(st.builds(
+        SubbandSpec,
+        start_tone=st.integers(-4096, 4096),
+        width_tones=st.integers(-10, 4096),
+        guard_tones_left=st.integers(-2, 64),
+        guard_tones_right=st.integers(-2, 64),
+        numerology=st.builds(Numerology, scs_hz=_finite, fft_size=st.integers(0, 8192),
+                             cp_samples=st.integers(0, 8192),
+                             symbols_per_tti=st.integers(0, 1024)),
+        modulation=st.text(max_size=8),
+        power_offset_db=_finite,
+        timing_offset_samples=st.integers(-10, 10**6),
+    ), max_size=4).map(tuple),
+    impairments=st.builds(
+        ImpairmentConfig,
+        snr_db=st.none() | _finite,
+        channel=st.text(max_size=8),
+        pa=st.none() | st.builds(RappConfig, _finite, _finite),
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_scenarios)
+def test_scenario_dict_round_trip_is_identity(cfg):
+    again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(cfg))))
+    assert again == cfg
+    assert scenario_hash(again) == scenario_hash(cfg)
 
 
 def test_impairments_serialization():

@@ -15,12 +15,14 @@ from waveform_lab.core import (
     SubbandSpec,
     seeded_rng,
 )
+from waveform_lab.filters import FilterSpec, FirFilter
 from waveform_lab.impairments import apply_tdl, load_tdl_profile
 from waveform_lab.metrics import psd_welch
 from waveform_lab.modem import BITS_PER_SYMBOL, ber, qam_map
 from waveform_lab.subband import (
     DEFAULT_TAIL_THRESHOLD,
     TAIL_NONE,
+    TailPolicy,
     assemble,
     build_grid,
     default_filter_order,
@@ -103,22 +105,21 @@ def test_backoff_cannot_consume_passband():
 def test_tail_policy_wideband_is_none():
     fir = design_subband_filter(_subband(width=288), FS, order=32)
     assert fir.mainlobe_samples <= 8
-    assert derive_tail_policy(fir, DESK).mode == "none"
+    assert derive_tail_policy(fir, DESK) == TAIL_NONE
 
 
 def test_tail_policy_narrowband_extends_cp():
     # 180 kHz subband: the mainlobe outgrows the nominal CP.
     fir = design_subband_filter(_subband(width=12), FS)
     pol = derive_tail_policy(fir, DESK)
-    assert pol.mode == "extended_cp"
     assert pol.extra_cp_samples == fir.mainlobe_samples - DESK.cp_samples
     assert pol.rx_advance_samples == fir.mainlobe_samples // 2
 
 
 def test_tail_policy_threshold_parameter():
     fir = design_subband_filter(_subband(width=48), FS)  # mainlobe ~22
-    assert derive_tail_policy(fir, DESK, threshold=1.0).mode == "none"
-    assert derive_tail_policy(fir, DESK, threshold=0.5).mode == "extended_cp"
+    assert derive_tail_policy(fir, DESK, threshold=1.0) == TAIL_NONE
+    assert derive_tail_policy(fir, DESK, threshold=0.5).rx_advance_samples > 0
 
 
 def test_scenario_profiles():
@@ -165,10 +166,9 @@ def test_payload_bits_count():
 def test_tx_length_includes_filter_transient():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
-    sig, art = tx_subband(spec, FS, payload_bits(spec, seeded_rng(1, "len")),
-                          fir=fir)
+    sig, _ = tx_subband(spec, FS, payload_bits(spec, seeded_rng(1, "len")),
+                        fir=fir)
     assert len(sig) == 14 * 548 + len(fir.taps) - 1
-    assert art.filter_delay_samples == (len(fir.taps) - 1) // 2
 
 
 def test_tx_power_offset_scales_amplitude():
@@ -199,8 +199,7 @@ def test_tx_spectrum_confined():
 def test_unfiltered_tx_matches_filtered_in_band_power():
     spec = _subband()
     bits = payload_bits(spec, seeded_rng(1, "unf"))
-    plain, art = tx_subband_unfiltered(spec, FS, bits)
-    assert art.filter_delay_samples == 0
+    plain = tx_subband_unfiltered(spec, FS, bits)
     assert len(plain) == 14 * 548
     # The short default filter rolls off edge tones, so the filtered signal
     # loses a little energy but stays within ~1.5 dB of the plain one.
@@ -208,6 +207,21 @@ def test_unfiltered_tx_matches_filtered_in_band_power():
     e_plain = np.sum(np.abs(plain.samples) ** 2)
     e_filt = np.sum(np.abs(filt.samples) ** 2)
     assert 10 * abs(np.log10(e_filt / e_plain)) < 1.5
+
+
+def test_unit_filter_tx_matches_unfiltered_chain():
+    # f-OFDM with a one-tap unit filter is plain OFDM: both transmit
+    # functions share the grid, modulation, upconversion and scaling.
+    spec = _subband(mod="16qam", power_offset_db=-3.0)
+    bits = payload_bits(spec, seeded_rng(1, "unit"))
+    policy = TailPolicy(extra_cp_samples=10, rx_advance_samples=5)
+    unit = FirFilter(taps=np.ones(1), spec=FilterSpec(order=0, passband_width_hz=FS / 2),
+                     sample_rate_hz=FS, mainlobe_samples=1)
+    filt, _ = tx_subband(spec, FS, bits, policy=policy, fir=unit)
+    plain = tx_subband_unfiltered(spec, FS, bits, policy=policy)
+    assert len(filt) == len(plain) == 14 * (548 + 10)
+    err = np.linalg.norm(filt.samples - plain.samples) / np.linalg.norm(plain.samples)
+    assert err < 1e-12
 
 
 # ---------------------------------------------------------------------------
