@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    MODULATIONS,
     ConfigError,
     RappConfig,
     ScenarioConfig,
@@ -42,7 +43,6 @@ from .impairments import awgn, pa_rapp
 from .metrics import ThroughputInput, normalized_throughput, oobe, psd_welch
 from .modem import evm_db, ofdm_demodulate, ofdm_modulate
 from .subband import (
-    DEFAULT_TAIL_THRESHOLD,
     assemble,
     derive_tail_policy,
     design_subband_filter,
@@ -56,6 +56,7 @@ from .subband import (
 
 PRESET_ENV = "WAVEFORM_LAB_PRESETS"
 FULL_SCALE_RATE_HZ = 30.72e6
+PA_BACKOFF_DB = 9.6
 
 
 def preset_dir() -> Path:
@@ -87,10 +88,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _write_csv(path: Path, lines: list[str]) -> None:
     _write_atomic(path, "".join(ln + "\n" for ln in lines))
-
-
-def _file_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class ManifestWriter:
@@ -128,7 +125,8 @@ class ManifestWriter:
 
     def finalize(self, outputs: dict[str, Path]):
         self.doc["outputs"] = {
-            name: {"path": str(p), "sha256": _file_hash(p)} for name, p in outputs.items()
+            name: {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for name, p in outputs.items()
         }
         self.doc["status"] = "complete"
         self.doc["wall_clock_s"] = round(time.monotonic() - self.started, 3)
@@ -152,6 +150,26 @@ def _load_and_check(args) -> tuple[ScenarioConfig, Path, str]:
     return cfg, path, preset
 
 
+def _reject_unapplied_impairments(cfg: ScenarioConfig, verb: str, pa_fix: str | None) -> None:
+    """Fail on a scenario impairment that `verb` would leave unapplied;
+    `pa_fix` tells how to resolve a configured PA, None if the verb applies it."""
+    imp = cfg.impairments
+    for name, is_set, fix in (
+        ("snr_db", imp.snr_db is not None, 'set it to "off"'),
+        ("channel", imp.channel != "ideal", 'set it to "ideal"'),
+        ("pa", imp.pa is not None and pa_fix is not None, pa_fix),
+    ):
+        if is_set:
+            raise ConfigError(f"{verb} does not apply impairments.{name}; {fix}")
+
+
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma list of {kind.__name__}, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # psd
 # ---------------------------------------------------------------------------
@@ -167,9 +185,13 @@ def _scale_ttis(cfg: ScenarioConfig, n_ttis: int) -> ScenarioConfig:
 
 def cmd_psd(args) -> int:
     cfg, _, preset = _load_and_check(args)
+    _reject_unapplied_impairments(
+        cfg, "psd", None if args.pa_on else 'set it to "off" or pass --pa-on')
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset) as manifest:
+        if args.ttis < 1:
+            raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
         long_cfg = _scale_ttis(cfg, args.ttis)
         fs = cfg.sample_rate_hz
         offsets = [sb.timing_offset_samples for sb in long_cfg.subbands]
@@ -179,15 +201,14 @@ def cmd_psd(args) -> int:
         for i, sb in enumerate(long_cfg.subbands):
             bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
             fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
-            policy = derive_tail_policy(fir, sb.numerology, DEFAULT_TAIL_THRESHOLD)
-            sig_f, _ = tx_subband(sb, fs, bits, policy=policy, fir=fir)
-            filtered_parts.append(sig_f)
+            policy = derive_tail_policy(fir, sb.numerology)
+            filtered_parts.append(tx_subband(sb, fs, bits, policy, fir)[0])
             plain_parts.append(tx_subband_unfiltered(sb, fs, bits, policy=policy))
         fofdm = assemble(filtered_parts, offsets)
         ofdm = assemble(plain_parts, offsets)
 
         if args.pa_on:
-            pa_cfg = cfg.impairments.pa or RappConfig(input_backoff_db=9.6, smoothness=2.0)
+            pa_cfg = cfg.impairments.pa or RappConfig(input_backoff_db=PA_BACKOFF_DB)
             fofdm = pa_rapp(fofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
             ofdm = pa_rapp(ofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
 
@@ -225,27 +246,21 @@ def cmd_psd(args) -> int:
 
 def cmd_guardtone(args) -> int:
     cfg, _, preset = _load_and_check(args)
+    _reject_unapplied_impairments(cfg, "guardtone", 'set it to "off"')
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ManifestWriter(out_dir, "guardtone", scenario_hash(cfg), cfg.seed, preset) as manifest:
-        guards = [int(g) for g in args.guards.split(",")]
-        offsets = [float(o) for o in args.offsets_db.split(",")]
+        guards = _parse_list(args.guards, int, "--guards")
+        offsets = _parse_list(args.offsets_db, float, "--offsets-db")
         mods = tuple(m.strip() for m in args.modulations.split(","))
-        from .modem import BITS_PER_SYMBOL
-        for m in mods:
-            if m not in BITS_PER_SYMBOL:
-                raise ConfigError(f"unknown modulation flag {m!r}")
-
         result = guardtone_sweep(cfg, guards, offsets, args.snr_db, args.trials,
                                  modulations=mods)
         sweep_path = out_dir / "guardtone_sweep.csv"
         _write_csv(sweep_path, result.csv_lines())
-        base_lines = ["modulation,snr_db,evm_db_edge,evm_db_inner,ber"]
-        for mod in mods:
-            b = result.baselines[mod]
-            base_lines.append(
-                f"{mod},{b.snr_db:.6g},{b.evm_db_edge:.6f},{b.evm_db_inner:.6f},{b.ber:.8g}"
-            )
+        base_lines = ["modulation,snr_db,evm_db_edge,evm_db_inner,ber"] + [
+            f"{b.modulation},{b.snr_db:.6g},{b.evm_db_edge:.6f},{b.evm_db_inner:.6f},{b.ber:.8g}"
+            for b in result.baselines.values()
+        ]
         base_path = out_dir / "guardtone_baseline.csv"
         _write_csv(base_path, base_lines)
         manifest.finalize({"sweep": sweep_path, "baseline": base_path})
@@ -288,9 +303,8 @@ def cmd_throughput(args) -> int:
     subbands, baseline = load_throughput_preset(path)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    blob = path.read_bytes()
     with ManifestWriter(out_dir, "throughput",
-                        hashlib.sha256(blob).hexdigest(), args.seed or 0, preset) as manifest:
+                        hashlib.sha256(path.read_bytes()).hexdigest(), None, preset) as manifest:
         report = normalized_throughput(subbands, baseline)
         lines = ["name,data_tone_fraction,cp_overhead_fraction,normalized_throughput,"
                  "bandwidth_weight"]
@@ -365,9 +379,9 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
                        guard_tones_right=0, numerology=n, modulation="16qam")
     bits = rng.integers(0, 2, 48 * 14 * 4)
     fir = design_subband_filter(spec, fs)
-    policy = derive_tail_policy(fir, n, DEFAULT_TAIL_THRESHOLD)
-    sig, art = tx_subband(spec, fs, bits, policy=policy, fir=fir)
-    res = rx_subband(sig, spec, art, policy=policy)
+    policy = derive_tail_policy(fir, n)
+    sig, grid = tx_subband(spec, fs, bits, policy, fir)
+    res = rx_subband(sig, spec, fir, grid, policy)
     r = _ber(bits, res.bits)
     results.append(("fofdm_loopback",
                     r.errors == 0 and res.evm_db <= -35.0,
@@ -400,13 +414,12 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
     results.append(("assembly_linearity", err < 1e-9, f"residual {err:.2e}"))
 
     # Guard-count EVM monotonicity and deterministic rerun (tiny sweep).
-    from .subband import guardtone_sweep as _sweep
     base = load_scenario(preset_dir() / "three-subband-desk.json")
     small = replace(base, subbands=tuple(
         replace(sb, numerology=replace(sb.numerology, symbols_per_tti=4))
         for sb in base.subbands))
-    res1 = _sweep(small, [0, 2], [0.0], 40.0, 2, modulations=("qpsk",))
-    res2 = _sweep(small, [0, 2], [0.0], 40.0, 2, modulations=("qpsk",))
+    res1 = guardtone_sweep(small, [0, 2], [0.0], 40.0, 2, modulations=("qpsk",))
+    res2 = guardtone_sweep(small, [0, 2], [0.0], 40.0, 2, modulations=("qpsk",))
     by_guard = {r.guard_tones: r.evm_db_edge for r in res1.rows}
     results.append(("guard_monotonicity", by_guard[2] <= by_guard[0] + 1e-9,
                     f"edge evm g0 {by_guard[0]:.1f} dB, g2 {by_guard[2]:.1f} dB"))
@@ -422,7 +435,7 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
 
 def cmd_selftest(args) -> int:
     t0 = time.monotonic()
-    results = run_selftest(corrupt_taps=getattr(args, "corrupt_taps", False))
+    results = run_selftest(corrupt_taps=args.corrupt_taps)
     elapsed = time.monotonic() - t0
     failed = [name for name, passed, _ in results if not passed]
     print(f"selftest: {len(results) - len(failed)}/{len(results)} passed "
@@ -439,17 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Batch f-OFDM waveform experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scenario=True):
-        if scenario:
-            sp.add_argument("--scenario", required=True,
-                            help="scenario file path or preset name")
-            sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    def common(sp, seed=True):
+        sp.add_argument("--scenario", required=True, help="scenario file path or preset name")
+        sp.add_argument("--out", required=True, help="output directory")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None, help="override scenario seed")
 
     sp = sub.add_parser("psd", help="PSD and OOBE of OFDM vs f-OFDM")
     common(sp)
     sp.add_argument("--pa-on", action="store_true",
-                    help="apply the Rapp PA (9.6 dB backoff unless the scenario sets one)")
+                    help=f"apply the Rapp PA ({PA_BACKOFF_DB} dB backoff unless the "
+                         "scenario sets one)")
     sp.add_argument("--ttis", type=int, default=8, help="TTIs to average over")
     sp.set_defaults(func=cmd_psd)
 
@@ -459,15 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--offsets-db", default="0,10", help="comma list of interferer power offsets")
     sp.add_argument("--snr-db", type=float, default=30.0)
     sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--modulations", default="qpsk,16qam,64qam")
+    sp.add_argument("--modulations", default=",".join(MODULATIONS))
     sp.set_defaults(func=cmd_guardtone)
 
     sp = sub.add_parser("throughput", help="normalized throughput report")
-    common(sp)
+    common(sp, seed=False)
     sp.set_defaults(func=cmd_throughput)
 
     sp = sub.add_parser("selftest", help="run the built-in oracle suite")
-    common(sp, scenario=False)
     sp.add_argument("--corrupt-taps", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_selftest)
     return p

@@ -112,6 +112,11 @@ class SubbandSpec:
         d = self.data_tones
         return self.occupied_low_hz + (d // 2 + 0.5) * self.numerology.scs_hz
 
+    @property
+    def amplitude(self) -> float:
+        """Linear amplitude scale of the power offset."""
+        return 10.0 ** (self.power_offset_db / 20.0)
+
 
 @dataclass(frozen=True)
 class RappConfig:
@@ -314,64 +319,87 @@ def seeded_rng(seed: int, stream_label: str) -> np.random.Generator:
 # Scenario file I/O (strict JSON schema, unknown keys rejected)
 # ---------------------------------------------------------------------------
 
-def _take(d: dict, allowed: set[str], ctx: str) -> None:
+def _take(d, allowed: set[str], ctx: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {ctx}: {sorted(unknown)}")
 
 
-def _numerology_from_dict(d: dict) -> Numerology:
-    _take(d, {"scs_hz", "fft_size", "cp_samples", "symbols_per_tti"}, "numerology")
+def _field(d: dict, key: str, kind: type, ctx: str, default=None):
+    """`d[key]` as `kind`, or `default` when the key is absent. A missing key
+    without a default, or a wrongly typed value, raises ConfigError naming it."""
+    if key not in d:
+        if default is None:
+            raise ConfigError(f"{ctx}.{key} is missing")
+        return default
+    v = d[key]
+    if not isinstance(v, bool) and isinstance(v, (int, float) if kind is float else kind):
+        try:
+            return kind(v)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError(f"{ctx}.{key} must be of type {kind.__name__}, got {v!r}")
+
+
+def _numerology_from_dict(d: dict, ctx: str) -> Numerology:
+    _take(d, {"scs_hz", "fft_size", "cp_samples", "symbols_per_tti"}, ctx)
     return Numerology(
-        scs_hz=float(d["scs_hz"]),
-        fft_size=int(d["fft_size"]),
-        cp_samples=int(d["cp_samples"]),
-        symbols_per_tti=int(d["symbols_per_tti"]),
+        scs_hz=_field(d, "scs_hz", float, ctx),
+        fft_size=_field(d, "fft_size", int, ctx),
+        cp_samples=_field(d, "cp_samples", int, ctx),
+        symbols_per_tti=_field(d, "symbols_per_tti", int, ctx),
     )
 
 
-def _subband_from_dict(d: dict) -> SubbandSpec:
+def _subband_from_dict(d: dict, ctx: str) -> SubbandSpec:
     _take(d, {
         "start_tone", "width_tones", "guard_tones_left", "guard_tones_right",
         "numerology", "modulation", "power_offset_db", "timing_offset_samples",
-    }, "subband")
+    }, ctx)
     return SubbandSpec(
-        start_tone=int(d["start_tone"]),
-        width_tones=int(d["width_tones"]),
-        guard_tones_left=int(d.get("guard_tones_left", 0)),
-        guard_tones_right=int(d.get("guard_tones_right", 0)),
-        numerology=_numerology_from_dict(d["numerology"]),
-        modulation=str(d["modulation"]),
-        power_offset_db=float(d.get("power_offset_db", 0.0)),
-        timing_offset_samples=int(d.get("timing_offset_samples", 0)),
+        start_tone=_field(d, "start_tone", int, ctx),
+        width_tones=_field(d, "width_tones", int, ctx),
+        guard_tones_left=_field(d, "guard_tones_left", int, ctx, 0),
+        guard_tones_right=_field(d, "guard_tones_right", int, ctx, 0),
+        numerology=_numerology_from_dict(_field(d, "numerology", dict, ctx),
+                                         f"{ctx}.numerology"),
+        modulation=_field(d, "modulation", str, ctx),
+        power_offset_db=_field(d, "power_offset_db", float, ctx, SubbandSpec.power_offset_db),
+        timing_offset_samples=_field(d, "timing_offset_samples", int, ctx,
+                                     SubbandSpec.timing_offset_samples),
     )
 
 
-def _impairments_from_dict(d: dict) -> ImpairmentConfig:
-    _take(d, {"snr_db", "channel", "pa"}, "impairments")
+def _impairments_from_dict(d: dict, ctx: str) -> ImpairmentConfig:
+    _take(d, {"snr_db", "channel", "pa"}, ctx)
     snr = d.get("snr_db", "off")
-    snr_db = None if snr == "off" or snr is None else float(snr)
+    snr_db = None if snr == "off" or snr is None else _field(d, "snr_db", float, ctx)
     pa_raw = d.get("pa", "off")
     if pa_raw == "off" or pa_raw is None:
         pa = None
     else:
-        _take(pa_raw, {"input_backoff_db", "smoothness"}, "pa")
+        pa_ctx = f"{ctx}.pa"
+        _take(pa_raw, {"input_backoff_db", "smoothness"}, pa_ctx)
         pa = RappConfig(
-            input_backoff_db=float(pa_raw["input_backoff_db"]),
-            smoothness=float(pa_raw.get("smoothness", 2.0)),
+            input_backoff_db=_field(pa_raw, "input_backoff_db", float, pa_ctx),
+            smoothness=_field(pa_raw, "smoothness", float, pa_ctx, RappConfig.smoothness),
         )
-    return ImpairmentConfig(snr_db=snr_db, channel=str(d.get("channel", "ideal")), pa=pa)
+    channel = _field(d, "channel", str, ctx, ImpairmentConfig.channel)
+    return ImpairmentConfig(snr_db=snr_db, channel=channel, pa=pa)
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    _take(d, {"sample_rate_hz", "total_bandwidth_hz", "subbands", "impairments", "seed"},
-          "scenario")
+    ctx = "scenario"
+    _take(d, {"sample_rate_hz", "total_bandwidth_hz", "subbands", "impairments", "seed"}, ctx)
     return ScenarioConfig(
-        sample_rate_hz=float(d["sample_rate_hz"]),
-        total_bandwidth_hz=float(d["total_bandwidth_hz"]),
-        subbands=tuple(_subband_from_dict(s) for s in d["subbands"]),
-        impairments=_impairments_from_dict(d.get("impairments", {})),
-        seed=int(d.get("seed", 0)),
+        sample_rate_hz=_field(d, "sample_rate_hz", float, ctx),
+        total_bandwidth_hz=_field(d, "total_bandwidth_hz", float, ctx),
+        subbands=tuple(_subband_from_dict(s, f"{ctx}.subbands[{i}]")
+                       for i, s in enumerate(_field(d, "subbands", list, ctx))),
+        impairments=_impairments_from_dict(d.get("impairments", {}), f"{ctx}.impairments"),
+        seed=_field(d, "seed", int, ctx, ScenarioConfig.seed),
     )
 
 

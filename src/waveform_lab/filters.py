@@ -19,7 +19,10 @@ WINDOW_HANN = "hann"
 WINDOW_RRC = "rrc"
 WINDOW_EXTERNAL = "external"
 
-MAX_TAPS_DEFAULT = 4097
+MAX_TAPS = 4097
+
+# Smallest overlap-save block: keeps short filters out of a long block loop.
+MIN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,7 @@ def _rrc_window(length: int, rolloff: float) -> np.ndarray:
     return w
 
 
-def design_windowed_sinc(
-    spec: FilterSpec, sample_rate_hz: float, max_taps: int = MAX_TAPS_DEFAULT
-) -> FirFilter:
+def design_windowed_sinc(spec: FilterSpec, sample_rate_hz: float) -> FirFilter:
     """Windowed-sinc lowpass, modulated to `center_offset_hz`, unit gain at center.
 
     taps[n] = sinc(fc*(n-M)) * w[n] * exp(j*2*pi*fo*(n-M)/fs), fc = passband/fs,
@@ -76,8 +77,8 @@ def design_windowed_sinc(
         raise ConfigError("sample rate must be positive")
     if spec.order <= 0 or spec.order % 2 != 0:
         raise ConfigError(f"filter order must be even and positive, got {spec.order}")
-    if spec.order + 1 > max_taps:
-        raise ConfigError(f"tap count {spec.order + 1} exceeds maximum {max_taps}")
+    if spec.order + 1 > MAX_TAPS:
+        raise ConfigError(f"tap count {spec.order + 1} exceeds maximum {MAX_TAPS}")
     if spec.passband_width_hz <= 0:
         raise ConfigError("passband width must be positive")
     if spec.passband_width_hz >= sample_rate_hz:
@@ -164,10 +165,7 @@ def direct_convolve(x: SignalBuffer, f: FirFilter) -> SignalBuffer:
 
 def overlap_save_convolve(x: SignalBuffer, f: FirFilter, block_fft_size: int) -> SignalBuffer:
     """Linear convolution via overlap-save blocks of `block_fft_size`."""
-    return SignalBuffer(
-        _overlap_save(np.asarray(x.samples), np.asarray(f.taps), block_fft_size),
-        x.sample_rate_hz,
-    )
+    return SignalBuffer(_overlap_save(x.samples, f.taps, block_fft_size), x.sample_rate_hz)
 
 
 def _overlap_save(x: np.ndarray, taps: np.ndarray, block: int) -> np.ndarray:
@@ -191,9 +189,9 @@ def _overlap_save(x: np.ndarray, taps: np.ndarray, block: int) -> np.ndarray:
     return out[:n_out]
 
 
-def default_block_size(tap_count: int, floor: int = 4096) -> int:
+def default_block_size(tap_count: int) -> int:
     block = 1 << (2 * tap_count - 1).bit_length()
-    return max(block, floor)
+    return max(block, MIN_BLOCK)
 
 
 # ---------------------------------------------------------------------------

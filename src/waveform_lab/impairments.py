@@ -16,9 +16,6 @@ import numpy as np
 
 from .core import ConfigError, SignalBuffer
 
-# Re-exported here for convenience; the schema types live with the scenario.
-from .core import ImpairmentConfig, RappConfig  # noqa: F401
-
 
 @dataclass(frozen=True)
 class TdlProfile:
@@ -139,7 +136,7 @@ def apply_tdl(
     return SignalBuffer(faded, fs), realization
 
 
-def pa_rapp(sig: SignalBuffer, input_backoff_db: float, smoothness: float = 2.0) -> SignalBuffer:
+def pa_rapp(sig: SignalBuffer, input_backoff_db: float, smoothness: float) -> SignalBuffer:
     """Rapp AM/AM solid-state PA; phase-transparent saturation.
 
     The saturation amplitude is set so the measured mean input power sits

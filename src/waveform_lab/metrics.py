@@ -28,7 +28,6 @@ class PsdEstimate:
     power_dbr: np.ndarray    # normalized: in-band mean == 0 dBr
     density: np.ndarray      # raw linear density (power per Hz)
     segment_size: int
-    overlap_fraction: float
 
     @property
     def resolution_hz(self) -> float:
@@ -38,10 +37,10 @@ class PsdEstimate:
 def psd_welch(
     sig: SignalBuffer,
     segment_size: int = 4096,
-    overlap_fraction: float = 0.5,
     in_band_hz: tuple[float, float] | None = None,
 ) -> PsdEstimate:
-    """Averaged Hann-windowed periodograms of a complex baseband stream.
+    """Averaged Hann-windowed periodograms of a complex baseband stream,
+    overlapping by half a segment.
 
     `in_band_hz` selects the bins whose mean defines 0 dBr; when omitted the
     whole band is used. Raises on signals shorter than two segments or with
@@ -49,8 +48,6 @@ def psd_welch(
     """
     if segment_size < 2:
         raise ConfigError("segment size must be at least 2")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ConfigError("overlap fraction must lie in [0, 1)")
     if len(sig) < 2 * segment_size:
         raise ConfigError(
             f"signal of {len(sig)} samples is too short for segments of {segment_size}"
@@ -61,7 +58,7 @@ def psd_welch(
         fs=fs,
         window="hann",
         nperseg=segment_size,
-        noverlap=int(segment_size * overlap_fraction),
+        noverlap=segment_size // 2,
         detrend=False,
         return_onesided=False,
         scaling="density",
@@ -84,7 +81,6 @@ def psd_welch(
         power_dbr=power_dbr,
         density=density,
         segment_size=segment_size,
-        overlap_fraction=overlap_fraction,
     )
 
 

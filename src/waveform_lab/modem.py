@@ -142,6 +142,11 @@ def evm_db(reference: ResourceGrid, received: ResourceGrid) -> float:
     if ref_power == 0.0:
         raise ConfigError("reference grid has no nonzero cells")
     err_power = np.sum(np.abs(received.cells[mask] - reference.cells[mask]) ** 2)
+    return error_ratio_db(err_power, ref_power)
+
+
+def error_ratio_db(err_power: float, ref_power: float) -> float:
+    """10*log10(err_power / ref_power), floored at EVM_FLOOR_DB (also for zero error)."""
     if err_power == 0.0:
         return EVM_FLOOR_DB
     return max(10.0 * math.log10(err_power / ref_power), EVM_FLOOR_DB)

@@ -41,6 +41,7 @@ from .modem import (
     BITS_PER_SYMBOL,
     ber,
     equalize,
+    error_ratio_db,
     evm_db,
     ofdm_demodulate,
     ofdm_modulate,
@@ -75,13 +76,6 @@ class TailPolicy:
 
 
 TAIL_NONE = TailPolicy()
-
-
-@dataclass(frozen=True)
-class SubbandTxArtifacts:
-    fir: FirFilter
-    grid: ResourceGrid
-    bits: np.ndarray
 
 
 def default_filter_order(sample_rate_hz: float, passband_hz: float) -> int:
@@ -130,11 +124,9 @@ def design_subband_filter(
     spec: SubbandSpec,
     sample_rate_hz: float,
     order: int | None = None,
-    window: str = "hann",
-    rrc_rolloff: float = 0.6,
     edge_backoff_tones: float = DEFAULT_EDGE_BACKOFF_TONES,
 ) -> FirFilter:
-    """Windowed-sinc bandpass centered on the subband's occupied interval."""
+    """Hann-windowed sinc bandpass centered on the subband's occupied interval."""
     passband = (spec.width_tones - 2.0 * edge_backoff_tones) * REFERENCE_TONE_HZ
     if passband <= 0:
         raise ConfigError(
@@ -144,19 +136,15 @@ def design_subband_filter(
     if order is None:
         order = default_filter_order(sample_rate_hz, passband)
     return design_windowed_sinc(
-        FilterSpec(
-            order=order,
-            passband_width_hz=passband,
-            center_offset_hz=spec.center_hz,
-            window=window,
-            rrc_rolloff=rrc_rolloff,
-        ),
+        FilterSpec(order=order, passband_width_hz=passband, center_offset_hz=spec.center_hz),
         sample_rate_hz,
     )
 
 
-def derive_tail_policy(f: FirFilter, n, threshold: float = 1.0) -> TailPolicy:
-    """Extended-CP policy when the filter mainlobe exceeds the nominal CP."""
+def derive_tail_policy(f: FirFilter, n, threshold: float = DEFAULT_TAIL_THRESHOLD) -> TailPolicy:
+    """Once the filter mainlobe exceeds `threshold` times the nominal CP,
+    advance the receiver window by half the mainlobe and extend the CP by
+    the excess of the mainlobe over the nominal CP (none while it fits)."""
     lobe = f.mainlobe_samples
     if lobe <= n.cp_samples * threshold:
         return TAIL_NONE
@@ -175,7 +163,7 @@ def build_grid(spec: SubbandSpec, bits) -> ResourceGrid:
     """Symbol-major fill of the subband grid; empty bits give an empty grid."""
     d = spec.data_tones
     s = spec.numerology.symbols_per_tti
-    if bits is None or len(bits) == 0:
+    if len(bits) == 0:
         return ResourceGrid.zeros(d, s)
     bps = BITS_PER_SYMBOL[spec.modulation]
     if len(bits) != d * s * bps:
@@ -204,43 +192,26 @@ def _upconverted(
 
 
 def tx_subband(
-    spec: SubbandSpec,
-    sample_rate_hz: float,
-    bits,
-    policy: TailPolicy = TAIL_NONE,
-    fir: FirFilter | None = None,
-) -> tuple[SignalBuffer, SubbandTxArtifacts]:
-    """Modulate, upconvert, filter, and scale one subband."""
-    if fir is None:
-        fir = design_subband_filter(spec, sample_rate_hz)
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter
+) -> tuple[SignalBuffer, ResourceGrid]:
+    """Modulate, upconvert, filter, and scale one subband; also returns the grid."""
     grid, up = _upconverted(spec, sample_rate_hz, bits, policy)
     filtered = _overlap_save(up, fir.taps, default_block_size(len(fir.taps)))
-    amp = 10.0 ** (spec.power_offset_db / 20.0)
-    signal = SignalBuffer(amp * filtered, sample_rate_hz)
-    artifacts = SubbandTxArtifacts(
-        fir=fir,
-        grid=grid,
-        bits=np.asarray(bits, dtype=np.int64) if bits is not None else np.empty(0, np.int64),
-    )
-    return signal, artifacts
+    return SignalBuffer(spec.amplitude * filtered, sample_rate_hz), grid
 
 
 def tx_subband_unfiltered(
-    spec: SubbandSpec,
-    sample_rate_hz: float,
-    bits,
-    policy: TailPolicy = TAIL_NONE,
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy
 ) -> SignalBuffer:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
     _, up = _upconverted(spec, sample_rate_hz, bits, policy)
-    amp = 10.0 ** (spec.power_offset_db / 20.0)
-    return SignalBuffer(amp * up, sample_rate_hz)
+    return SignalBuffer(spec.amplitude * up, sample_rate_hz)
 
 
 def genie_estimates(
     spec: SubbandSpec,
     fir: FirFilter,
-    policy: TailPolicy = TAIL_NONE,
+    policy: TailPolicy,
     channel: ChannelRealization | None = None,
 ) -> np.ndarray:
     """Per-tone complex gain of the full known chain (both filter passes,
@@ -254,7 +225,7 @@ def genie_estimates(
     total_delay = len(fir.taps) - 1
     advance = policy.rx_advance_samples
     ramp = np.exp(2j * np.pi * bins * (total_delay - advance) / n.fft_size)
-    est = 10.0 ** (spec.power_offset_db / 20.0) * cascade * ramp
+    est = spec.amplitude * cascade * ramp
     if channel is not None:
         est = est * channel.frequency_response(tone_freqs)
     return est
@@ -265,20 +236,19 @@ class SubbandRxResult:
     grid: ResourceGrid
     bits: np.ndarray
     evm_db: float
-    erased: np.ndarray
 
 
 def rx_subband(
     composite: SignalBuffer,
     spec: SubbandSpec,
-    artifacts: SubbandTxArtifacts,
-    policy: TailPolicy = TAIL_NONE,
+    fir: FirFilter,
+    sent: ResourceGrid,
+    policy: TailPolicy,
     channel: ChannelRealization | None = None,
 ) -> SubbandRxResult:
     """Recover one subband from the assembled stream; EVM is against the
-    transmitted grid after genie equalization."""
+    transmitted grid `sent` after genie equalization."""
     fs = composite.sample_rate_hz
-    fir = artifacts.fir
     filtered = _overlap_save(composite.samples, fir.taps, default_block_size(len(fir.taps)))
     offset = spec.timing_offset_samples
     t = np.arange(len(filtered))
@@ -292,13 +262,10 @@ def rx_subband(
     seg = SignalBuffer(baseband[start:start + seg_len], fs)
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
     est = genie_estimates(spec, fir, policy, channel)
-    eq, erased = equalize(raw, est)
+    eq, _ = equalize(raw, est)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
-    if np.any(artifacts.grid.cells != 0):
-        evm = evm_db(artifacts.grid, eq)
-    else:
-        evm = float("nan")
-    return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm, erased=erased)
+    evm = evm_db(sent, eq) if np.any(sent.cells != 0) else float("nan")
+    return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm)
 
 
 def assemble(signals: list[SignalBuffer], offsets: list[int]) -> SignalBuffer:
@@ -418,11 +385,7 @@ class _ErrorAccumulator:
 
     def row(self, guard: int, power_db: float, modulation: str, snr_db: float) -> SweepRow:
         def _db(err, ref):
-            if ref == 0.0:
-                return float("nan")
-            if err == 0.0:
-                return -100.0
-            return max(10.0 * math.log10(err / ref), -100.0)
+            return float("nan") if ref == 0.0 else error_ratio_db(err, ref)
 
         return SweepRow(
             guard_tones=guard,
@@ -446,8 +409,7 @@ def guardtone_sweep(
     power_offsets_db: list[float],
     snr_db: float,
     trials: int,
-    modulations: tuple[str, ...] = ("qpsk", "16qam", "64qam"),
-    filter_order: int | None = None,
+    modulations: tuple[str, ...],
 ) -> SweepResult:
     """Full factorial (guard, power offset, modulation) interference sweep.
 
@@ -459,6 +421,11 @@ def guardtone_sweep(
     """
     if trials < 1:
         raise ConfigError("at least one trial is required")
+    if not math.isfinite(snr_db):
+        raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    for m in modulations:
+        if m not in BITS_PER_SYMBOL:
+            raise ConfigError(f"unknown modulation {m!r}")
     if not base.subbands:
         raise ConfigError("base scenario has no subbands")
     report = validate_scenario(base)
@@ -468,9 +435,7 @@ def guardtone_sweep(
     sigma2 = 10.0 ** (-snr_db / 10.0)
     single = len(base.subbands) == 1
 
-    profile_order, edge_backoff = scenario_filter_profile(base)
-    if filter_order is None:
-        filter_order = profile_order
+    filter_order, edge_backoff = scenario_filter_profile(base)
 
     victim_template = base.subbands[0]
     edge_count = _edge_tone_count(victim_template)
@@ -481,8 +446,7 @@ def guardtone_sweep(
         firs = [design_subband_filter(s, fs, order=filter_order,
                                       edge_backoff_tones=edge_backoff)
                 for s in subs]
-        policies = [derive_tail_policy(f, s.numerology, DEFAULT_TAIL_THRESHOLD)
-                    for s, f in zip(subs, firs)]
+        policies = [derive_tail_policy(f, s.numerology) for s, f in zip(subs, firs)]
         victim = subs[0]
         edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
         offsets = [s.timing_offset_samples for s in subs]
@@ -490,19 +454,18 @@ def guardtone_sweep(
         for trial in range(trials):
             # The victim's payload and the noise are drawn as in the baseline,
             # so baseline deltas isolate inter-subband interference.
-            signals, artifacts = [], []
-            for i, (s, f, p) in enumerate(zip(subs, firs, policies)):
-                label = f"bits/{cell}/{trial}/s{i}" if i else f"bits/baseline/{mod}/{trial}"
-                bits = payload_bits(s, seeded_rng(base.seed, label))
-                sig, art = tx_subband(s, fs, bits, policy=p, fir=f)
-                signals.append(sig)
-                artifacts.append(art)
-            comp = assemble(signals, offsets)
+            labels = [f"bits/baseline/{mod}/{trial}",
+                      *(f"bits/{cell}/{trial}/s{i}" for i in range(1, len(subs)))]
+            bits = [payload_bits(s, seeded_rng(base.seed, lb)) for s, lb in zip(subs, labels)]
+            sent = [tx_subband(s, fs, b, p, f)
+                    for s, b, p, f in zip(subs, bits, policies, firs)]
+            comp = assemble([sig for sig, _ in sent], offsets)
             noise = _sweep_noise(len(comp), sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
             noisy = SignalBuffer(comp.samples + noise, fs)
-            res = rx_subband(noisy, victim, artifacts[0], policy=policies[0])
-            acc.add(artifacts[0].grid, res.grid, edge, artifacts[0].bits, res.bits)
+            grid = sent[0][1]
+            res = rx_subband(noisy, victim, firs[0], grid, policies[0])
+            acc.add(grid, res.grid, edge, bits[0], res.bits)
         return acc
 
     # Baselines: isolated victim, one per modulation, same noise calibration.

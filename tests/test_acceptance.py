@@ -122,8 +122,8 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
     policy = derive_tail_policy(fir, n, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(7, f"acc/{width}/{mod}"))
     assert len(bits) >= 100_000
-    sig, art = tx_subband(spec, FS, bits, policy=policy, fir=fir)
-    res = rx_subband(sig, spec, art, policy=policy)
+    sig, grid = tx_subband(spec, FS, bits, policy, fir)
+    res = rx_subband(sig, spec, fir, grid, policy)
     assert ber(bits, res.bits).errors == 0
     assert res.evm_db <= -35.0
     assert res.evm_db == pytest.approx(LOOPBACK_EVM_FLOOR_DB[(width, mod)], abs=0.5)

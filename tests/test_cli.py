@@ -219,6 +219,84 @@ def test_jobs_flag_rejected(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["selftest", "throughput"])
+def test_seed_flag_rejected_where_unused(verb, tmp_path, capsys):
+    argv = [verb, "--seed", "1"]
+    if verb == "throughput":
+        argv += ["--scenario", "throughput-table", "--out", str(tmp_path / "tp")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def _desk_file(tmp_path, edit) -> str:
+    cfg = json.loads(resolve_scenario_path("three-subband-desk")[0].read_text())
+    edit(cfg)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c["subbands"][0]["numerology"].update(fft_size=float("nan")), "fft_size"),
+    (lambda c: c["subbands"][1].pop("modulation"), "modulation"),
+])
+def test_malformed_scenario_field_exit_code(tmp_path, capsys, edit, field):
+    scn = _desk_file(tmp_path, edit)
+    rc = main(["psd", "--scenario", scn, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["guardtone", "--snr-db", "nan"],
+    ["guardtone", "--guards", "a"],
+    ["guardtone", "--offsets-db", "x"],
+    ["psd", "--ttis", "-1"],
+    ["psd", "--ttis", "0"],
+], ids=" ".join)
+def test_bad_verb_inputs_fail_the_run(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    trials = ["--trials", "1"] if argv[0] == "guardtone" else []
+    rc = main([*argv, *trials, "--scenario", _shrunk_desk(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _read_manifest(out)["status"] == "failed"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+_PA = {"input_backoff_db": 3.0}
+
+
+@pytest.mark.parametrize("argv, impairments, field", [
+    (["psd"], {"pa": _PA}, "impairments.pa"),
+    (["guardtone"], {"pa": _PA}, "impairments.pa"),
+    (["psd", "--pa-on"], {"snr_db": 20.0}, "impairments.snr_db"),
+    (["guardtone"], {"snr_db": 20.0}, "impairments.snr_db"),
+    (["psd"], {"channel": "epa"}, "impairments.channel"),
+    (["guardtone"], {"channel": "epa"}, "impairments.channel"),
+])
+def test_unapplied_impairments_rejected(tmp_path, capsys, argv, impairments, field):
+    scn = _desk_file(tmp_path, lambda c: c["impairments"].update(impairments))
+    out = tmp_path / "x"
+    rc = main([*argv, "--scenario", scn, "--out", str(out)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_pa_applied_with_pa_on(tmp_path):
+    scn = _desk_file(tmp_path, lambda c: c["impairments"].update(pa=_PA))
+    args = ["psd", "--ttis", "1", "--pa-on"]
+    assert main([*args, "--scenario", scn, "--out", str(tmp_path / "scn")]) == 0
+    assert main([*args, "--scenario", "three-subband-desk", "--out", str(tmp_path / "dflt")]) == 0
+    # The scenario's 3 dB backoff, not the 9.6 dB default, shapes the PSD.
+    assert ((tmp_path / "scn" / "fofdm_psd.csv").read_bytes()
+            != (tmp_path / "dflt" / "fofdm_psd.csv").read_bytes())
+
+
 def test_invalid_scenario_exit_code(tmp_path, capsys):
     cfg = json.loads(resolve_scenario_path("three-subband-desk")[0].read_text())
     cfg["subbands"][1]["start_tone"] = -400  # collide with the left subband

@@ -3,6 +3,7 @@ scenario (de)serialization, and seeded randomness."""
 
 import json
 import math
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -270,6 +271,49 @@ def test_scenario_unknown_subband_key_rejected():
     d["subbands"][0]["bogus"] = True
     with pytest.raises(ConfigError):
         scenario_from_dict(d)
+
+
+def _desk_dict():
+    return scenario_to_dict(DESK_PRESET)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["subbands"][0]["numerology"].update(fft_size=math.nan),
+     "scenario.subbands[0].numerology.fft_size"),
+    (lambda d: d["subbands"][1]["numerology"].update(cp_samples=512.5),
+     "scenario.subbands[1].numerology.cp_samples"),
+    (lambda d: d["subbands"][2].pop("modulation"), "scenario.subbands[2].modulation"),
+    (lambda d: d["subbands"][0].update(modulation=3), "scenario.subbands[0].modulation"),
+    (lambda d: d["subbands"][0].update(numerology=512), "scenario.subbands[0].numerology"),
+    (lambda d: d.pop("sample_rate_hz"), "scenario.sample_rate_hz"),
+    (lambda d: d.update(sample_rate_hz="7.68e6"), "scenario.sample_rate_hz"),
+    (lambda d: d.update(total_bandwidth_hz=10**400), "scenario.total_bandwidth_hz"),
+    (lambda d: d.update(seed=True), "scenario.seed"),
+    (lambda d: d.update(subbands={}), "scenario.subbands"),
+    (lambda d: d.update(impairments=[]), "scenario.impairments"),
+    (lambda d: d["impairments"].update(snr_db="high"), "scenario.impairments.snr_db"),
+    (lambda d: d["impairments"].update(pa={"smoothness": 2.0}),
+     "scenario.impairments.pa.input_backoff_db"),
+])
+def test_scenario_from_dict_names_malformed_field(edit, field):
+    d = _desk_dict()
+    edit(d)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        scenario_from_dict(d)
+
+
+def test_scenario_from_dict_defaults_come_from_the_dataclasses():
+    d = _desk_dict()
+    for key in ("power_offset_db", "timing_offset_samples", "guard_tones_left"):
+        del d["subbands"][1][key]
+    d["impairments"] = {"pa": {"input_backoff_db": 3.0}}
+    del d["seed"]
+    cfg = scenario_from_dict(d)
+    assert cfg.subbands[1].power_offset_db == 0.0
+    assert cfg.subbands[1].timing_offset_samples == 0
+    assert cfg.subbands[1].guard_tones_left == 0
+    assert cfg.impairments == ImpairmentConfig(pa=RappConfig(3.0, 2.0))
+    assert cfg.seed == 0
 
 
 def test_scenario_hash_tracks_content():

@@ -61,8 +61,8 @@ def _loopback(spec, policy=None, fir=None, label="loop"):
     if policy is None:
         policy = derive_tail_policy(fir, spec.numerology, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(1, label))
-    sig, art = tx_subband(spec, FS, bits, policy=policy, fir=fir)
-    res = rx_subband(sig, spec, art, policy=policy)
+    sig, grid = tx_subband(spec, FS, bits, policy, fir)
+    res = rx_subband(sig, spec, fir, grid, policy)
     return bits, res
 
 
@@ -102,10 +102,13 @@ def test_backoff_cannot_consume_passband():
         design_subband_filter(_subband(width=12), FS, edge_backoff_tones=6.0)
 
 
-def test_tail_policy_wideband_is_none():
+def test_tail_policy_wideband_advances_without_extending_cp():
+    # A 4-sample mainlobe exceeds a tenth of the 36-sample CP but fits in it:
+    # the window advances by half the mainlobe and the CP stays as it is.
     fir = design_subband_filter(_subband(width=288), FS, order=32)
-    assert fir.mainlobe_samples <= 8
-    assert derive_tail_policy(fir, DESK) == TAIL_NONE
+    assert fir.mainlobe_samples == 4
+    assert derive_tail_policy(fir, DESK) == TailPolicy(extra_cp_samples=0, rx_advance_samples=2)
+    assert derive_tail_policy(fir, DESK, threshold=1.0) == TAIL_NONE
 
 
 def test_tail_policy_narrowband_extends_cp():
@@ -166,16 +169,16 @@ def test_payload_bits_count():
 def test_tx_length_includes_filter_transient():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
-    sig, _ = tx_subband(spec, FS, payload_bits(spec, seeded_rng(1, "len")),
-                        fir=fir)
+    sig, _ = tx_subband(spec, FS, payload_bits(spec, seeded_rng(1, "len")), TAIL_NONE, fir)
     assert len(sig) == 14 * 548 + len(fir.taps) - 1
 
 
 def test_tx_power_offset_scales_amplitude():
     spec = _subband()
     bits = payload_bits(spec, seeded_rng(1, "pwr"))
-    lo, _ = tx_subband(spec, FS, bits)
-    hi, _ = tx_subband(replace(spec, power_offset_db=6.0), FS, bits)
+    fir = design_subband_filter(spec, FS)
+    lo, _ = tx_subband(spec, FS, bits, TAIL_NONE, fir)
+    hi, _ = tx_subband(replace(spec, power_offset_db=6.0), FS, bits, TAIL_NONE, fir)
     assert hi.power() / lo.power() == pytest.approx(10 ** 0.6, rel=1e-9)
 
 
@@ -187,7 +190,7 @@ def test_tx_spectrum_confined():
     n_long = replace(DESK, symbols_per_tti=28)
     long_spec = replace(spec, numerology=n_long)
     sig, _ = tx_subband(long_spec, FS, payload_bits(long_spec, seeded_rng(1, "psd")),
-                        fir=fir)
+                        TAIL_NONE, fir)
     est = psd_welch(sig, segment_size=2048,
                     in_band_hz=(spec.occupied_low_hz, spec.occupied_high_hz))
     transition = 4 * FS / (order + 1)
@@ -199,11 +202,11 @@ def test_tx_spectrum_confined():
 def test_unfiltered_tx_matches_filtered_in_band_power():
     spec = _subband()
     bits = payload_bits(spec, seeded_rng(1, "unf"))
-    plain = tx_subband_unfiltered(spec, FS, bits)
+    plain = tx_subband_unfiltered(spec, FS, bits, TAIL_NONE)
     assert len(plain) == 14 * 548
     # The short default filter rolls off edge tones, so the filtered signal
     # loses a little energy but stays within ~1.5 dB of the plain one.
-    filt, _ = tx_subband(spec, FS, bits)
+    filt, _ = tx_subband(spec, FS, bits, TAIL_NONE, design_subband_filter(spec, FS))
     e_plain = np.sum(np.abs(plain.samples) ** 2)
     e_filt = np.sum(np.abs(filt.samples) ** 2)
     assert 10 * abs(np.log10(e_filt / e_plain)) < 1.5
@@ -251,7 +254,7 @@ def test_narrow_subband_tail_treatment_helps():
 def test_genie_estimates_shape_and_power_offset():
     spec = _subband(power_offset_db=6.0)
     fir = design_subband_filter(spec, FS)
-    est = genie_estimates(spec, fir)
+    est = genie_estimates(spec, fir, TAIL_NONE)
     assert est.shape == (48,)
     # Center tone: clean cascade response times the amplitude offset.
     assert abs(est[24]) == pytest.approx(10 ** 0.3, rel=1e-3)
@@ -262,10 +265,10 @@ def test_rx_through_known_channel():
     fir = design_subband_filter(spec, FS)
     policy = derive_tail_policy(fir, DESK, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(1, "chan"))
-    sig, art = tx_subband(spec, FS, bits, policy=policy, fir=fir)
+    sig, grid = tx_subband(spec, FS, bits, policy, fir)
     faded, ch = apply_tdl(sig, load_tdl_profile("epa"), seeded_rng(1, "chan/tdl"),
                           cp_budget_samples=DESK.cp_samples)
-    res = rx_subband(faded, spec, art, policy=policy, channel=ch)
+    res = rx_subband(faded, spec, fir, grid, policy, channel=ch)
     assert res.evm_db <= -30.0
     assert ber(bits, res.bits).errors == 0
 
@@ -274,10 +277,10 @@ def test_rx_buffer_too_short():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
     bits = payload_bits(spec, seeded_rng(1, "short"))
-    sig, art = tx_subband(spec, FS, bits, fir=fir)
+    sig, grid = tx_subband(spec, FS, bits, TAIL_NONE, fir)
     cut = SignalBuffer(sig.samples[: len(sig) // 2], FS)
     with pytest.raises(ConfigError):
-        rx_subband(cut, spec, art)
+        rx_subband(cut, spec, fir, grid, TAIL_NONE)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +369,20 @@ def test_sweep_single_subband_degenerates_to_baseline():
     assert len(evms) == 1  # no interferer: identical rows per guard count
 
 
+@pytest.mark.parametrize("snr_db, modulations", [
+    (30.0, ("bpsk",)),
+    (30.0, ("qpsk", "256qam")),
+    (float("nan"), ("qpsk",)),
+    (float("inf"), ("qpsk",)),
+])
+def test_sweep_rejects_unknown_modulation_and_nonfinite_snr(snr_db, modulations):
+    with pytest.raises(ConfigError):
+        guardtone_sweep(_sweep_base(), [0], [0.0], snr_db, 1, modulations=modulations)
+
+
 def test_sweep_validates_inputs():
     with pytest.raises(ConfigError):
-        guardtone_sweep(_sweep_base(), [0], [0.0], 30.0, 0)
+        guardtone_sweep(_sweep_base(), [0], [0.0], 30.0, 0, modulations=("qpsk",))
     bad = replace(_sweep_base(), sample_rate_hz=7.69e6)
     with pytest.raises(ConfigError):
-        guardtone_sweep(bad, [0], [0.0], 30.0, 1)
+        guardtone_sweep(bad, [0], [0.0], 30.0, 1, modulations=("qpsk",))
