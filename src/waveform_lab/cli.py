@@ -28,17 +28,14 @@ from .core import (
     RappConfig,
     ScenarioConfig,
     SignalBuffer,
+    _field,
+    _take,
     load_scenario,
     scenario_hash,
     seeded_rng,
     validate_scenario,
 )
-from .filters import (
-    FilterSpec,
-    design_windowed_sinc,
-    direct_convolve,
-    overlap_save_convolve,
-)
+from .filters import FilterSpec, _overlap_save, design_windowed_sinc, direct_convolve
 from .impairments import awgn, pa_rapp
 from .metrics import ThroughputInput, normalized_throughput, oobe, psd_welch
 from .modem import evm_db, ofdm_demodulate, ofdm_modulate
@@ -75,6 +72,16 @@ def resolve_scenario_path(name_or_path: str) -> tuple[Path, str]:
     if candidate.is_file():
         return candidate, name_or_path
     raise ConfigError(f"scenario {name_or_path!r} is neither a file nor a known preset")
+
+
+def _out_dir(path: str) -> Path:
+    """The `--out` directory, created if absent; an unusable path is a ConfigError."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {path!r} is not a usable directory: {e.strerror}") from None
+    return out_dir
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -187,8 +194,7 @@ def cmd_psd(args) -> int:
     cfg, _, preset = _load_and_check(args)
     _reject_unapplied_impairments(
         cfg, "psd", None if args.pa_on else 'set it to "off" or pass --pa-on')
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     with ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset) as manifest:
         if args.ttis < 1:
             raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
@@ -247,8 +253,7 @@ def cmd_psd(args) -> int:
 def cmd_guardtone(args) -> int:
     cfg, _, preset = _load_and_check(args)
     _reject_unapplied_impairments(cfg, "guardtone", 'set it to "off"')
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     with ManifestWriter(out_dir, "guardtone", scenario_hash(cfg), cfg.seed, preset) as manifest:
         guards = _parse_list(args.guards, int, "--guards")
         offsets = _parse_list(args.offsets_db, float, "--offsets-db")
@@ -278,31 +283,29 @@ def load_throughput_preset(path: Path) -> tuple[list[ThroughputInput], Throughpu
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"throughput preset {path} is not valid JSON: {e}") from e
-    if set(raw) != {"baseline", "subbands"}:
-        raise ConfigError(f"throughput preset {path} must define 'baseline' and 'subbands'")
+    _take(raw, {"baseline", "subbands"}, "throughput")
 
-    def entry(d: dict) -> ThroughputInput:
-        allowed = {"name", "symbol_duration_us", "cp_duration_us",
-                   "data_tone_fraction", "bandwidth_weight"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown keys in throughput entry: {sorted(unknown)}")
+    def entry(d, ctx: str) -> ThroughputInput:
+        _take(d, {"name", "symbol_duration_us", "cp_duration_us", "data_tone_fraction",
+                  "bandwidth_weight"}, ctx)
         return ThroughputInput(
-            name=str(d["name"]),
-            symbol_duration_s=float(d["symbol_duration_us"]) * 1e-6,
-            cp_duration_s=float(d["cp_duration_us"]) * 1e-6,
-            data_tone_fraction=float(d["data_tone_fraction"]),
-            bandwidth_weight=float(d.get("bandwidth_weight", 1.0)),
+            name=_field(d, "name", str, ctx),
+            symbol_duration_s=_field(d, "symbol_duration_us", float, ctx) * 1e-6,
+            cp_duration_s=_field(d, "cp_duration_us", float, ctx) * 1e-6,
+            data_tone_fraction=_field(d, "data_tone_fraction", float, ctx),
+            bandwidth_weight=_field(d, "bandwidth_weight", float, ctx,
+                                    ThroughputInput.bandwidth_weight),
         )
 
-    return [entry(d) for d in raw["subbands"]], entry(raw["baseline"])
+    subbands = _field(raw, "subbands", list, "throughput")
+    return ([entry(d, f"throughput.subbands[{i}]") for i, d in enumerate(subbands)],
+            entry(_field(raw, "baseline", dict, "throughput"), "throughput.baseline"))
 
 
 def cmd_throughput(args) -> int:
     path, preset = resolve_scenario_path(args.scenario)
     subbands, baseline = load_throughput_preset(path)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     with ManifestWriter(out_dir, "throughput",
                         hashlib.sha256(path.read_bytes()).hexdigest(), None, preset) as manifest:
         report = normalized_throughput(subbands, baseline)
@@ -354,8 +357,8 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
         block = 1 << (2 * len(fir.taps) - 1).bit_length()
         ref = direct_convolve(x, fir) if not corrupt_taps else direct_convolve(
             x, design_windowed_sinc(spec, fs))
-        got = overlap_save_convolve(x, fir, block)
-        err = np.linalg.norm(got.samples - ref.samples) / np.linalg.norm(ref.samples)
+        got = _overlap_save(x.samples, fir.taps, block)
+        err = np.linalg.norm(got - ref.samples) / np.linalg.norm(ref.samples)
         worst = max(worst, err)
     results.append(("overlap_save_vs_direct", worst < 1e-9, f"max rel L2 {worst:.3e}"))
 

@@ -26,8 +26,6 @@ THROUGHPUT_CAVEAT = (
 class PsdEstimate:
     freqs_hz: np.ndarray     # strictly increasing, [-fs/2, fs/2)
     power_dbr: np.ndarray    # normalized: in-band mean == 0 dBr
-    density: np.ndarray      # raw linear density (power per Hz)
-    segment_size: int
 
     @property
     def resolution_hz(self) -> float:
@@ -76,12 +74,7 @@ def psd_welch(
     if ref <= 0.0:
         raise ConfigError("signal has zero power; PSD normalization undefined")
     power_dbr = 10.0 * np.log10(np.maximum(density / ref, 1e-300))
-    return PsdEstimate(
-        freqs_hz=freqs,
-        power_dbr=power_dbr,
-        density=density,
-        segment_size=segment_size,
-    )
+    return PsdEstimate(freqs_hz=freqs, power_dbr=power_dbr)
 
 
 OOBE_WINDOW_HZ = 15_000.0
@@ -143,6 +136,10 @@ class ThroughputReport:
 
 
 def _efficiency(entry: ThroughputInput) -> SubbandThroughput:
+    for name in ("symbol_duration_s", "cp_duration_s", "data_tone_fraction",
+                 "bandwidth_weight"):
+        if not math.isfinite(getattr(entry, name)):
+            raise ConfigError(f"{name} for {entry.name!r} must be finite")
     if entry.symbol_duration_s <= 0 or entry.cp_duration_s < 0:
         raise ConfigError(f"invalid durations for {entry.name!r}")
     if not 0.0 <= entry.data_tone_fraction <= 1.0:

@@ -112,25 +112,19 @@ def ofdm_demodulate(
     return ResourceGrid(spectrum[_tone_bins(tones, n.fft_size), :])
 
 
-def equalize(grid: ResourceGrid, estimates: np.ndarray) -> tuple[ResourceGrid, np.ndarray]:
-    """One-tap division by genie channel estimates.
+def equalize(grid: ResourceGrid, estimates: np.ndarray) -> ResourceGrid:
+    """One-tap division by per-tone genie channel estimates (shape (tones,)).
 
-    `estimates` is per-tone (shape (tones,)) or per-cell (tones, symbols).
-    Returns the corrected grid and a boolean erasure mask marking tones whose
-    estimate had zero magnitude (left undivided at zero).
+    Tones whose estimate has zero magnitude are left undivided at zero.
     """
     est = np.asarray(estimates, dtype=np.complex128)
-    if est.ndim == 1:
-        est = est[:, None]
-    if est.shape[0] != grid.tones or (est.shape[1] not in (1, grid.symbols)):
+    if est.shape != (grid.tones,):
         raise ConfigError(
             f"estimate shape {est.shape} does not match grid {grid.cells.shape}"
         )
-    est = np.broadcast_to(est, grid.cells.shape)
     erased = np.abs(est) == 0.0
-    safe = np.where(erased, 1.0, est)
-    cells = np.where(erased, 0.0, grid.cells / safe)
-    return ResourceGrid(cells), erased
+    safe = np.where(erased, 1.0, est)[:, None]
+    return ResourceGrid(np.where(erased[:, None], 0.0, grid.cells / safe))
 
 
 def evm_db(reference: ResourceGrid, received: ResourceGrid) -> float:

@@ -262,7 +262,7 @@ def rx_subband(
     seg = SignalBuffer(baseband[start:start + seg_len], fs)
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
     est = genie_estimates(spec, fir, policy, channel)
-    eq, _ = equalize(raw, est)
+    eq = equalize(raw, est)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
     evm = evm_db(sent, eq) if np.any(sent.cells != 0) else float("nan")
     return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm)

@@ -24,12 +24,7 @@ from waveform_lab.core import (
     load_scenario,
     seeded_rng,
 )
-from waveform_lab.filters import (
-    FilterSpec,
-    design_windowed_sinc,
-    direct_convolve,
-    overlap_save_convolve,
-)
+from waveform_lab.filters import FilterSpec, _overlap_save, design_windowed_sinc, direct_convolve
 from waveform_lab.metrics import normalized_throughput
 from waveform_lab.modem import (
     BITS_PER_SYMBOL,
@@ -80,8 +75,8 @@ def test_overlap_save_equivalence_100_cases():
         x = SignalBuffer(rng.standard_normal(n) + 1j * rng.standard_normal(n), FS)
         ref = direct_convolve(x, fir)
         block = 1 << (2 * len(fir.taps) - 1).bit_length()
-        got = overlap_save_convolve(x, fir, block)
-        err = np.linalg.norm(got.samples - ref.samples) / np.linalg.norm(ref.samples)
+        got = _overlap_save(x.samples, fir.taps, block)
+        err = np.linalg.norm(got - ref.samples) / np.linalg.norm(ref.samples)
         worst = max(worst, err)
     elapsed = time.monotonic() - t0
     assert worst < 1e-9

@@ -194,6 +194,38 @@ def test_throughput_rejects_waveform_scenario(tmp_path):
     assert rc == 2
 
 
+def _throughput_file(tmp_path, edit) -> str:
+    table = json.loads(resolve_scenario_path("throughput-table")[0].read_text())
+    edit(table)
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps(table))
+    return str(p)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t["subbands"][0].pop("name"), "throughput.subbands[0].name is missing"),
+    (lambda t: t["subbands"][1].update(symbol_duration_us="abc"),
+     "throughput.subbands[1].symbol_duration_us must be of type float"),
+    (lambda t: t["baseline"].update(bandwidth_weight=True),
+     "throughput.baseline.bandwidth_weight must be of type float"),
+    (lambda t: t["subbands"].append(3), "throughput.subbands[4] must be a JSON object"),
+    (lambda t: t.pop("baseline"), "throughput.baseline is missing"),
+], ids=["missing-name", "string-duration", "bool-weight", "non-object-entry",
+        "missing-baseline"])
+def test_malformed_throughput_preset_exit_code(tmp_path, capsys, edit, message):
+    rc = main(["throughput", "--scenario", _throughput_file(tmp_path, edit),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_non_object_throughput_preset_exit_code(tmp_path, capsys):
+    p = tmp_path / "table.json"
+    p.write_text("[1, 2]")
+    assert main(["throughput", "--scenario", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert "throughput must be a JSON object" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # selftest and errors
 # ---------------------------------------------------------------------------
@@ -295,6 +327,20 @@ def test_scenario_pa_applied_with_pa_on(tmp_path):
     # The scenario's 3 dB backoff, not the 9.6 dB default, shapes the PSD.
     assert ((tmp_path / "scn" / "fofdm_psd.csv").read_bytes()
             != (tmp_path / "dflt" / "fofdm_psd.csv").read_bytes())
+
+
+@pytest.mark.parametrize("verb", ["psd", "guardtone", "throughput"])
+@pytest.mark.parametrize("below_file", [False, True], ids=["is-file", "below-file"])
+def test_unusable_out_exit_code(tmp_path, capsys, verb, below_file):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if below_file else blocker
+    scenario = "throughput-table" if verb == "throughput" else "three-subband-desk"
+    rc = main([verb, "--scenario", scenario, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def test_invalid_scenario_exit_code(tmp_path, capsys):

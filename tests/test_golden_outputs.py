@@ -1,0 +1,58 @@
+"""Byte identity of the verbs' CSVs against files checked in under `golden/`.
+
+A change that should not alter results (a refactor, a simplification) must
+leave every CSV here byte-identical; manifests are not compared because they
+carry wall-clock times. After a deliberate change of results, rewrite the
+golden files with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+and explain each changed byte in the change's description.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from waveform_lab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "guardtone-desk": ["guardtone", "--scenario", "three-subband-desk", "--guards", "0,2",
+                       "--offsets-db", "0,10", "--trials", "2", "--seed", "3"],
+    "guardtone-lte20": ["guardtone", "--scenario", "three-subband-lte20", "--guards", "0",
+                        "--offsets-db", "10", "--modulations", "qpsk", "--trials", "1"],
+    "psd-desk": ["psd", "--scenario", "three-subband-desk", "--ttis", "2"],
+    "psd-desk-pa": ["psd", "--scenario", "three-subband-desk", "--ttis", "2", "--pa-on"],
+    "psd-lte20": ["psd", "--scenario", "three-subband-lte20", "--ttis", "2"],
+    "psd-lte20-pa": ["psd", "--scenario", "three-subband-lte20", "--ttis", "2", "--pa-on"],
+    "throughput": ["throughput", "--scenario", "throughput-table"],
+}
+
+
+def _run(case: str, out: Path) -> dict[str, bytes]:
+    assert main(CASES[case] + ["--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csvs_match_golden(case, tmp_path):
+    got = _run(case, tmp_path / case)
+    expected_dir = GOLDEN / case
+    expected = {p.name: p.read_bytes() for p in sorted(expected_dir.glob("*.csv"))}
+    assert sorted(got) == sorted(expected)
+    for name, data in got.items():
+        assert data == expected[name], f"{case}/{name} differs from {expected_dir / name}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            target = GOLDEN / case
+            target.mkdir(parents=True, exist_ok=True)
+            for stale in target.glob("*.csv"):
+                stale.unlink()
+            for name, data in _run(case, Path(tmp) / case).items():
+                (target / name).write_bytes(data)

@@ -1,5 +1,7 @@
 """PSD estimation, out-of-band emission windows, and throughput arithmetic."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,17 @@ def test_throughput_validation():
     over = ThroughputInput("over", 1e-6, 1e-6, 1.5, 1.0)
     with pytest.raises(ConfigError):
         normalized_throughput([over], _baseline())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["symbol_duration_s", "cp_duration_s",
+                                   "data_tone_fraction", "bandwidth_weight"])
+def test_throughput_rejects_non_finite(field, value):
+    entry = replace(_baseline(), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        normalized_throughput([entry], _baseline())
+    with pytest.raises(ConfigError, match=field):
+        normalized_throughput([_baseline()], entry)
 
 
 def test_caveat_mentions_link_adaptation():
