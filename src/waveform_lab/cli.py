@@ -43,12 +43,15 @@ from .subband import (
     assemble,
     derive_tail_policy,
     design_subband_filter,
+    downconversion_carrier,
+    genie_estimates,
     guardtone_sweep,
     payload_bits,
     rx_subband,
     scenario_filter_profile,
     tx_subband,
     tx_subband_unfiltered,
+    upconversion_carrier,
 )
 
 PRESET_ENV = "WAVEFORM_LAB_PRESETS"
@@ -202,16 +205,21 @@ def cmd_psd(args) -> int:
         fs = cfg.sample_rate_hz
         offsets = [sb.timing_offset_samples for sb in long_cfg.subbands]
 
+        # Each carrier and part is a whole stream: none is held past its last
+        # use, so the PA and Welch stages run with only the two composites.
         order, backoff = scenario_filter_profile(cfg)
         filtered_parts, plain_parts = [], []
         for i, sb in enumerate(long_cfg.subbands):
             bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
             fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
             policy = derive_tail_policy(fir, sb.numerology)
-            filtered_parts.append(tx_subband(sb, fs, bits, policy, fir)[0])
-            plain_parts.append(tx_subband_unfiltered(sb, fs, bits, policy=policy))
+            carrier = upconversion_carrier(sb, fs, policy)
+            filtered_parts.append(tx_subband(sb, fs, bits, policy, fir, carrier)[0])
+            plain_parts.append(tx_subband_unfiltered(sb, fs, bits, policy, carrier))
+            del carrier
         fofdm = assemble(filtered_parts, offsets)
         ofdm = assemble(plain_parts, offsets)
+        del filtered_parts, plain_parts
 
         if args.pa_on:
             pa_cfg = cfg.impairments.pa or RappConfig(input_backoff_db=PA_BACKOFF_DB)
@@ -288,8 +296,13 @@ def load_throughput_preset(path: Path) -> tuple[list[ThroughputInput], Throughpu
     def entry(d, ctx: str) -> ThroughputInput:
         _take(d, {"name", "symbol_duration_us", "cp_duration_us", "data_tone_fraction",
                   "bandwidth_weight"}, ctx)
+        name = _field(d, "name", str, ctx)
+        if any(c in name for c in ',"\r\n'):
+            # The name is written unquoted as the first throughput.csv column.
+            raise ConfigError(f"{ctx}.name {name!r} must not contain a comma, "
+                              "a double quote, CR or LF")
         return ThroughputInput(
-            name=_field(d, "name", str, ctx),
+            name=name,
             symbol_duration_s=_field(d, "symbol_duration_us", float, ctx) * 1e-6,
             cp_duration_s=_field(d, "cp_duration_us", float, ctx) * 1e-6,
             data_tone_fraction=_field(d, "data_tone_fraction", float, ctx),
@@ -383,8 +396,10 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
     bits = rng.integers(0, 2, 48 * 14 * 4)
     fir = design_subband_filter(spec, fs)
     policy = derive_tail_policy(fir, n)
-    sig, grid = tx_subband(spec, fs, bits, policy, fir)
-    res = rx_subband(sig, spec, fir, grid, policy)
+    sig, grid = tx_subband(spec, fs, bits, policy, fir, upconversion_carrier(spec, fs, policy))
+    res = rx_subband(sig, spec, fir, grid, policy,
+                     downconversion_carrier(spec, fir, len(sig), fs),
+                     genie_estimates(spec, fir, policy))
     r = _ber(bits, res.bits)
     results.append(("fofdm_loopback",
                     r.errors == 0 and res.evm_db <= -35.0,

@@ -46,6 +46,20 @@ def _build_constellation(modulation: str) -> np.ndarray:
 CONSTELLATIONS = {mod: _build_constellation(mod) for mod in BITS_PER_SYMBOL}
 
 
+def _per_axis_levels(modulation: str) -> tuple[np.ndarray, np.ndarray]:
+    """(I, Q) amplitudes of the constellation indexed by axis label: a label's
+    I bits (or its Q bits) read MSB first, the other axis' bits zero."""
+    k = BITS_PER_SYMBOL[modulation] // 2
+    axis = np.arange(2 ** k)
+    # The axis bit of weight 2^r sits at label weight 4^r on Q, 2 * 4^r on I.
+    spread = sum(((axis >> r) & 1) << (2 * r) for r in range(k))
+    points = CONSTELLATIONS[modulation]
+    return points[2 * spread].real, points[spread].imag
+
+
+_AXIS_LEVELS = {mod: _per_axis_levels(mod) for mod in BITS_PER_SYMBOL}
+
+
 def qam_map(bits, modulation: str) -> np.ndarray:
     """Map a 0/1 bit vector to Gray-labeled unit-average-power symbols."""
     if modulation not in BITS_PER_SYMBOL:
@@ -60,15 +74,23 @@ def qam_map(bits, modulation: str) -> np.ndarray:
 
 
 def qam_demap(symbols, modulation: str) -> np.ndarray:
-    """Hard minimum-distance decisions; ties resolve to the lowest label."""
+    """Hard minimum-distance decisions; ties resolve to the lowest label.
+
+    The constellation is the product of two Gray-labeled PAM axes, so the
+    nearest point pairs the nearest I level with the nearest Q level. A label
+    interleaves the I and Q bits, so among tied points the lowest label pairs
+    the lowest tied I label with the lowest tied Q label.
+    """
     if modulation not in BITS_PER_SYMBOL:
         raise ConfigError(f"unknown modulation {modulation!r}")
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    points = CONSTELLATIONS[modulation]
-    dist = np.abs(symbols[:, None] - points[None, :])
-    labels = np.argmin(dist, axis=1)  # first occurrence == lowest label
-    bps = BITS_PER_SYMBOL[modulation]
-    return ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int64).ravel()
+    k = BITS_PER_SYMBOL[modulation] // 2
+    shifts = np.arange(k - 1, -1, -1)
+    bits = np.empty((len(symbols), 2 * k), dtype=np.int64)
+    for col, x, levels in zip((0, 1), (symbols.real, symbols.imag), _AXIS_LEVELS[modulation]):
+        labels = np.argmin(np.abs(x[:, None] - levels), axis=1)  # first == lowest label
+        bits[:, col::2] = (labels[:, None] >> shifts) & 1
+    return bits.ravel()
 
 
 def _tone_bins(tones: int, fft_size: int) -> np.ndarray:

@@ -180,31 +180,73 @@ def payload_bits(spec: SubbandSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.int64)
 
 
+def upconversion_carrier(
+    spec: SubbandSpec, sample_rate_hz: float, policy: TailPolicy
+) -> np.ndarray:
+    """Phasor that shifts the subband's baseband TTI (CP extended per policy)
+    to its center; it does not depend on the payload, so a sweep cell builds
+    it once for all its trials."""
+    n = _extended_numerology(spec, policy)
+    t = np.arange(n.symbols_per_tti * n.samples_per_symbol)
+    return np.exp(2j * np.pi * spec.shift_hz * t / sample_rate_hz)
+
+
+def downconversion_carrier(
+    spec: SubbandSpec, fir: FirFilter, composite_len: int, sample_rate_hz: float
+) -> np.ndarray:
+    """Phasor that brings the subband back to baseband from the matched-filter
+    output of a `composite_len`-sample stream, referenced to the subband's
+    timing offset."""
+    t = np.arange(composite_len + len(fir.taps) - 1)
+    offset = spec.timing_offset_samples
+    return np.exp(-2j * np.pi * spec.shift_hz * (t - offset) / sample_rate_hz)
+
+
+# From this size on numpy evaluates `a * <temporary>` in the temporary's
+# buffer, as `<temporary> * a` (its temporary elision threshold).
+_ELIDED_PRODUCT_BYTES = 256 * 1024
+
+
+def _mixed(samples: np.ndarray, carrier: np.ndarray) -> np.ndarray:
+    """`samples` shifted by `carrier`, with the operands in the order numpy
+    uses for `samples * np.exp(...)`. Its SIMD complex multiply (AVX-512) is
+    not bitwise commutative, so this keeps every output bit the same whether
+    a carrier is built per call or once per sweep cell."""
+    if len(carrier) != len(samples):
+        raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
+                          f"{len(samples)}-sample stream")
+    if samples.nbytes >= _ELIDED_PRODUCT_BYTES:
+        return carrier * samples
+    return samples * carrier
+
+
 def _upconverted(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray
 ) -> tuple[ResourceGrid, np.ndarray]:
     """Grid and its OFDM signal (CP extended per policy) shifted to the
-    subband, before any filter or power offset: the plain-OFDM chain."""
+    subband by `carrier`, before any filter or power offset: the plain-OFDM
+    chain."""
     grid = build_grid(spec, bits)
     baseband = ofdm_modulate(grid, _extended_numerology(spec, policy))
-    t = np.arange(len(baseband))
-    return grid, baseband.samples * np.exp(2j * np.pi * spec.shift_hz * t / sample_rate_hz)
+    return grid, _mixed(baseband.samples, carrier)
 
 
 def tx_subband(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter,
+    carrier: np.ndarray,
 ) -> tuple[SignalBuffer, ResourceGrid]:
-    """Modulate, upconvert, filter, and scale one subband; also returns the grid."""
-    grid, up = _upconverted(spec, sample_rate_hz, bits, policy)
+    """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
+    subband; also returns the grid."""
+    grid, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier)
     filtered = _overlap_save(up, fir.taps, default_block_size(len(fir.taps)))
     return SignalBuffer(spec.amplitude * filtered, sample_rate_hz), grid
 
 
 def tx_subband_unfiltered(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray
 ) -> SignalBuffer:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
-    _, up = _upconverted(spec, sample_rate_hz, bits, policy)
+    _, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier)
     return SignalBuffer(spec.amplitude * up, sample_rate_hz)
 
 
@@ -244,25 +286,24 @@ def rx_subband(
     fir: FirFilter,
     sent: ResourceGrid,
     policy: TailPolicy,
-    channel: ChannelRealization | None = None,
+    carrier: np.ndarray,
+    estimates: np.ndarray,
 ) -> SubbandRxResult:
-    """Recover one subband from the assembled stream; EVM is against the
-    transmitted grid `sent` after genie equalization."""
+    """Recover one subband from the assembled stream, downconverting by
+    `downconversion_carrier` and equalizing by `genie_estimates`; EVM is
+    against the transmitted grid `sent`."""
     fs = composite.sample_rate_hz
     filtered = _overlap_save(composite.samples, fir.taps, default_block_size(len(fir.taps)))
-    offset = spec.timing_offset_samples
-    t = np.arange(len(filtered))
-    baseband = filtered * np.exp(-2j * np.pi * spec.shift_hz * (t - offset) / fs)
+    baseband = _mixed(filtered, carrier)
     n_ext = _extended_numerology(spec, policy)
     total_delay = len(fir.taps) - 1
-    start = offset + total_delay
+    start = spec.timing_offset_samples + total_delay
     seg_len = n_ext.symbols_per_tti * n_ext.samples_per_symbol
     if start < 0 or start + seg_len > len(baseband):
         raise ConfigError("composite buffer too short for the subband frame")
     seg = SignalBuffer(baseband[start:start + seg_len], fs)
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
-    est = genie_estimates(spec, fir, policy, channel)
-    eq = equalize(raw, est)
+    eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
     evm = evm_db(sent, eq) if np.any(sent.cells != 0) else float("nan")
     return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm)
@@ -361,7 +402,10 @@ def _sweep_geometry(base: ScenarioConfig, guard: int, power_db: float, modulatio
 
 
 class _ErrorAccumulator:
-    def __init__(self):
+    def __init__(self, tones: int, edge_tones: np.ndarray):
+        self.edge = edge_tones
+        self.inner = np.ones(tones, dtype=bool)
+        self.inner[edge_tones] = False
         self.err_edge = 0.0
         self.ref_edge = 0.0
         self.err_inner = 0.0
@@ -369,16 +413,13 @@ class _ErrorAccumulator:
         self.bit_errors = 0
         self.bits_total = 0
 
-    def add(self, reference: ResourceGrid, received: ResourceGrid,
-            edge_tones: np.ndarray, tx_bits, rx_bits):
+    def add(self, reference: ResourceGrid, received: ResourceGrid, tx_bits, rx_bits):
         err = np.abs(received.cells - reference.cells) ** 2
         ref = np.abs(reference.cells) ** 2
-        inner = np.ones(reference.tones, dtype=bool)
-        inner[edge_tones] = False
-        self.err_edge += float(err[edge_tones, :].sum())
-        self.ref_edge += float(ref[edge_tones, :].sum())
-        self.err_inner += float(err[inner, :].sum())
-        self.ref_inner += float(ref[inner, :].sum())
+        self.err_edge += float(err[self.edge, :].sum())
+        self.ref_edge += float(ref[self.edge, :].sum())
+        self.err_inner += float(err[self.inner, :].sum())
+        self.ref_inner += float(ref[self.inner, :].sum())
         r = ber(tx_bits, rx_bits)
         self.bit_errors += r.errors
         self.bits_total += r.total
@@ -442,30 +483,35 @@ def guardtone_sweep(
 
     def run_cell(subs: list[SubbandSpec], cell: str, mod: str) -> _ErrorAccumulator:
         """All trials of one cell: transmit every subband, assemble, add noise,
-        and receive the victim (subs[0])."""
+        and receive the victim (subs[0]). Everything that does not depend on
+        the payload or the noise is built once, before the trials."""
         firs = [design_subband_filter(s, fs, order=filter_order,
                                       edge_backoff_tones=edge_backoff)
                 for s in subs]
         policies = [derive_tail_policy(f, s.numerology) for s, f in zip(subs, firs)]
-        victim = subs[0]
-        edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
+        ups = [upconversion_carrier(s, fs, p) for s, p in zip(subs, policies)]
         offsets = [s.timing_offset_samples for s in subs]
-        acc = _ErrorAccumulator()
+        comp_len = max(o + len(c) + len(f.taps) - 1 for o, c, f in zip(offsets, ups, firs))
+        victim = subs[0]
+        down = downconversion_carrier(victim, firs[0], comp_len, fs)
+        est = genie_estimates(victim, firs[0], policies[0])
+        acc = _ErrorAccumulator(victim.data_tones,
+                                np.arange(victim.data_tones - edge_count, victim.data_tones))
         for trial in range(trials):
             # The victim's payload and the noise are drawn as in the baseline,
             # so baseline deltas isolate inter-subband interference.
             labels = [f"bits/baseline/{mod}/{trial}",
                       *(f"bits/{cell}/{trial}/s{i}" for i in range(1, len(subs)))]
             bits = [payload_bits(s, seeded_rng(base.seed, lb)) for s, lb in zip(subs, labels)]
-            sent = [tx_subband(s, fs, b, p, f)
-                    for s, b, p, f in zip(subs, bits, policies, firs)]
+            sent = [tx_subband(s, fs, b, p, f, c)
+                    for s, b, p, f, c in zip(subs, bits, policies, firs, ups)]
             comp = assemble([sig for sig, _ in sent], offsets)
             noise = _sweep_noise(len(comp), sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
             noisy = SignalBuffer(comp.samples + noise, fs)
             grid = sent[0][1]
-            res = rx_subband(noisy, victim, firs[0], grid, policies[0])
-            acc.add(grid, res.grid, edge, bits[0], res.bits)
+            res = rx_subband(noisy, victim, firs[0], grid, policies[0], down, est)
+            acc.add(grid, res.grid, bits[0], res.bits)
         return acc
 
     # Baselines: isolated victim, one per modulation, same noise calibration.

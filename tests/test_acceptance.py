@@ -39,10 +39,13 @@ from waveform_lab.subband import (
     DEFAULT_TAIL_THRESHOLD,
     derive_tail_policy,
     design_subband_filter,
+    downconversion_carrier,
+    genie_estimates,
     guardtone_sweep,
     payload_bits,
     rx_subband,
     tx_subband,
+    upconversion_carrier,
 )
 
 FS = 7.68e6
@@ -117,8 +120,10 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
     policy = derive_tail_policy(fir, n, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(7, f"acc/{width}/{mod}"))
     assert len(bits) >= 100_000
-    sig, grid = tx_subband(spec, FS, bits, policy, fir)
-    res = rx_subband(sig, spec, fir, grid, policy)
+    sig, grid = tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
+    res = rx_subband(sig, spec, fir, grid, policy,
+                     downconversion_carrier(spec, fir, len(sig), FS),
+                     genie_estimates(spec, fir, policy))
     assert ber(bits, res.bits).errors == 0
     assert res.evm_db <= -35.0
     assert res.evm_db == pytest.approx(LOOPBACK_EVM_FLOOR_DB[(width, mod)], abs=0.5)

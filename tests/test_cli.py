@@ -219,6 +219,18 @@ def test_malformed_throughput_preset_exit_code(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("name", ["ped,estrian", 'say "hi"', "cr\rname", "lf\nname"],
+                         ids=["comma", "quote", "cr", "lf"])
+def test_throughput_name_that_would_break_the_csv_is_rejected(tmp_path, capsys, name):
+    out = tmp_path / "x"
+    rc = main(["throughput", "--scenario",
+               _throughput_file(tmp_path, lambda t: t["subbands"][0].update(name=name)),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: throughput.subbands[0].name {name!r}")
+    assert not out.exists()
+
+
 def test_non_object_throughput_preset_exit_code(tmp_path, capsys):
     p = tmp_path / "table.json"
     p.write_text("[1, 2]")

@@ -1,7 +1,10 @@
 """Constellations, OFDM transform pair, equalization, and error counting."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waveform_lab.core import ConfigError, Numerology, ResourceGrid, seeded_rng
 from waveform_lab.modem import (
@@ -61,6 +64,61 @@ def test_map_demap_round_trip(mod):
     bits = bits[:n]
     again = qam_demap(qam_map(bits, mod), mod)
     assert np.array_equal(again, bits)
+
+
+def _squared_distances(symbol: complex, mod: str) -> list[Fraction]:
+    """Exact squared distance to every point, from the float coordinate
+    differences (rounding those can turn a near-tie into a tie, never reverse
+    an order)."""
+    return [Fraction(symbol.real - p.real) ** 2 + Fraction(symbol.imag - p.imag) ** 2
+            for p in CONSTELLATIONS[mod]]
+
+
+def _oracle_bits(symbol: complex, mod: str) -> list[int]:
+    """Brute-force minimum distance over all points, lowest label on ties."""
+    d = _squared_distances(symbol, mod)
+    label = d.index(min(d))
+    bps = BITS_PER_SYMBOL[mod]
+    return [(label >> (bps - 1 - i)) & 1 for i in range(bps)]
+
+
+def _axis_values(mod: str) -> tuple[list[float], list[float]]:
+    """(levels, float-exact decision boundaries) of one constellation axis."""
+    levels = sorted(set(CONSTELLATIONS[mod].real.tolist()))
+    mids = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    return levels, [x for x, a, b in zip(mids, levels, levels[1:]) if x - a == b - x]
+
+
+@pytest.mark.parametrize("mod", list(BITS_PER_SYMBOL))
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_demap_matches_brute_force_oracle(mod, data):
+    levels, boundaries = _axis_values(mod)
+    coordinate = st.one_of(
+        st.floats(-1.5, 1.5),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(levels + boundaries),
+    )
+    pairs = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=16))
+    symbols = np.array([complex(re, im) for re, im in pairs])
+    expected = [b for sym in symbols for b in _oracle_bits(sym, mod)]
+    assert qam_demap(symbols, mod).tolist() == expected
+
+
+@pytest.mark.parametrize("mod", list(BITS_PER_SYMBOL))
+def test_demap_ties_resolve_to_lowest_label(mod):
+    levels, boundaries = _axis_values(mod)
+    assert 0.0 in boundaries
+    symbols = [complex(t, u) for t in boundaries for u in levels + boundaries]
+    symbols += [complex(u, t) for t in boundaries for u in levels]
+    for sym in symbols:
+        d = _squared_distances(sym, mod)
+        assert d.count(min(d)) >= 2, sym  # a genuine tie between points
+        assert qam_demap([sym], mod).tolist() == _oracle_bits(sym, mod), sym
+    # At the origin the tied points are the four innermost, and the lowest
+    # label takes the positive inner level on both axes.
+    assert qam_demap([0j], mod).tolist() == {
+        "qpsk": [0, 0], "16qam": [0, 0, 0, 0], "64qam": [0, 0, 0, 0, 1, 1]}[mod]
 
 
 def test_map_rejects_ragged_bits():

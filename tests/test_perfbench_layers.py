@@ -31,3 +31,25 @@ def test_layer_path_resolves_to_a_function(layer):
         owner = getattr(owner, attr, None)
         assert owner is not None, f"{layer}: waveform_lab.{spans.LAYERS[layer]} not found"
     assert callable(owner)
+
+
+def test_tracer_reads_the_call_shapes_it_counts(tmp_path):
+    """The tracer's work counters read positional arguments of the library
+    calls (`tx_subband`, `genie_estimates`, `_overlap_save`, `qam_demap`); a
+    signature change that moves them breaks the traced benchmark."""
+    cli = importlib.import_module("waveform_lab.cli")  # `cli.main` is looked up traced
+
+    runs = {
+        "guardtone": ["guardtone", "--scenario", "three-subband-desk", "--guards", "0",
+                      "--offsets-db", "0", "--modulations", "qpsk", "--trials", "1"],
+        "psd": ["psd", "--scenario", "three-subband-desk", "--ttis", "2"],
+    }
+    metrics = {}
+    for verb, argv in runs.items():
+        with spans.Tracer() as tracer:
+            assert cli.main([*argv, "--out", str(tmp_path / verb)]) == 0
+        assert tracer.missing == []
+        metrics[verb] = tracer.layer_metrics()
+    assert metrics["guardtone"]["subband.genie_estimates.tone_taps"] > 0
+    assert metrics["guardtone"]["modem.qam_demap.symbols"] > 0
+    assert metrics["psd"]["filters.overlap_save.samples"] > 0

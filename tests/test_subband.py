@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from waveform_lab import subband
 from waveform_lab.core import (
     ConfigError,
     ImpairmentConfig,
@@ -28,6 +29,7 @@ from waveform_lab.subband import (
     default_filter_order,
     derive_tail_policy,
     design_subband_filter,
+    downconversion_carrier,
     genie_estimates,
     guardtone_sweep,
     packed_filter_order,
@@ -36,6 +38,7 @@ from waveform_lab.subband import (
     scenario_filter_profile,
     tx_subband,
     tx_subband_unfiltered,
+    upconversion_carrier,
 )
 
 FS = 7.68e6
@@ -55,14 +58,24 @@ def _subband(start=-24, width=48, mod="qpsk", **kw):
     return SubbandSpec(**args)
 
 
+def _tx(spec, bits, policy, fir):
+    return tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
+
+
+def _rx(composite, spec, fir, grid, policy, channel=None):
+    return rx_subband(composite, spec, fir, grid, policy,
+                      downconversion_carrier(spec, fir, len(composite), FS),
+                      genie_estimates(spec, fir, policy, channel))
+
+
 def _loopback(spec, policy=None, fir=None, label="loop"):
     if fir is None:
         fir = design_subband_filter(spec, FS)
     if policy is None:
         policy = derive_tail_policy(fir, spec.numerology, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(1, label))
-    sig, grid = tx_subband(spec, FS, bits, policy, fir)
-    res = rx_subband(sig, spec, fir, grid, policy)
+    sig, grid = _tx(spec, bits, policy, fir)
+    res = _rx(sig, spec, fir, grid, policy)
     return bits, res
 
 
@@ -169,7 +182,7 @@ def test_payload_bits_count():
 def test_tx_length_includes_filter_transient():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
-    sig, _ = tx_subband(spec, FS, payload_bits(spec, seeded_rng(1, "len")), TAIL_NONE, fir)
+    sig, _ = _tx(spec, payload_bits(spec, seeded_rng(1, "len")), TAIL_NONE, fir)
     assert len(sig) == 14 * 548 + len(fir.taps) - 1
 
 
@@ -177,8 +190,8 @@ def test_tx_power_offset_scales_amplitude():
     spec = _subband()
     bits = payload_bits(spec, seeded_rng(1, "pwr"))
     fir = design_subband_filter(spec, FS)
-    lo, _ = tx_subband(spec, FS, bits, TAIL_NONE, fir)
-    hi, _ = tx_subband(replace(spec, power_offset_db=6.0), FS, bits, TAIL_NONE, fir)
+    lo, _ = _tx(spec, bits, TAIL_NONE, fir)
+    hi, _ = _tx(replace(spec, power_offset_db=6.0), bits, TAIL_NONE, fir)
     assert hi.power() / lo.power() == pytest.approx(10 ** 0.6, rel=1e-9)
 
 
@@ -189,8 +202,7 @@ def test_tx_spectrum_confined():
     fir = design_subband_filter(spec, FS, order=order)
     n_long = replace(DESK, symbols_per_tti=28)
     long_spec = replace(spec, numerology=n_long)
-    sig, _ = tx_subband(long_spec, FS, payload_bits(long_spec, seeded_rng(1, "psd")),
-                        TAIL_NONE, fir)
+    sig, _ = _tx(long_spec, payload_bits(long_spec, seeded_rng(1, "psd")), TAIL_NONE, fir)
     est = psd_welch(sig, segment_size=2048,
                     in_band_hz=(spec.occupied_low_hz, spec.occupied_high_hz))
     transition = 4 * FS / (order + 1)
@@ -202,11 +214,12 @@ def test_tx_spectrum_confined():
 def test_unfiltered_tx_matches_filtered_in_band_power():
     spec = _subband()
     bits = payload_bits(spec, seeded_rng(1, "unf"))
-    plain = tx_subband_unfiltered(spec, FS, bits, TAIL_NONE)
+    plain = tx_subband_unfiltered(spec, FS, bits, TAIL_NONE,
+                                  upconversion_carrier(spec, FS, TAIL_NONE))
     assert len(plain) == 14 * 548
     # The short default filter rolls off edge tones, so the filtered signal
     # loses a little energy but stays within ~1.5 dB of the plain one.
-    filt, _ = tx_subband(spec, FS, bits, TAIL_NONE, design_subband_filter(spec, FS))
+    filt, _ = _tx(spec, bits, TAIL_NONE, design_subband_filter(spec, FS))
     e_plain = np.sum(np.abs(plain.samples) ** 2)
     e_filt = np.sum(np.abs(filt.samples) ** 2)
     assert 10 * abs(np.log10(e_filt / e_plain)) < 1.5
@@ -220,8 +233,9 @@ def test_unit_filter_tx_matches_unfiltered_chain():
     policy = TailPolicy(extra_cp_samples=10, rx_advance_samples=5)
     unit = FirFilter(taps=np.ones(1), spec=FilterSpec(order=0, passband_width_hz=FS / 2),
                      sample_rate_hz=FS, mainlobe_samples=1)
-    filt, _ = tx_subband(spec, FS, bits, policy=policy, fir=unit)
-    plain = tx_subband_unfiltered(spec, FS, bits, policy=policy)
+    carrier = upconversion_carrier(spec, FS, policy)
+    filt, _ = tx_subband(spec, FS, bits, policy, unit, carrier)
+    plain = tx_subband_unfiltered(spec, FS, bits, policy, carrier)
     assert len(filt) == len(plain) == 14 * (548 + 10)
     err = np.linalg.norm(filt.samples - plain.samples) / np.linalg.norm(plain.samples)
     assert err < 1e-12
@@ -265,22 +279,37 @@ def test_rx_through_known_channel():
     fir = design_subband_filter(spec, FS)
     policy = derive_tail_policy(fir, DESK, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(1, "chan"))
-    sig, grid = tx_subband(spec, FS, bits, policy, fir)
+    sig, grid = _tx(spec, bits, policy, fir)
     faded, ch = apply_tdl(sig, load_tdl_profile("epa"), seeded_rng(1, "chan/tdl"),
                           cp_budget_samples=DESK.cp_samples)
-    res = rx_subband(faded, spec, fir, grid, policy, channel=ch)
+    res = _rx(faded, spec, fir, grid, policy, channel=ch)
     assert res.evm_db <= -30.0
     assert ber(bits, res.bits).errors == 0
+
+
+def test_carrier_length_must_match_the_stream():
+    spec = _subband()
+    fir = design_subband_filter(spec, FS)
+    bits = payload_bits(spec, seeded_rng(1, "carrier"))
+    longer = upconversion_carrier(replace(spec, numerology=replace(DESK, symbols_per_tti=15)),
+                                  FS, TAIL_NONE)
+    with pytest.raises(ConfigError):
+        tx_subband(spec, FS, bits, TAIL_NONE, fir, longer)
+    sig, grid = _tx(spec, bits, TAIL_NONE, fir)
+    with pytest.raises(ConfigError):
+        rx_subband(sig, spec, fir, grid, TAIL_NONE,
+                   downconversion_carrier(spec, fir, len(sig) - 1, FS),
+                   genie_estimates(spec, fir, TAIL_NONE))
 
 
 def test_rx_buffer_too_short():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
     bits = payload_bits(spec, seeded_rng(1, "short"))
-    sig, grid = tx_subband(spec, FS, bits, TAIL_NONE, fir)
+    sig, grid = _tx(spec, bits, TAIL_NONE, fir)
     cut = SignalBuffer(sig.samples[: len(sig) // 2], FS)
     with pytest.raises(ConfigError):
-        rx_subband(cut, spec, fir, grid, TAIL_NONE)
+        _rx(cut, spec, fir, grid, TAIL_NONE)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +396,31 @@ def test_sweep_single_subband_degenerates_to_baseline():
     res = guardtone_sweep(small, [0, 2], [0.0], 30.0, 2, modulations=("qpsk",))
     evms = {r.evm_db_edge for r in res.rows}
     assert len(evms) == 1  # no interferer: identical rows per guard count
+
+
+def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
+    # The genie estimate and the carriers depend on the cell, not on the
+    # trial: each is built once per cell (isolated baselines and grid cells).
+    calls = {}
+
+    def counted(name):
+        real = getattr(subband, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(subband, name, wrapper)
+
+    for name in ("genie_estimates", "upconversion_carrier", "downconversion_carrier"):
+        counted(name)
+    guards, offsets, mods = [0, 2], [0.0, 10.0], ("qpsk", "16qam")
+    guardtone_sweep(_sweep_base(), guards, offsets, 30.0, 3, modulations=mods)
+    cells = len(guards) * len(offsets) * len(mods)
+    assert calls == {
+        "genie_estimates": len(mods) + cells,
+        "downconversion_carrier": len(mods) + cells,
+        "upconversion_carrier": len(mods) + 3 * cells,  # one per subband
+    }
 
 
 @pytest.mark.parametrize("snr_db, modulations", [
