@@ -119,14 +119,13 @@ def _overlap_save(x: np.ndarray, taps: np.ndarray, block: int) -> np.ndarray:
     step = block - (tap_count - 1)
     spectrum = np.fft.fft(taps, block)
     n_blocks = -(-n_out // step)
-    padded = np.zeros(tap_count - 1 + n_blocks * step + block, dtype=np.complex128)
+    padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
     padded[tap_count - 1:tap_count - 1 + len(x)] = x
-    out = np.empty(n_blocks * step, dtype=np.complex128)
-    for b in range(n_blocks):
-        seg = padded[b * step:b * step + block]
-        y = np.fft.ifft(np.fft.fft(seg) * spectrum)
-        out[b * step:(b + 1) * step] = y[tap_count - 1:tap_count - 1 + step]
-    return out[:n_out]
+    blocks = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
+    spectra = np.fft.fft(blocks, axis=1)
+    spectra *= spectrum
+    y = np.fft.ifft(spectra, axis=1)
+    return y[:, tap_count - 1:tap_count - 1 + step].reshape(-1)[:n_out]
 
 
 def default_block_size(tap_count: int) -> int:

@@ -1,18 +1,17 @@
 """Spectral and throughput measurement.
 
-PSD estimation is Welch with Hann segments at 50% overlap; curves are
-reported in dBr, normalized so the in-band mean sits at 0. The throughput
-calculator is pure overhead arithmetic (data-tone fraction times CP
-efficiency); it deliberately models no link adaptation.
+PSD estimation is Welch with Hann segments at 50% overlap, implemented in
+numpy; curves are reported in dBr, normalized so the in-band mean sits at 0.
+The throughput calculator is pure overhead arithmetic (data-tone fraction
+times CP efficiency); it deliberately models no link adaptation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .core import ConfigError, SignalBuffer
 
@@ -30,6 +29,26 @@ class PsdEstimate:
     @property
     def resolution_hz(self) -> float:
         return float(self.freqs_hz[1] - self.freqs_hz[0])
+
+
+def _welch_density(x: np.ndarray, fs: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided Welch density in power per Hz, DC-centered: the mean of the
+    periodic-Hann-windowed periodograms of `n`-sample segments of `x`,
+    overlapping by `n // 2`; with the bin frequencies in Hz.
+
+    The operation order is part of the result: the `tests/golden/` PSD files
+    hold its exact floats. The window is scaled by a sequential `sum` divided
+    by `1 / fs`, |X|^2 is re^2 + im^2, and the mean runs along a contiguous
+    last axis; `np.sum`, `* fs`, `abs(X) ** 2` or `mean(axis=0)` each move
+    some bins by an ulp.
+    """
+    window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    window = window * (1.0 / np.sqrt(sum(window ** 2) / (1.0 / fs)))
+    segments = np.lib.stride_tricks.sliding_window_view(x, n)[::n - n // 2]
+    spectra = np.fft.fft(segments * window, axis=1)
+    periodograms = spectra.real ** 2 + spectra.imag ** 2
+    density = np.ascontiguousarray(periodograms.T).mean(axis=-1)
+    return np.fft.fftshift(np.fft.fftfreq(n, 1.0 / fs)), np.fft.fftshift(density)
 
 
 def psd_welch(
@@ -50,19 +69,7 @@ def psd_welch(
         raise ConfigError(
             f"signal of {len(sig)} samples is too short for segments of {segment_size}"
         )
-    fs = sig.sample_rate_hz
-    freqs, density = sp_signal.welch(
-        sig.samples,
-        fs=fs,
-        window="hann",
-        nperseg=segment_size,
-        noverlap=segment_size // 2,
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
-    freqs = np.fft.fftshift(freqs)
-    density = np.fft.fftshift(density).real
+    freqs, density = _welch_density(sig.samples, sig.sample_rate_hz, segment_size)
     if in_band_hz is None:
         band_mask = np.ones(len(freqs), dtype=bool)
     else:

@@ -2,12 +2,27 @@
 rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from waveform_lab.cli import main, preset_dir, resolve_scenario_path
 from waveform_lab.core import ConfigError, load_scenario
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # Importing scipy.signal cost over a second of every process's start-up.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import waveform_lab.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from waveform_lab.core import ConfigError, SignalBuffer, seeded_rng
 from waveform_lab.metrics import (
     THROUGHPUT_CAVEAT,
     ThroughputInput,
+    _welch_density,
     normalized_throughput,
     oobe,
     psd_welch,
@@ -55,6 +56,59 @@ def test_psd_axis_covers_complex_band():
     assert np.all(np.diff(est.freqs_hz) > 0)
     peak = est.freqs_hz[int(np.argmax(est.power_dbr))]
     assert peak == pytest.approx(-2.0e6, abs=FS / 1024)
+
+
+def _welch_oracle(x, fs, n):
+    """Per-segment loop: Hann-windowed periodograms in power per Hz, averaged."""
+    window = np.hanning(n + 1)[:-1]
+    hop = n - n // 2
+    starts = range(0, len(x) - n + 1, hop)
+    density = sum(np.abs(np.fft.fft(window * x[s:s + n])) ** 2 for s in starts)
+    density = density / (len(starts) * fs * np.sum(window ** 2))
+    return (np.arange(n) - n // 2) * fs / n, np.fft.fftshift(density)
+
+
+@pytest.mark.parametrize("n,length,strided", [
+    (1024, 1 << 13, False),
+    (1024, 5000, False),   # the tail shorter than a hop is dropped
+    (257, 3001, False),    # odd: hop 129, overlap 128
+    (3, 40, False),
+    (1000, 4321, True),    # x[::2] of a longer buffer
+])
+def test_welch_density_matches_per_segment_oracle(n, length, strided):
+    rng = seeded_rng(9, f"metrics/oracle/{n}/{length}")
+    x = rng.standard_normal(2 * length) + 1j * rng.standard_normal(2 * length)
+    x = x[::2] if strided else x[:length]
+    freqs, density = _welch_density(x, FS, n)
+    want_freqs, want_density = _welch_oracle(x, FS, n)
+    np.testing.assert_allclose(freqs, want_freqs, rtol=1e-15, atol=1e-9)
+    np.testing.assert_allclose(density, want_density, rtol=1e-12, atol=0)
+    est = psd_welch(SignalBuffer(x, FS), segment_size=n)
+    want_dbr = 10.0 * np.log10(want_density / np.mean(want_density))
+    np.testing.assert_allclose(est.power_dbr, want_dbr, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1024, 257])
+def test_welch_density_integrates_to_mean_power(n):
+    # Parseval: for a constant-modulus signal every windowed segment carries
+    # exactly the signal's power, so the density integrates to amplitude^2.
+    rng = seeded_rng(9, f"metrics/parseval/{n}")
+    amplitude = 3.0
+    x = amplitude * np.exp(2j * np.pi * rng.uniform(size=6 * n + 17))
+    freqs, density = _welch_density(x, FS, n)
+    assert np.sum(density) * (freqs[1] - freqs[0]) == pytest.approx(amplitude ** 2, rel=1e-12)
+
+
+def test_psd_unchanged_for_a_view_of_the_input():
+    rng = seeded_rng(9, "metrics/view")
+    base = rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
+    for view in (base[7:7 + 9000], base[::2]):
+        assert not view.flags.owndata
+        got = _welch_density(view, FS, 1000)
+        want = _welch_density(view.copy(), FS, 1000)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(psd_welch(SignalBuffer(view, FS), 1000).power_dbr,
+                              psd_welch(SignalBuffer(view.copy(), FS), 1000).power_dbr)
 
 
 def test_psd_short_signal_rejected():
