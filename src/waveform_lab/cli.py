@@ -397,13 +397,13 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
     fir = design_subband_filter(spec, fs)
     policy = derive_tail_policy(fir, n)
     sig, grid = tx_subband(spec, fs, bits, policy, fir, upconversion_carrier(spec, fs, policy))
-    res = rx_subband(sig, spec, fir, policy,
+    res = rx_subband(sig, spec, fir, grid, policy,
                      downconversion_carrier(spec, fir, len(sig), fs),
                      genie_estimates(spec, fir, policy))
     r = _ber(bits, res.bits)
-    evm = evm_db(grid, res.grid)
-    results.append(("fofdm_loopback", r.errors == 0 and evm <= -35.0,
-                    f"ber {r.ratio:.0e} evm {evm:.1f} dB"))
+    results.append(("fofdm_loopback",
+                    r.errors == 0 and res.evm_db <= -35.0,
+                    f"ber {r.ratio:.0e} evm {res.evm_db:.1f} dB"))
 
     # Parseval through the modulator (CP excluded).
     grid = ResourceGrid(qam_map(rng.integers(0, 2, 48 * 14 * 2), "qpsk").reshape(14, 48).T)

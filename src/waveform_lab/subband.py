@@ -42,6 +42,7 @@ from .modem import (
     ber,
     equalize,
     error_ratio_db,
+    evm_db,
     ofdm_demodulate,
     ofdm_modulate,
     qam_demap,
@@ -276,18 +277,21 @@ def genie_estimates(
 class SubbandRxResult:
     grid: ResourceGrid
     bits: np.ndarray
+    evm_db: float
 
 
 def rx_subband(
     composite: SignalBuffer,
     spec: SubbandSpec,
     fir: FirFilter,
+    sent: ResourceGrid,
     policy: TailPolicy,
     carrier: np.ndarray,
     estimates: np.ndarray,
 ) -> SubbandRxResult:
     """Recover one subband from the assembled stream, downconverting by
-    `downconversion_carrier` and equalizing by `genie_estimates`."""
+    `downconversion_carrier` and equalizing by `genie_estimates`; EVM is
+    against the transmitted grid `sent`."""
     fs = composite.sample_rate_hz
     filtered = _overlap_save(composite.samples, fir.taps, default_block_size(len(fir.taps)))
     baseband = _mixed(filtered, carrier)
@@ -301,7 +305,8 @@ def rx_subband(
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
-    return SubbandRxResult(grid=eq, bits=bits_hat)
+    evm = evm_db(sent, eq) if np.any(sent.cells != 0) else float("nan")
+    return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm)
 
 
 def assemble(signals: list[SignalBuffer], offsets: list[int]) -> SignalBuffer:
@@ -505,7 +510,7 @@ def guardtone_sweep(
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
             noisy = SignalBuffer(comp.samples + noise, fs)
             grid = sent[0][1]
-            res = rx_subband(noisy, victim, firs[0], policies[0], down, est)
+            res = rx_subband(noisy, victim, firs[0], grid, policies[0], down, est)
             acc.add(grid, res.grid, bits[0], res.bits)
         return acc
 

@@ -121,13 +121,12 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
     bits = payload_bits(spec, seeded_rng(7, f"acc/{width}/{mod}"))
     assert len(bits) >= 100_000
     sig, grid = tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
-    res = rx_subband(sig, spec, fir, policy,
+    res = rx_subband(sig, spec, fir, grid, policy,
                      downconversion_carrier(spec, fir, len(sig), FS),
                      genie_estimates(spec, fir, policy))
-    evm = evm_db(grid, res.grid)
     assert ber(bits, res.bits).errors == 0
-    assert evm <= -35.0
-    assert evm == pytest.approx(LOOPBACK_EVM_FLOOR_DB[(width, mod)], abs=0.5)
+    assert res.evm_db <= -35.0
+    assert res.evm_db == pytest.approx(LOOPBACK_EVM_FLOOR_DB[(width, mod)], abs=0.5)
 
 
 # ---------------------------------------------------------------------------

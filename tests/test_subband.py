@@ -19,7 +19,7 @@ from waveform_lab.core import (
 from waveform_lab.filters import FilterSpec, FirFilter
 from waveform_lab.impairments import apply_tdl, load_tdl_profile
 from waveform_lab.metrics import psd_welch
-from waveform_lab.modem import BITS_PER_SYMBOL, ber, evm_db, qam_map
+from waveform_lab.modem import BITS_PER_SYMBOL, ber, qam_map
 from waveform_lab.subband import (
     DEFAULT_TAIL_THRESHOLD,
     TAIL_NONE,
@@ -62,8 +62,8 @@ def _tx(spec, bits, policy, fir):
     return tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
 
 
-def _rx(composite, spec, fir, policy, channel=None):
-    return rx_subband(composite, spec, fir, policy,
+def _rx(composite, spec, fir, grid, policy, channel=None):
+    return rx_subband(composite, spec, fir, grid, policy,
                       downconversion_carrier(spec, fir, len(composite), FS),
                       genie_estimates(spec, fir, policy, channel))
 
@@ -75,8 +75,8 @@ def _loopback(spec, policy=None, fir=None, label="loop"):
         policy = derive_tail_policy(fir, spec.numerology, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(1, label))
     sig, grid = _tx(spec, bits, policy, fir)
-    res = _rx(sig, spec, fir, policy)
-    return bits, res, evm_db(grid, res.grid)
+    res = _rx(sig, spec, fir, grid, policy)
+    return bits, res
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +246,23 @@ def test_unit_filter_tx_matches_unfiltered_chain():
 # ---------------------------------------------------------------------------
 
 def test_loopback_policy_none_medium_qpsk():
-    bits, res, _ = _loopback(_subband(mod="qpsk"), policy=TAIL_NONE, label="none")
+    bits, res = _loopback(_subband(mod="qpsk"), policy=TAIL_NONE, label="none")
     assert ber(bits, res.bits).errors == 0
 
 
 def test_loopback_derived_policy_all_modulations():
     for mod in BITS_PER_SYMBOL:
-        bits, res, evm = _loopback(_subband(mod=mod), label=f"lp/{mod}")
+        bits, res = _loopback(_subband(mod=mod), label=f"lp/{mod}")
         assert ber(bits, res.bits).errors == 0
-        assert evm <= -35.0
+        assert res.evm_db <= -35.0
 
 
 def test_narrow_subband_tail_treatment_helps():
     spec = _subband(start=-6, width=12)
     fir = design_subband_filter(spec, FS)
-    *_, plain = _loopback(spec, policy=TAIL_NONE, fir=fir, label="ab")
-    *_, treated = _loopback(spec, fir=fir, label="ab")
-    assert treated < plain - 3.0
+    _, plain = _loopback(spec, policy=TAIL_NONE, fir=fir, label="ab")
+    _, treated = _loopback(spec, fir=fir, label="ab")
+    assert treated.evm_db < plain.evm_db - 3.0
 
 
 def test_genie_estimates_shape_and_power_offset():
@@ -282,8 +282,8 @@ def test_rx_through_known_channel():
     sig, grid = _tx(spec, bits, policy, fir)
     faded, ch = apply_tdl(sig, load_tdl_profile("epa"), seeded_rng(1, "chan/tdl"),
                           cp_budget_samples=DESK.cp_samples)
-    res = _rx(faded, spec, fir, policy, channel=ch)
-    assert evm_db(grid, res.grid) <= -30.0
+    res = _rx(faded, spec, fir, grid, policy, channel=ch)
+    assert res.evm_db <= -30.0
     assert ber(bits, res.bits).errors == 0
 
 
@@ -295,9 +295,9 @@ def test_carrier_length_must_match_the_stream():
                                   FS, TAIL_NONE)
     with pytest.raises(ConfigError):
         tx_subband(spec, FS, bits, TAIL_NONE, fir, longer)
-    sig, _ = _tx(spec, bits, TAIL_NONE, fir)
+    sig, grid = _tx(spec, bits, TAIL_NONE, fir)
     with pytest.raises(ConfigError):
-        rx_subband(sig, spec, fir, TAIL_NONE,
+        rx_subband(sig, spec, fir, grid, TAIL_NONE,
                    downconversion_carrier(spec, fir, len(sig) - 1, FS),
                    genie_estimates(spec, fir, TAIL_NONE))
 
@@ -306,10 +306,10 @@ def test_rx_buffer_too_short():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
     bits = payload_bits(spec, seeded_rng(1, "short"))
-    sig, _ = _tx(spec, bits, TAIL_NONE, fir)
+    sig, grid = _tx(spec, bits, TAIL_NONE, fir)
     cut = SignalBuffer(sig.samples[: len(sig) // 2], FS)
     with pytest.raises(ConfigError):
-        _rx(cut, spec, fir, TAIL_NONE)
+        _rx(cut, spec, fir, grid, TAIL_NONE)
 
 
 # ---------------------------------------------------------------------------
