@@ -193,6 +193,37 @@ def _scale_ttis(cfg: ScenarioConfig, n_ttis: int) -> ScenarioConfig:
     return replace(cfg, subbands=subs)
 
 
+# `psd` sends each subband's stream in chunks of this many TTIs, so a run
+# holds one composite and a few chunks at a time, whatever `--ttis` is.
+PSD_CHUNK_TTIS = 10
+
+
+def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> SignalBuffer:
+    """The f-OFDM (`filtered`) or plain-OFDM composite of `ttis` TTIs per
+    subband, overlap-adding chunks of PSD_CHUNK_TTIS TTIs. Plain chunks do not
+    overlap, so that composite is bitwise the whole-stream one; filtering is
+    linear, so the f-OFDM one matches it up to rounding."""
+    fs = cfg.sample_rate_hz
+    tti_samples = [sb.numerology.symbols_per_tti * (sb.numerology.samples_per_symbol
+                                                    + policy.extra_cp_samples)
+                   for sb, (_, policy) in zip(cfg.subbands, designs)]
+    length = max(sb.timing_offset_samples + ttis * n + (len(fir.taps) - 1 if filtered else 0)
+                 for sb, n, (fir, _) in zip(cfg.subbands, tti_samples, designs))
+    out = np.zeros(length, dtype=np.complex128)
+    whole = _scale_ttis(cfg, ttis).subbands
+    for i, (sb, n, (fir, policy)) in enumerate(zip(whole, tti_samples, designs)):
+        bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
+        tti_bits = len(bits) // ttis
+        for first in range(0, ttis, PSD_CHUNK_TTIS):
+            chunk = _scale_ttis(cfg, min(PSD_CHUNK_TTIS, ttis - first)).subbands[i]
+            carrier = upconversion_carrier(chunk, fs, policy, first * n)
+            part = bits[first * tti_bits:(first + PSD_CHUNK_TTIS) * tti_bits]
+            sig = (tx_subband(chunk, fs, part, policy, fir, carrier, ttis * n)[0] if filtered
+                   else tx_subband_unfiltered(chunk, fs, part, policy, carrier, ttis * n))
+            assemble([sig], [sb.timing_offset_samples + first * n], out)
+    return SignalBuffer(out, fs)
+
+
 def cmd_psd(args) -> int:
     cfg, _, preset = _load_and_check(args)
     _reject_unapplied_impairments(
@@ -201,46 +232,37 @@ def cmd_psd(args) -> int:
     with ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset) as manifest:
         if args.ttis < 1:
             raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
-        long_cfg = _scale_ttis(cfg, args.ttis)
         fs = cfg.sample_rate_hz
-        offsets = [sb.timing_offset_samples for sb in long_cfg.subbands]
-
-        # Each carrier and part is a whole stream: none is held past its last
-        # use, so the PA and Welch stages run with only the two composites.
         order, backoff = scenario_filter_profile(cfg)
-        filtered_parts, plain_parts = [], []
-        for i, sb in enumerate(long_cfg.subbands):
-            bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
-            fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
-            policy = derive_tail_policy(fir, sb.numerology)
-            carrier = upconversion_carrier(sb, fs, policy)
-            filtered_parts.append(tx_subband(sb, fs, bits, policy, fir, carrier)[0])
-            plain_parts.append(tx_subband_unfiltered(sb, fs, bits, policy, carrier))
-            del carrier
-        fofdm = assemble(filtered_parts, offsets)
-        ofdm = assemble(plain_parts, offsets)
-        del filtered_parts, plain_parts
-
-        if args.pa_on:
-            pa_cfg = cfg.impairments.pa or RappConfig(input_backoff_db=PA_BACKOFF_DB)
-            fofdm = pa_rapp(fofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
-            ofdm = pa_rapp(ofdm, pa_cfg.input_backoff_db, pa_cfg.smoothness)
-
+        firs = [design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
+                for sb in cfg.subbands]
+        designs = [(f, derive_tail_policy(f, sb.numerology)) for sb, f in zip(cfg.subbands, firs)]
+        pa_cfg = (cfg.impairments.pa or RappConfig(input_backoff_db=PA_BACKOFF_DB)
+                  if args.pa_on else None)
         lo = min(sb.occupied_low_hz for sb in cfg.subbands)
         hi = max(sb.occupied_high_hz for sb in cfg.subbands)
-        segment = min(4096, 1 << (len(fofdm) // 2).bit_length() - 1)
-        psd_f = psd_welch(fofdm, segment_size=segment, in_band_hz=(lo, hi))
-        psd_o = psd_welch(ofdm, segment_size=segment, in_band_hz=(lo, hi))
+
+        # One chain at a time: each composite is dropped after its Welch. The
+        # segment size follows the f-OFDM composite, built first.
+        estimates, segment = {}, None
+        for name, filtered in (("fofdm", True), ("ofdm", False)):
+            composite = _psd_composite(cfg, args.ttis, designs, filtered)
+            if pa_cfg is not None:
+                composite = pa_rapp(composite, pa_cfg.input_backoff_db, pa_cfg.smoothness)
+            segment = segment or min(4096, 1 << (len(composite) // 2).bit_length() - 1)
+            estimates[name] = psd_welch(composite, segment_size=segment, in_band_hz=(lo, hi))
+            del composite
 
         scale = fs / FULL_SCALE_RATE_HZ
         offsets_hz = [mhz * 1e6 * scale for mhz in (0.5, 1.0, 2.0)]
         summary = ["waveform,offset_hz,oobe_dbr"]
-        for name, est in (("ofdm", psd_o), ("fofdm", psd_f)):
-            for off, val in zip(offsets_hz, oobe(est, (lo, hi), offsets_hz)):
+        for name in ("ofdm", "fofdm"):
+            for off, val in zip(offsets_hz, oobe(estimates[name], (lo, hi), offsets_hz)):
                 summary.append(f"{name},{off:.6g},{val:.6f}")
 
         outputs = {}
-        for name, est in (("ofdm", psd_o), ("fofdm", psd_f)):
+        for name in ("ofdm", "fofdm"):
+            est = estimates[name]
             path = out_dir / f"{name}_psd.csv"
             _write_csv(path, ["freq_hz,power_dbr"] + [
                 f"{f:.6f},{p:.6f}" for f, p in zip(est.freqs_hz, est.power_dbr)

@@ -90,6 +90,15 @@ def load_tdl_profile(name_or_path) -> TdlProfile:
     )
 
 
+def complex_noise(length: int, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """Circular complex Gaussian noise of `variance` per sample; I drawn before Q."""
+    scale = math.sqrt(variance / 2.0)
+    noise = np.empty(length, dtype=np.complex128)
+    noise.real = scale * rng.standard_normal(length)
+    noise.imag = scale * rng.standard_normal(length)
+    return noise
+
+
 def awgn(sig: SignalBuffer, snr_db, rng: np.random.Generator) -> SignalBuffer:
     """Complex AWGN calibrated against the measured signal power."""
     if snr_db is None:
@@ -97,9 +106,7 @@ def awgn(sig: SignalBuffer, snr_db, rng: np.random.Generator) -> SignalBuffer:
     power = sig.power()
     if power == 0.0:
         raise ConfigError("cannot set a finite SNR on a zero-power signal")
-    noise_power = power * 10.0 ** (-snr_db / 10.0)
-    scale = math.sqrt(noise_power / 2.0)
-    noise = scale * (rng.standard_normal(len(sig)) + 1j * rng.standard_normal(len(sig)))
+    noise = complex_noise(len(sig), power * 10.0 ** (-snr_db / 10.0), rng)
     return SignalBuffer(sig.samples + noise, sig.sample_rate_hz)
 
 
@@ -136,11 +143,15 @@ def apply_tdl(
     return SignalBuffer(faded, fs), realization
 
 
+# The PA curve runs per sample over slices this long, bounding its temporaries.
+_PA_SLICE_SAMPLES = 1 << 16
+
+
 def pa_rapp(sig: SignalBuffer, input_backoff_db: float, smoothness: float) -> SignalBuffer:
     """Rapp AM/AM solid-state PA; phase-transparent saturation.
 
-    The saturation amplitude is set so the measured mean input power sits
-    `input_backoff_db` below the saturation power.
+    The saturation amplitude is set so the measured mean input power of the
+    whole stream sits `input_backoff_db` below the saturation power.
     """
     if smoothness <= 0:
         raise ConfigError("Rapp smoothness must be positive")
@@ -148,7 +159,9 @@ def pa_rapp(sig: SignalBuffer, input_backoff_db: float, smoothness: float) -> Si
     if power == 0.0:
         return SignalBuffer(sig.samples.copy(), sig.sample_rate_hz)
     a_sat = math.sqrt(power * 10.0 ** (input_backoff_db / 10.0))
-    mag = np.abs(sig.samples)
-    out = sig.samples / np.power(1.0 + np.power(mag / a_sat, 2.0 * smoothness),
-                                 1.0 / (2.0 * smoothness))
+    out = np.empty_like(sig.samples)
+    for start in range(0, len(sig), _PA_SLICE_SAMPLES):
+        x = sig.samples[start:start + _PA_SLICE_SAMPLES]
+        out[start:start + len(x)] = x / np.power(
+            1.0 + np.power(np.abs(x) / a_sat, 2.0 * smoothness), 1.0 / (2.0 * smoothness))
     return SignalBuffer(out, sig.sample_rate_hz)

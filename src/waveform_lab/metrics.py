@@ -31,6 +31,11 @@ class PsdEstimate:
         return float(self.freqs_hz[1] - self.freqs_hz[0])
 
 
+# Segments are transformed in batches of about this many samples, bounding the
+# temporaries; a periodogram has the same bits in any batch.
+_WELCH_BATCH_SAMPLES = 1 << 16
+
+
 def _welch_density(x: np.ndarray, fs: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided Welch density in power per Hz, DC-centered: the mean of the
     periodic-Hann-windowed periodograms of `n`-sample segments of `x`,
@@ -38,16 +43,19 @@ def _welch_density(x: np.ndarray, fs: float, n: int) -> tuple[np.ndarray, np.nda
 
     The operation order is part of the result: the `tests/golden/` PSD files
     hold its exact floats. The window is scaled by a sequential `sum` divided
-    by `1 / fs`, |X|^2 is re^2 + im^2, and the mean runs along a contiguous
-    last axis; `np.sum`, `* fs`, `abs(X) ** 2` or `mean(axis=0)` each move
-    some bins by an ulp.
+    by `1 / fs`, |X|^2 is re^2 + im^2, and the mean runs along the contiguous
+    last axis of one (bins, segments) array; `np.sum`, `* fs`, `abs(X) ** 2`
+    or `mean(axis=0)` each move some bins by an ulp.
     """
     window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
     window = window * (1.0 / np.sqrt(sum(window ** 2) / (1.0 / fs)))
     segments = np.lib.stride_tricks.sliding_window_view(x, n)[::n - n // 2]
-    spectra = np.fft.fft(segments * window, axis=1)
-    periodograms = spectra.real ** 2 + spectra.imag ** 2
-    density = np.ascontiguousarray(periodograms.T).mean(axis=-1)
+    periodograms = np.empty((n, len(segments)))
+    batch = max(1, _WELCH_BATCH_SAMPLES // n)
+    for first in range(0, len(segments), batch):
+        spectra = np.fft.fft(segments[first:first + batch] * window, axis=1)
+        periodograms[:, first:first + batch] = (spectra.real ** 2 + spectra.imag ** 2).T
+    density = periodograms.mean(axis=-1)
     return np.fft.fftshift(np.fft.fftfreq(n, 1.0 / fs)), np.fft.fftshift(density)
 
 

@@ -37,6 +37,7 @@ from .filters import (
     response_at,
 )
 from .impairments import ChannelRealization
+from .impairments import complex_noise as _sweep_noise  # fixed variance, no calibration
 from .modem import (
     BITS_PER_SYMBOL,
     ber,
@@ -181,13 +182,14 @@ def payload_bits(spec: SubbandSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def upconversion_carrier(
-    spec: SubbandSpec, sample_rate_hz: float, policy: TailPolicy
+    spec: SubbandSpec, sample_rate_hz: float, policy: TailPolicy, first_sample: int = 0
 ) -> np.ndarray:
     """Phasor that shifts the subband's baseband TTI (CP extended per policy)
     to its center; it does not depend on the payload, so a sweep cell builds
-    it once for all its trials."""
+    it once for all its trials. From `first_sample` on, it is bitwise that
+    slice of the phasor of a longer stream."""
     n = _extended_numerology(spec, policy)
-    t = np.arange(n.symbols_per_tti * n.samples_per_symbol)
+    t = np.arange(first_sample, first_sample + n.symbols_per_tti * n.samples_per_symbol)
     return np.exp(2j * np.pi * spec.shift_hz * t / sample_rate_hz)
 
 
@@ -207,46 +209,49 @@ def downconversion_carrier(
 _ELIDED_PRODUCT_BYTES = 256 * 1024
 
 
-def _mixed(samples: np.ndarray, carrier: np.ndarray) -> np.ndarray:
+def _mixed(samples: np.ndarray, carrier: np.ndarray, stream_samples: int | None) -> np.ndarray:
     """`samples` shifted by `carrier`, with the operands in the order numpy
-    uses for `samples * np.exp(...)`. Its SIMD complex multiply (AVX-512) is
-    not bitwise commutative, so this keeps every output bit the same whether
-    a carrier is built per call or once per sweep cell."""
+    uses for `samples * np.exp(...)` on the whole `stream_samples`-sample
+    stream (`samples` itself when None). Its SIMD complex multiply (AVX-512)
+    is not bitwise commutative, so this keeps every output bit the same
+    whether a carrier is built per call, once per sweep cell, or per chunk."""
     if len(carrier) != len(samples):
         raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
                           f"{len(samples)}-sample stream")
-    if samples.nbytes >= _ELIDED_PRODUCT_BYTES:
+    if (stream_samples or len(samples)) * samples.itemsize >= _ELIDED_PRODUCT_BYTES:
         return carrier * samples
     return samples * carrier
 
 
 def _upconverted(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray,
+    stream_samples: int | None,
 ) -> tuple[ResourceGrid, np.ndarray]:
     """Grid and its OFDM signal (CP extended per policy) shifted to the
     subband by `carrier`, before any filter or power offset: the plain-OFDM
     chain."""
     grid = build_grid(spec, bits)
     baseband = ofdm_modulate(grid, _extended_numerology(spec, policy))
-    return grid, _mixed(baseband.samples, carrier)
+    return grid, _mixed(baseband.samples, carrier, stream_samples)
 
 
 def tx_subband(
     spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter,
-    carrier: np.ndarray,
+    carrier: np.ndarray, stream_samples: int | None = None,
 ) -> tuple[SignalBuffer, ResourceGrid]:
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
     subband; also returns the grid."""
-    grid, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier)
+    grid, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier, stream_samples)
     filtered = _overlap_save(up, fir.taps, default_block_size(len(fir.taps)))
     return SignalBuffer(spec.amplitude * filtered, sample_rate_hz), grid
 
 
 def tx_subband_unfiltered(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray,
+    stream_samples: int | None = None,
 ) -> SignalBuffer:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
-    _, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier)
+    _, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier, stream_samples)
     return SignalBuffer(spec.amplitude * up, sample_rate_hz)
 
 
@@ -294,7 +299,7 @@ def rx_subband(
     against the transmitted grid `sent`."""
     fs = composite.sample_rate_hz
     filtered = _overlap_save(composite.samples, fir.taps, default_block_size(len(fir.taps)))
-    baseband = _mixed(filtered, carrier)
+    baseband = _mixed(filtered, carrier, None)
     n_ext = _extended_numerology(spec, policy)
     total_delay = len(fir.taps) - 1
     start = spec.timing_offset_samples + total_delay
@@ -309,8 +314,11 @@ def rx_subband(
     return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm)
 
 
-def assemble(signals: list[SignalBuffer], offsets: list[int]) -> SignalBuffer:
-    """Shift each stream by its sample offset, zero-pad, and sum."""
+def assemble(
+    signals: list[SignalBuffer], offsets: list[int], out: np.ndarray | None = None
+) -> SignalBuffer:
+    """Shift each stream by its sample offset, zero-pad, and sum; or add them
+    into `out`, when given, which is how chunks are overlap-added."""
     if len(signals) != len(offsets):
         raise ConfigError("one offset per signal is required")
     if not signals:
@@ -319,7 +327,8 @@ def assemble(signals: list[SignalBuffer], offsets: list[int]) -> SignalBuffer:
     if any(o < 0 for o in offsets):
         raise ConfigError("offsets must be nonnegative")
     length = max(o + len(s) for s, o in zip(signals, offsets))
-    out = np.zeros(length, dtype=np.complex128)
+    if out is None:
+        out = np.zeros(length, dtype=np.complex128)
     for s, o in zip(signals, offsets):
         out[o:o + len(s)] += s.samples
     return SignalBuffer(out, fs)
@@ -437,11 +446,6 @@ class _ErrorAccumulator:
             evm_db_inner=_db(self.err_inner, self.ref_inner),
             ber=self.bit_errors / self.bits_total if self.bits_total else float("nan"),
         )
-
-
-def _sweep_noise(length: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    scale = math.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
 
 
 def guardtone_sweep(

@@ -5,12 +5,25 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from waveform_lab import cli
 from waveform_lab.cli import main, preset_dir, resolve_scenario_path
-from waveform_lab.core import ConfigError, load_scenario
+from waveform_lab.core import ConfigError, load_scenario, seeded_rng
+from waveform_lab.subband import (
+    assemble,
+    derive_tail_policy,
+    design_subband_filter,
+    payload_bits,
+    scenario_filter_profile,
+    tx_subband,
+    tx_subband_unfiltered,
+    upconversion_carrier,
+)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -110,6 +123,66 @@ def test_psd_pa_flag_changes_output(tmp_path):
     a = (out_a / "fofdm_psd.csv").read_bytes()
     b = (out_b / "fofdm_psd.csv").read_bytes()
     assert a != b
+
+
+def _desk_designs():
+    cfg = load_scenario(resolve_scenario_path("three-subband-desk")[0])
+    order, backoff = scenario_filter_profile(cfg)
+    firs = [design_subband_filter(sb, cfg.sample_rate_hz, order=order, edge_backoff_tones=backoff)
+            for sb in cfg.subbands]
+    return cfg, [(f, derive_tail_policy(f, sb.numerology)) for sb, f in zip(cfg.subbands, firs)]
+
+
+def _whole_stream_composites(cfg, ttis):
+    """(f-OFDM, plain) composites built the unchunked way: every subband's
+    whole stream transmitted in one call, then assembled."""
+    fs = cfg.sample_rate_hz
+    order, backoff = scenario_filter_profile(cfg)
+    long_subbands = cli._scale_ttis(cfg, ttis).subbands
+    filtered, plain = [], []
+    for i, sb in enumerate(long_subbands):
+        bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
+        fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
+        policy = derive_tail_policy(fir, sb.numerology)
+        carrier = upconversion_carrier(sb, fs, policy)
+        filtered.append(tx_subband(sb, fs, bits, policy, fir, carrier)[0])
+        plain.append(tx_subband_unfiltered(sb, fs, bits, policy, carrier))
+    offsets = [sb.timing_offset_samples for sb in long_subbands]
+    return assemble(filtered, offsets), assemble(plain, offsets)
+
+
+def test_chunked_psd_composites_match_whole_streams():
+    cfg, designs = _desk_designs()
+    ttis = 2 * cli.PSD_CHUNK_TTIS + 1  # three chunks, the last one TTI long
+    for sb, (_, policy) in zip(cfg.subbands, designs):
+        tti = sb.numerology.symbols_per_tti * (sb.numerology.samples_per_symbol
+                                               + policy.extra_cp_samples)
+        # A last chunk under 16,384 samples while the whole stream is over:
+        # the chunk must still mix its carrier in the whole stream's operand
+        # order (`subband._mixed`).
+        assert tti < 16384 <= ttis * tti
+    whole_f, whole_p = _whole_stream_composites(cfg, ttis)
+    chunked_p = cli._psd_composite(cfg, ttis, designs, filtered=False)
+    assert np.array_equal(chunked_p.samples, whole_p.samples)
+    chunked_f = cli._psd_composite(cfg, ttis, designs, filtered=True)
+    assert len(chunked_f) == len(whole_f)
+    err = np.linalg.norm(chunked_f.samples - whole_f.samples) / np.linalg.norm(whole_f.samples)
+    assert err < 1e-12
+
+
+def test_psd_memory_stays_within_a_few_composites(tmp_path):
+    ttis = 60
+    cfg, designs = _desk_designs()
+    composite_bytes = cli._psd_composite(cfg, ttis, designs, filtered=True).samples.nbytes
+    argv = ["psd", "--scenario", "three-subband-desk", "--pa-on", "--ttis", str(ttis),
+            "--out", str(tmp_path / "psd")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * composite_bytes, f"peak is {peak / composite_bytes:.2f} composites"
 
 
 # ---------------------------------------------------------------------------

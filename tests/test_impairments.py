@@ -1,7 +1,11 @@
 """AWGN calibration, tapped-delay-line fading, and the Rapp PA model."""
 
+import math
+
 import numpy as np
 import pytest
+
+from waveform_lab import impairments
 
 from waveform_lab.core import (
     ConfigError,
@@ -14,6 +18,7 @@ from waveform_lab.impairments import (
     apply_tdl,
     available_profiles,
     awgn,
+    complex_noise,
     load_tdl_profile,
     pa_rapp,
 )
@@ -34,6 +39,15 @@ def test_awgn_power_calibration():
     noise = y.samples - x.samples
     measured = 10 * np.log10(x.power() / np.mean(np.abs(noise) ** 2))
     assert measured == pytest.approx(20.0, abs=0.05)
+
+
+@pytest.mark.parametrize("length", [7, 1000, 200_000])
+def test_complex_noise_matches_the_two_draw_formula(length):
+    # The guard-tone sweep's noise bits: I drawn first, then Q, both scaled.
+    want_rng, got_rng = seeded_rng(4, "imp/noise"), seeded_rng(4, "imp/noise")
+    scale = math.sqrt(0.37 / 2.0)
+    want = scale * (want_rng.standard_normal(length) + 1j * want_rng.standard_normal(length))
+    assert np.array_equal(complex_noise(length, 0.37, got_rng), want)
 
 
 def test_awgn_off_passthrough():
@@ -164,6 +178,14 @@ def test_rapp_compression_monotone():
     out = np.abs(y.samples)
     assert np.all(np.diff(out) > 0)  # monotone AM/AM
     assert np.all(out <= mags)  # never expands
+
+
+def test_rapp_slices_change_no_output_bit(monkeypatch):
+    rng = seeded_rng(7, "imp/rapp/slices")
+    x = SignalBuffer(rng.standard_normal(5500) + 1j * rng.standard_normal(5500), FS)
+    whole = pa_rapp(x, 3.0, 2.0).samples
+    monkeypatch.setattr(impairments, "_PA_SLICE_SAMPLES", 1000)
+    assert np.array_equal(pa_rapp(x, 3.0, 2.0).samples, whole)
 
 
 def test_rapp_smoothness_validation():

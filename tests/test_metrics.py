@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from waveform_lab import metrics
 from waveform_lab.core import ConfigError, SignalBuffer, seeded_rng
 from waveform_lab.metrics import (
     THROUGHPUT_CAVEAT,
@@ -86,6 +87,17 @@ def test_welch_density_matches_per_segment_oracle(n, length, strided):
     est = psd_welch(SignalBuffer(x, FS), segment_size=n)
     want_dbr = 10.0 * np.log10(want_density / np.mean(want_density))
     np.testing.assert_allclose(est.power_dbr, want_dbr, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1024, 257])
+def test_welch_density_same_bits_in_any_batching(monkeypatch, n):
+    rng = seeded_rng(9, f"metrics/batches/{n}")
+    x = rng.standard_normal(40 * n) + 1j * rng.standard_normal(40 * n)
+    monkeypatch.setattr(metrics, "_WELCH_BATCH_SAMPLES", 1 << 30)
+    _, one_batch = _welch_density(x, FS, n)
+    monkeypatch.setattr(metrics, "_WELCH_BATCH_SAMPLES", 3 * n)  # 79 segments in 27 batches
+    _, batched = _welch_density(x, FS, n)
+    assert np.array_equal(batched, one_batch)
 
 
 @pytest.mark.parametrize("n", [1024, 257])
