@@ -16,8 +16,8 @@ from .core import ConfigError, SignalBuffer
 
 MAX_TAPS = 4097
 
-# Smallest overlap-save block: keeps short filters out of a long block loop.
-MIN_BLOCK = 4096
+# Largest overlap-save block `default_block_size` picks, unless the taps need more.
+MAX_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,13 @@ def _overlap_save(x: np.ndarray, taps: np.ndarray, block: int) -> np.ndarray:
     return y[:, tap_count - 1:tap_count - 1 + step].reshape(-1)[:n_out]
 
 
-def default_block_size(tap_count: int) -> int:
-    block = 1 << (2 * tap_count - 1).bit_length()
-    return max(block, MIN_BLOCK)
+def default_block_size(tap_count: int, samples: int) -> int:
+    """Overlap-save block for `samples` inputs: of the powers of two from the
+    smallest >= 2x `tap_count` up to MAX_BLOCK, the one that pads the
+    `samples + tap_count - 1` outputs to the fewest FFT points (the larger
+    block on a tie)."""
+    n_out = samples + tap_count - 1
+    blocks = [1 << (2 * tap_count - 1).bit_length()]
+    while blocks[-1] * 2 <= MAX_BLOCK:
+        blocks.append(blocks[-1] * 2)
+    return min(blocks, key=lambda b: (-(-n_out // (b - (tap_count - 1))) * b, -b))

@@ -190,7 +190,7 @@ def upconversion_carrier(
     slice of the phasor of a longer stream."""
     n = _extended_numerology(spec, policy)
     t = np.arange(first_sample, first_sample + n.symbols_per_tti * n.samples_per_symbol)
-    return np.exp(2j * np.pi * spec.shift_hz * t / sample_rate_hz)
+    return _phasor((2 * np.pi * spec.shift_hz) * t * (1.0 / sample_rate_hz))
 
 
 def downconversion_carrier(
@@ -201,7 +201,19 @@ def downconversion_carrier(
     timing offset."""
     t = np.arange(composite_len + len(fir.taps) - 1)
     offset = spec.timing_offset_samples
-    return np.exp(-2j * np.pi * spec.shift_hz * (t - offset) / sample_rate_hz)
+    phase = (-2 * np.pi * spec.shift_hz) * (t - offset) * (1.0 / sample_rate_hz)
+    phase += 0.0  # a zero phase is +0.0 in the complex expression, never -0.0
+    return _phasor(phase)
+
+
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase), built in place. Bitwise `np.exp(2j * np.pi * f * t / fs)`
+    for `phase = (2 * np.pi * f) * t * (1.0 / fs)`: on a zero real part, numpy's
+    complex product and its quotient by a real (a product with its reciprocal)
+    reduce to exactly these real operations."""
+    out = np.zeros(len(phase), dtype=np.complex128)
+    out.imag = phase
+    return np.exp(out, out=out)
 
 
 # From this size on numpy evaluates `a * <temporary>` in the temporary's
@@ -242,7 +254,7 @@ def tx_subband(
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
     subband; also returns the grid."""
     grid, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier, stream_samples)
-    filtered = _overlap_save(up, fir.taps, default_block_size(len(fir.taps)))
+    filtered = _overlap_save(up, fir.taps, default_block_size(len(fir.taps), len(up)))
     return SignalBuffer(spec.amplitude * filtered, sample_rate_hz), grid
 
 
@@ -298,7 +310,8 @@ def rx_subband(
     `downconversion_carrier` and equalizing by `genie_estimates`; EVM is
     against the transmitted grid `sent`."""
     fs = composite.sample_rate_hz
-    filtered = _overlap_save(composite.samples, fir.taps, default_block_size(len(fir.taps)))
+    filtered = _overlap_save(composite.samples, fir.taps,
+                             default_block_size(len(fir.taps), len(composite)))
     baseband = _mixed(filtered, carrier, None)
     n_ext = _extended_numerology(spec, policy)
     total_delay = len(fir.taps) - 1
@@ -485,10 +498,14 @@ def guardtone_sweep(
     victim_template = base.subbands[0]
     edge_count = _edge_tone_count(victim_template)
 
-    def run_cell(subs: list[SubbandSpec], cell: str, mod: str) -> _ErrorAccumulator:
-        """All trials of one cell: transmit every subband, assemble, add noise,
-        and receive the victim (subs[0]). Everything that does not depend on
-        the payload or the noise is built once, before the trials."""
+    def run_group(cells: list[tuple[str, list[SubbandSpec]]], mod: str) -> list[_ErrorAccumulator]:
+        """All trials of cells (label, subbands) that differ only in the
+        interferer's power offset: transmit every subband, assemble, add
+        noise, and receive the victim (subbands[0]). Everything that depends
+        on neither the payload, the noise nor the power offset is built once,
+        before the trials; the victim's transmission and the noise are made
+        once per trial and shared by every cell."""
+        subs = cells[0][1]
         firs = [design_subband_filter(s, fs, order=filter_order,
                                       edge_backoff_tones=edge_backoff)
                 for s in subs]
@@ -499,48 +516,53 @@ def guardtone_sweep(
         victim = subs[0]
         down = downconversion_carrier(victim, firs[0], comp_len, fs)
         est = genie_estimates(victim, firs[0], policies[0])
-        acc = _ErrorAccumulator(victim.data_tones,
-                                np.arange(victim.data_tones - edge_count, victim.data_tones))
+        edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
+        accs = [_ErrorAccumulator(victim.data_tones, edge) for _ in cells]
         for trial in range(trials):
             # The victim's payload and the noise are drawn as in the baseline,
             # so baseline deltas isolate inter-subband interference.
-            labels = [f"bits/baseline/{mod}/{trial}",
-                      *(f"bits/{cell}/{trial}/s{i}" for i in range(1, len(subs)))]
-            bits = [payload_bits(s, seeded_rng(base.seed, lb)) for s, lb in zip(subs, labels)]
-            sent = [tx_subband(s, fs, b, p, f, c)
-                    for s, b, p, f, c in zip(subs, bits, policies, firs, ups)]
-            comp = assemble([sig for sig, _ in sent], offsets)
-            noise = _sweep_noise(len(comp), sigma2,
+            bits = payload_bits(victim, seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
+            sig, grid = tx_subband(victim, fs, bits, policies[0], firs[0], ups[0])
+            noise = _sweep_noise(comp_len, sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
-            noisy = SignalBuffer(comp.samples + noise, fs)
-            grid = sent[0][1]
-            res = rx_subband(noisy, victim, firs[0], grid, policies[0], down, est)
-            acc.add(grid, res.grid, bits[0], res.bits)
-        return acc
+            for (cell, cell_subs), acc in zip(cells, accs):
+                signals = [sig]
+                for i, s in enumerate(cell_subs[1:], start=1):
+                    b = payload_bits(s, seeded_rng(base.seed, f"bits/{cell}/{trial}/s{i}"))
+                    signals.append(tx_subband(s, fs, b, policies[i], firs[i], ups[i])[0])
+                comp = assemble(signals, offsets)
+                noisy = SignalBuffer(comp.samples + noise, fs)
+                res = rx_subband(noisy, victim, firs[0], grid, policies[0], down, est)
+                acc.add(grid, res.grid, bits, res.bits)
+        return accs
 
     # Baselines: isolated victim, one per modulation, same noise calibration.
     baselines = {}
     for mod in modulations:
         spec = replace(victim_template, modulation=mod, power_offset_db=0.0,
                        timing_offset_samples=0)
-        baselines[mod] = run_cell([spec], f"baseline/{mod}", mod).row(-1, 0.0, mod, snr_db)
+        (acc,) = run_group([(f"baseline/{mod}", [spec])], mod)
+        baselines[mod] = acc.row(-1, 0.0, mod, snr_db)
 
     rows = []
     for guard in guard_counts:
-        for power_db in power_offsets_db:
-            for mod in modulations:
-                if single:
-                    rows.append(replace(baselines[mod], guard_tones=guard,
-                                        power_offset_db=power_db))
-                    continue
+        for mod in modulations:
+            if single:
+                rows += [replace(baselines[mod], guard_tones=guard, power_offset_db=power_db)
+                         for power_db in power_offsets_db]
+                continue
+            cells = []
+            for power_db in power_offsets_db:
                 subs = _sweep_geometry(base, guard, power_db, mod)
                 rep = validate_scenario(replace(base, subbands=tuple(subs)))
                 if not rep.ok:
                     raise ConfigError(
                         f"sweep cell guard={guard} invalid: {rep.violations[0].message}"
                     )
-                acc = run_cell(subs, f"g{guard}/p{power_db:g}/{mod}", mod)
-                rows.append(acc.row(guard, power_db, mod, snr_db))
+                cells.append((f"g{guard}/p{power_db:g}/{mod}", subs))
+            if cells:
+                rows += [acc.row(guard, power_db, mod, snr_db)
+                         for power_db, acc in zip(power_offsets_db, run_group(cells, mod))]
 
     rows.sort(key=lambda r: (r.guard_tones, r.power_offset_db, r.modulation))
     return SweepResult(rows=tuple(rows), baselines=baselines)

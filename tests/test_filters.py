@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waveform_lab.core import ConfigError, SignalBuffer, seeded_rng
 from waveform_lab.filters import (
+    MAX_BLOCK,
     FilterSpec,
     _overlap_save,
     default_block_size,
@@ -141,7 +143,7 @@ def test_overlap_save_matches_direct():
         f = _design(order=order, passband=float(rng.uniform(0.02, 0.4)) * FS)
         x = SignalBuffer(rng.standard_normal(n) + 1j * rng.standard_normal(n), FS)
         ref = direct_convolve(x, f)
-        got = _overlap_save(x.samples, f.taps, default_block_size(len(f.taps)))
+        got = _overlap_save(x.samples, f.taps, default_block_size(len(f.taps), n))
         assert len(got) == n + len(f.taps) - 1
         err = np.linalg.norm(got - ref.samples) / np.linalg.norm(ref.samples)
         assert err < 1e-9
@@ -162,10 +164,35 @@ def test_overlap_save_rejects_small_block():
         _overlap_save(np.ones(512, dtype=complex), f.taps, 128)  # < 2x tap count
 
 
-def test_default_block_size_covers_taps():
-    assert default_block_size(129) >= 4096
-    assert default_block_size(1025) >= 2 * 1025
-    # Power of two.
-    b = default_block_size(1025)
-    assert b & (b - 1) == 0
+def _padded_points(block: int, tap_count: int, samples: int) -> int:
+    """FFT points of the overlap-save blocks that hold `samples + taps - 1` outputs."""
+    return -(-(samples + tap_count - 1) // (block - (tap_count - 1))) * block
 
+
+def test_default_block_size_covers_taps():
+    for tap_count, samples in [(3, 1), (129, 4000), (257, 7728), (257, 77280),
+                               (513, 20_000), (1025, 10), (1025, 33_000), (4097, 100)]:
+        b = default_block_size(tap_count, samples)
+        assert b & (b - 1) == 0
+        assert b >= 2 * tap_count
+        smallest = 1 << (2 * tap_count - 1).bit_length()
+        candidates = [smallest << k for k in range(13) if smallest << k <= MAX_BLOCK]
+        assert all(_padded_points(b, tap_count, samples) <= _padded_points(c, tap_count, samples)
+                   for c in candidates)
+    # The desk sweep's ~8k-sample streams, psd's 10-TTI desk chunks, LTE-20 streams.
+    assert default_block_size(257, 7728) == 2048
+    assert default_block_size(257, 77_280) == 4096
+    assert default_block_size(1025, 33_000) == 4096
+
+
+@settings(max_examples=100, deadline=None)
+@given(length=st.integers(1, 20_000), half_order=st.integers(1, 512),
+       seed=st.integers(0, 2**32 - 1))
+def test_production_block_matches_direct_convolution(length, half_order, seed):
+    rng = np.random.default_rng(seed)
+    taps = rng.standard_normal(2 * half_order + 1) + 1j * rng.standard_normal(2 * half_order + 1)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    ref = np.convolve(x, taps)
+    got = _overlap_save(x, taps, default_block_size(len(taps), len(x)))
+    assert len(got) == len(ref)
+    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-9

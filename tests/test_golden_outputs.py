@@ -10,6 +10,7 @@ golden files with
 and explain each changed byte in the change's description.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -37,6 +38,30 @@ def _run(case: str, out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
+def _field_difference(a: str, b: str) -> float | None:
+    try:
+        delta = abs(float(a) - float(b))
+    except ValueError:
+        return None
+    return delta if math.isfinite(delta) else None
+
+
+def describe_difference(got: bytes, expected: bytes) -> str:
+    """The 1-based numbers of the lines that differ, and the largest
+    difference between the numeric fields of those lines."""
+    new, old = got.decode().splitlines(), expected.decode().splitlines()
+    lines = [i + 1 for i, (a, b) in enumerate(zip(new, old)) if a != b]
+    text = f"lines {lines}" if lines else "no common line differs"
+    if len(new) != len(old):
+        text += f"; {len(new)} lines, expected {len(old)}"
+    deltas = [_field_difference(a, b)
+              for i in lines for a, b in zip(new[i - 1].split(","), old[i - 1].split(","))]
+    deltas = [d for d in deltas if d is not None]
+    if deltas:
+        text += f"; largest numeric difference {max(deltas):.3g}"
+    return text
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csvs_match_golden(case, tmp_path):
     got = _run(case, tmp_path / case)
@@ -44,7 +69,15 @@ def test_csvs_match_golden(case, tmp_path):
     expected = {p.name: p.read_bytes() for p in sorted(expected_dir.glob("*.csv"))}
     assert sorted(got) == sorted(expected)
     for name, data in got.items():
-        assert data == expected[name], f"{case}/{name} differs from {expected_dir / name}"
+        assert data == expected[name], (f"{case}/{name} differs from {expected_dir / name}: "
+                                        + describe_difference(data, expected[name]))
+
+
+def test_difference_report_names_lines_and_largest_delta():
+    old = b"offset,value\n1,-150.000001\n2,3\n3,nan\n"
+    new = b"offset,value\n1,-150.000002\n2,3\n3,x\n"
+    assert describe_difference(new, old) == "lines [2, 4]; largest numeric difference 1e-06"
+    assert describe_difference(old + b"4,0\n", old) == "no common line differs; 5 lines, expected 4"
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Per-subband transmit/receive chains, tail policies, assembly, and the
 guard-tone interference sweep."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,6 +303,28 @@ def test_carrier_length_must_match_the_stream():
                    genie_estimates(spec, fir, TAIL_NONE))
 
 
+@pytest.mark.parametrize("fs", [FS, 30.72e6])
+@pytest.mark.parametrize("shift_hz", [-2.5e6, -7.5e3, 0.0, 7.5e3, 1234567.891, 3.3333e6])
+def test_carriers_are_bitwise_the_complex_exponential(shift_hz, fs):
+    # Oracles: the carriers as the plain complex expressions they replace.
+    n = replace(DESK, symbols_per_tti=2)
+    policy = TailPolicy(extra_cp_samples=5)
+    length = 2 * (n.samples_per_symbol + 5)
+    for first in (0, 1, 77_280):
+        spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=0)
+        t = np.arange(first, first + length)
+        oracle = np.exp(2j * np.pi * shift_hz * t / fs)
+        got = upconversion_carrier(spec, fs, policy, first)
+        assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+    fir = SimpleNamespace(taps=np.zeros(257))
+    for offset in (0, 274, 548):
+        spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=offset)
+        t = np.arange(length + 256)
+        oracle = np.exp(-2j * np.pi * shift_hz * (t - offset) / fs)
+        got = downconversion_carrier(spec, fir, length, fs)
+        assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+
+
 def test_rx_buffer_too_short():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
@@ -399,28 +422,53 @@ def test_sweep_single_subband_degenerates_to_baseline():
 
 
 def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
-    # The genie estimate and the carriers depend on the cell, not on the
-    # trial: each is built once per cell (isolated baselines and grid cells).
+    # Filters, carriers and the genie estimate depend on neither the trial nor
+    # the power offset: each is built once per (guard, modulation) group, an
+    # isolated baseline being a group of its own. In each trial of a group,
+    # the victim's payload and the noise are drawn once for all its offsets.
     calls = {}
 
     def counted(name):
         real = getattr(subband, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls.setdefault(name, []).append(args)
             return real(*args, **kwargs)
         monkeypatch.setattr(subband, name, wrapper)
 
-    for name in ("genie_estimates", "upconversion_carrier", "downconversion_carrier"):
+    for name in ("design_subband_filter", "genie_estimates", "upconversion_carrier",
+                 "downconversion_carrier", "payload_bits", "_sweep_noise"):
         counted(name)
-    guards, offsets, mods = [0, 2], [0.0, 10.0], ("qpsk", "16qam")
-    guardtone_sweep(_sweep_base(), guards, offsets, 30.0, 3, modulations=mods)
+    guards, offsets, mods, trials = [0, 2], [0.0, 10.0], ("qpsk", "16qam"), 3
+    guardtone_sweep(_sweep_base(), guards, offsets, 30.0, trials, modulations=mods)
+    groups = len(mods) + len(guards) * len(mods)
     cells = len(guards) * len(offsets) * len(mods)
-    assert calls == {
-        "genie_estimates": len(mods) + cells,
-        "downconversion_carrier": len(mods) + cells,
-        "upconversion_carrier": len(mods) + 3 * cells,  # one per subband
+    victim_bits = [a for a in calls["payload_bits"] if a[0].timing_offset_samples == 0]
+    assert {name: len(args) for name, args in calls.items()} == {
+        "design_subband_filter": len(mods) + 3 * (groups - len(mods)),  # one per subband
+        "genie_estimates": groups,
+        "downconversion_carrier": groups,
+        "upconversion_carrier": len(mods) + 3 * (groups - len(mods)),
+        "payload_bits": trials * (groups + 2 * cells),  # interferer, third subband per cell
+        "_sweep_noise": trials * groups,
     }
+    assert len(victim_bits) == trials * groups
+
+
+def _row_bits(rows):
+    return [repr(astuple(r)) for r in rows]
+
+
+def test_sweep_offsets_share_work_without_changing_rows():
+    # One sweep over two offsets shares the victim and the noise between
+    # them; its rows are bitwise those of one sweep per offset.
+    args = (_sweep_base(), [0, 2])
+    kw = dict(snr_db=30.0, trials=2, modulations=("qpsk", "16qam"))
+    joint = guardtone_sweep(*args, [0.0, 10.0], **kw)
+    apart = [r for p in (0.0, 10.0) for r in guardtone_sweep(*args, [p], **kw).rows]
+    apart.sort(key=lambda r: (r.guard_tones, r.power_offset_db, r.modulation))
+    assert len(joint.rows) == 8
+    assert _row_bits(joint.rows) == _row_bits(apart)
 
 
 @pytest.mark.parametrize("snr_db, modulations", [
