@@ -170,19 +170,22 @@ def _padded_points(block: int, tap_count: int, samples: int) -> int:
 
 
 def test_default_block_size_covers_taps():
-    for tap_count, samples in [(3, 1), (129, 4000), (257, 7728), (257, 77280),
+    for tap_count, samples in [(3, 1), (129, 4000), (257, 7728), (257, 23_184), (257, 77_280),
                                (513, 20_000), (1025, 10), (1025, 33_000), (4097, 100)]:
         b = default_block_size(tap_count, samples)
         assert b & (b - 1) == 0
         assert b >= 2 * tap_count
         smallest = 1 << (2 * tap_count - 1).bit_length()
-        candidates = [smallest << k for k in range(13) if smallest << k <= MAX_BLOCK]
-        assert all(_padded_points(b, tap_count, samples) <= _padded_points(c, tap_count, samples)
-                   for c in candidates)
+        candidates = [smallest << k for k in range(13) if k == 0 or smallest << k <= MAX_BLOCK]
+        points = _padded_points(b, tap_count, samples)
+        assert all(points < _padded_points(c, tap_count, samples) for c in candidates if c > b)
+        assert all(points <= _padded_points(c, tap_count, samples) for c in candidates)
     # The desk sweep's ~8k-sample streams, psd's 10-TTI desk chunks, LTE-20 streams.
     assert default_block_size(257, 7728) == 2048
     assert default_block_size(257, 77_280) == 4096
     assert default_block_size(1025, 33_000) == 4096
+    # A tie, 14 x 2,048 = 7 x 4,096 points, goes to the larger block.
+    assert default_block_size(257, 23_184) == 4096
 
 
 @settings(max_examples=100, deadline=None)

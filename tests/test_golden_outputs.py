@@ -69,8 +69,9 @@ def test_csvs_match_golden(case, tmp_path):
     expected = {p.name: p.read_bytes() for p in sorted(expected_dir.glob("*.csv"))}
     assert sorted(got) == sorted(expected)
     for name, data in got.items():
-        assert data == expected[name], (f"{case}/{name} differs from {expected_dir / name}: "
-                                        + describe_difference(data, expected[name]))
+        assert data == expected[name], (
+            f"{case}/{name} differs from {expected_dir / name}: "
+            + describe_difference(data, expected[name]))
 
 
 def test_difference_report_names_lines_and_largest_delta():

@@ -441,14 +441,15 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
         counted(name)
     guards, offsets, mods, trials = [0, 2], [0.0, 10.0], ("qpsk", "16qam"), 3
     guardtone_sweep(_sweep_base(), guards, offsets, 30.0, trials, modulations=mods)
-    groups = len(mods) + len(guards) * len(mods)
+    groups = len(mods) + len(guards) * len(mods)  # baselines first
+    per_subband = len(mods) + 3 * len(guards) * len(mods)
     cells = len(guards) * len(offsets) * len(mods)
     victim_bits = [a for a in calls["payload_bits"] if a[0].timing_offset_samples == 0]
     assert {name: len(args) for name, args in calls.items()} == {
-        "design_subband_filter": len(mods) + 3 * (groups - len(mods)),  # one per subband
+        "design_subband_filter": per_subband,
         "genie_estimates": groups,
         "downconversion_carrier": groups,
-        "upconversion_carrier": len(mods) + 3 * (groups - len(mods)),
+        "upconversion_carrier": per_subband,
         "payload_bits": trials * (groups + 2 * cells),  # interferer, third subband per cell
         "_sweep_noise": trials * groups,
     }
