@@ -35,7 +35,13 @@ from .core import (
     seeded_rng,
     validate_scenario,
 )
-from .filters import FilterSpec, _overlap_save, design_windowed_sinc, direct_convolve
+from .filters import (
+    FilterSpec,
+    _overlap_save,
+    default_block_size,
+    design_windowed_sinc,
+    direct_convolve,
+)
 from .impairments import awgn, pa_rapp
 from .metrics import ThroughputInput, normalized_throughput, oobe, psd_welch
 from .modem import evm_db, ofdm_demodulate, ofdm_modulate
@@ -389,12 +395,15 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
             taps[order // 2] *= 1.001
             fir = replace(fir, taps=taps)
         x = SignalBuffer(rng.standard_normal(n) + 1j * rng.standard_normal(n), fs)
-        block = 1 << (2 * len(fir.taps) - 1).bit_length()
         ref = direct_convolve(x, fir) if not corrupt_taps else direct_convolve(
             x, design_windowed_sinc(spec, fs))
-        got = _overlap_save(x.samples, fir.taps, block)
-        err = np.linalg.norm(got - ref.samples) / np.linalg.norm(ref.samples)
-        worst = max(worst, err)
+        # The smallest legal block, and the block and cached spectrum a run uses.
+        smallest = 1 << (2 * len(fir.taps) - 1).bit_length()
+        production = default_block_size(len(fir.taps), n)
+        for got in (_overlap_save(x.samples, fir.taps, smallest),
+                    _overlap_save(x.samples, fir.taps, production, fir.spectrum(production))):
+            err = np.linalg.norm(got - ref.samples) / np.linalg.norm(ref.samples)
+            worst = max(worst, err)
     results.append(("overlap_save_vs_direct", worst < 1e-9, f"max rel L2 {worst:.3e}"))
 
     # Plain OFDM loopback, all modulations.

@@ -8,9 +8,10 @@ implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ConfigError, SignalBuffer
 
@@ -33,12 +34,25 @@ class FirFilter:
     spec: FilterSpec
     sample_rate_hz: float
     mainlobe_samples: int           # span between the first minima around the peak tap
+    # Taps spectra by block size. Not an init field, so `dataclasses.replace`
+    # starts a new filter with none.
+    _spectra: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps)
         taps = taps.copy()
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
+
+    def spectrum(self, block: int) -> np.ndarray:
+        """Read-only `block`-point FFT of the taps, computed once per block size."""
+        spectrum = self._spectra.get(block)
+        if spectrum is None:
+            spectrum = np.fft.fft(self.taps, block)
+            spectrum.flags.writeable = False
+            self._spectra[block] = spectrum
+        return spectrum
 
 
 def design_windowed_sinc(spec: FilterSpec, sample_rate_hz: float) -> FirFilter:
@@ -107,8 +121,11 @@ def direct_convolve(x: SignalBuffer, f: FirFilter) -> SignalBuffer:
     return SignalBuffer(np.convolve(x.samples, f.taps), x.sample_rate_hz)
 
 
-def _overlap_save(x: np.ndarray, taps: np.ndarray, block: int) -> np.ndarray:
-    """Linear convolution via overlap-save blocks of `block` FFT points."""
+def _overlap_save(
+    x: np.ndarray, taps: np.ndarray, block: int, spectrum: np.ndarray | None = None
+) -> np.ndarray:
+    """Linear convolution via overlap-save blocks of `block` FFT points;
+    `spectrum`, when given, is `np.fft.fft(taps, block)` (`FirFilter.spectrum`)."""
     taps = np.asarray(taps)
     tap_count = len(taps)
     if block < 2 * tap_count or block & (block - 1) != 0:
@@ -117,15 +134,18 @@ def _overlap_save(x: np.ndarray, taps: np.ndarray, block: int) -> np.ndarray:
         )
     n_out = len(x) + tap_count - 1
     step = block - (tap_count - 1)
-    spectrum = np.fft.fft(taps, block)
+    if spectrum is None:
+        spectrum = np.fft.fft(taps, block)
     n_blocks = -(-n_out // step)
     padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
     padded[tap_count - 1:tap_count - 1 + len(x)] = x
-    blocks = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
+    # Block i reads padded[i*step : i*step + block]; the last one ends at len(padded).
+    item = padded.itemsize
+    blocks = as_strided(padded, (n_blocks, block), (step * item, item), writeable=False)
     spectra = np.fft.fft(blocks, axis=1)
     spectra *= spectrum
-    y = np.fft.ifft(spectra, axis=1)
-    return y[:, tap_count - 1:tap_count - 1 + step].reshape(-1)[:n_out]
+    np.fft.ifft(spectra, axis=1, out=spectra)
+    return spectra[:, tap_count - 1:tap_count - 1 + step].reshape(-1)[:n_out]
 
 
 def default_block_size(tap_count: int, samples: int) -> int:

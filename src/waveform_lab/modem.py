@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ConfigError, Numerology, ResourceGrid, SignalBuffer
 
@@ -102,11 +103,13 @@ def _tone_bins(tones: int, fft_size: int) -> np.ndarray:
 def ofdm_modulate(grid: ResourceGrid, n: Numerology) -> SignalBuffer:
     """Centered tone mapping, unitary IFFT, cyclic prefix; symbols concatenated."""
     bins = _tone_bins(grid.tones, n.fft_size)
-    spectrum = np.zeros((n.fft_size, grid.symbols), dtype=np.complex128)
-    spectrum[bins, :] = grid.cells
-    body = np.fft.ifft(spectrum, axis=0, norm="ortho")
-    with_cp = np.concatenate([body[n.fft_size - n.cp_samples:, :], body], axis=0)
-    return SignalBuffer(with_cp.reshape(-1, order="F"), n.sample_rate_hz)
+    spectrum = np.zeros((grid.symbols, n.fft_size), dtype=np.complex128)
+    spectrum[:, bins] = grid.cells.T
+    symbols = np.empty((grid.symbols, n.samples_per_symbol), dtype=np.complex128)
+    body = symbols[:, n.cp_samples:]
+    np.fft.ifft(spectrum, axis=1, norm="ortho", out=body)
+    symbols[:, :n.cp_samples] = body[:, n.fft_size - n.cp_samples:]
+    return SignalBuffer(symbols.reshape(-1), n.sample_rate_hz)
 
 
 def ofdm_demodulate(
@@ -127,11 +130,13 @@ def ofdm_demodulate(
     n_sym = len(sig) // sps
     if n_sym < 1:
         raise ConfigError(f"signal of {len(sig)} samples is shorter than one symbol ({sps})")
-    x = np.asarray(sig.samples)
-    starts = np.arange(n_sym) * sps + n.cp_samples - window_advance_samples
-    windows = x[starts[None, :] + np.arange(n.fft_size)[:, None]]
-    spectrum = np.fft.fft(windows, axis=0, norm="ortho")
-    return ResourceGrid(spectrum[_tone_bins(tones, n.fft_size), :])
+    x = np.asarray(sig.samples)[n.cp_samples - window_advance_samples:]
+    # Window k starts k*sps + cp - advance into the signal and, as advance >= 0,
+    # ends by (k + 1) * sps: every window lies inside the signal.
+    step = x.strides[0]
+    windows = as_strided(x, (n_sym, n.fft_size), (sps * step, step), writeable=False)
+    spectrum = np.fft.fft(windows, axis=1, norm="ortho")
+    return ResourceGrid(spectrum[:, _tone_bins(tones, n.fft_size)].T)
 
 
 def equalize(grid: ResourceGrid, estimates: np.ndarray) -> ResourceGrid:

@@ -254,8 +254,10 @@ def tx_subband(
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
     subband; also returns the grid."""
     grid, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier, stream_samples)
-    filtered = _overlap_save(up, fir.taps, default_block_size(len(fir.taps), len(up)))
-    return SignalBuffer(spec.amplitude * filtered, sample_rate_hz), grid
+    block = default_block_size(len(fir.taps), len(up))
+    filtered = _overlap_save(up, fir.taps, block, fir.spectrum(block))
+    np.multiply(spec.amplitude, filtered, out=filtered)  # operand order of `amplitude * filtered`
+    return SignalBuffer(filtered, sample_rate_hz), grid
 
 
 def tx_subband_unfiltered(
@@ -310,16 +312,21 @@ def rx_subband(
     `downconversion_carrier` and equalizing by `genie_estimates`; EVM is
     against the transmitted grid `sent`."""
     fs = composite.sample_rate_hz
-    filtered = _overlap_save(composite.samples, fir.taps,
-                             default_block_size(len(fir.taps), len(composite)))
-    baseband = _mixed(filtered, carrier, None)
-    n_ext = _extended_numerology(spec, policy)
     total_delay = len(fir.taps) - 1
+    filtered_len = len(composite) + total_delay
+    if len(carrier) != filtered_len:
+        raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
+                          f"{filtered_len}-sample stream")
+    n_ext = _extended_numerology(spec, policy)
     start = spec.timing_offset_samples + total_delay
     seg_len = n_ext.symbols_per_tti * n_ext.samples_per_symbol
-    if start < 0 or start + seg_len > len(baseband):
+    if start < 0 or start + seg_len > filtered_len:
         raise ConfigError("composite buffer too short for the subband frame")
-    seg = SignalBuffer(baseband[start:start + seg_len], fs)
+    block = default_block_size(len(fir.taps), len(composite))
+    filtered = _overlap_save(composite.samples, fir.taps, block, fir.spectrum(block))
+    # Only the frame is downconverted, with numpy's operand order for the whole stream.
+    frame = slice(start, start + seg_len)
+    seg = SignalBuffer(_mixed(filtered[frame], carrier[frame], filtered_len), fs)
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
@@ -518,6 +525,7 @@ def guardtone_sweep(
         est = genie_estimates(victim, firs[0], policies[0])
         edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
         accs = [_ErrorAccumulator(victim.data_tones, edge) for _ in cells]
+        comp = np.empty(comp_len, dtype=np.complex128)
         for trial in range(trials):
             # The victim's payload and the noise are drawn as in the baseline,
             # so baseline deltas isolate inter-subband interference.
@@ -530,9 +538,12 @@ def guardtone_sweep(
                 for i, s in enumerate(cell_subs[1:], start=1):
                     b = payload_bits(s, seeded_rng(base.seed, f"bits/{cell}/{trial}/s{i}"))
                     signals.append(tx_subband(s, fs, b, policies[i], firs[i], ups[i])[0])
-                comp = assemble(signals, offsets)
-                noisy = SignalBuffer(comp.samples + noise, fs)
-                res = rx_subband(noisy, victim, firs[0], grid, policies[0], down, est)
+                # Noise last, as `(sum of signals) + noise`.
+                comp.fill(0)
+                assemble(signals, offsets, comp)
+                comp += noise
+                res = rx_subband(SignalBuffer(comp, fs), victim, firs[0], grid, policies[0],
+                                 down, est)
                 acc.add(grid, res.grid, bits, res.bits)
         return accs
 

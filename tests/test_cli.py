@@ -14,6 +14,7 @@ import pytest
 from waveform_lab import cli
 from waveform_lab.cli import main, preset_dir, resolve_scenario_path
 from waveform_lab.core import ConfigError, load_scenario, seeded_rng
+from waveform_lab.filters import FirFilter
 from waveform_lab.subband import (
     assemble,
     derive_tail_policy,
@@ -168,6 +169,24 @@ def test_chunked_psd_composites_match_whole_streams():
     assert len(chunked_f) == len(whole_f)
     err = np.linalg.norm(chunked_f.samples - whole_f.samples) / np.linalg.norm(whole_f.samples)
     assert err < 1e-12
+
+
+def test_psd_transforms_each_filter_once_not_once_per_chunk(tmp_path, monkeypatch):
+    spectra = []
+    real_spectrum = FirFilter.spectrum
+
+    def spectrum(self, block):
+        spectra.append((self, block, real_spectrum(self, block)))
+        return spectra[-1][2]
+    monkeypatch.setattr(FirFilter, "spectrum", spectrum)
+    ttis = 2 * cli.PSD_CHUNK_TTIS + 5  # three chunks, all at the same block size
+    assert main(["psd", "--scenario", "three-subband-desk", "--ttis", str(ttis),
+                 "--out", str(tmp_path / "psd")]) == 0
+    cfg, _ = _desk_designs()
+    chunks = -(-ttis // cli.PSD_CHUNK_TTIS)
+    assert len(spectra) == chunks * len(cfg.subbands)  # one per f-OFDM chunk
+    assert len({id(f) for f, _, _ in spectra}) == len(cfg.subbands)
+    assert len({id(s) for _, _, s in spectra}) == len(cfg.subbands)  # one transform each
 
 
 def test_psd_memory_stays_within_a_few_composites(tmp_path):

@@ -1,5 +1,7 @@
 """FIR design, analysis, and fast convolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,44 @@ def test_overlap_save_rejects_small_block():
     f = _design(order=128, passband=2e6)
     with pytest.raises(ConfigError):
         _overlap_save(np.ones(512, dtype=complex), f.taps, 128)  # < 2x tap count
+
+
+def test_filter_spectrum_is_cached_read_only_and_not_inherited(monkeypatch):
+    f = _design(order=128, passband=2e6, center=1e6)
+    transforms = []
+    real_fft = np.fft.fft
+
+    def counted_fft(a, *args, **kwargs):
+        transforms.append(len(a))
+        return real_fft(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    for block in (512, 1024, 512, 1024, 512):
+        s = f.spectrum(block)
+        assert np.array_equal(s.view(np.uint64), real_fft(f.taps, block).view(np.uint64))
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+    assert f.spectrum(512) is f.spectrum(512)
+    assert len(transforms) == 2  # one per block size
+    taps = f.taps.copy()
+    taps[64] *= 1.001
+    changed = replace(f, taps=taps)  # never inherits the old filter's spectra
+    assert np.array_equal(changed.spectrum(512), real_fft(taps, 512))
+    assert not np.array_equal(changed.spectrum(512), f.spectrum(512))
+
+
+@settings(max_examples=50, deadline=None)
+@given(length=st.integers(1, 20_000), half_order=st.integers(1, 512),
+       extra_doublings=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_overlap_save_given_the_spectrum_is_bitwise_the_plain_call(
+        length, half_order, extra_doublings, seed):
+    rng = np.random.default_rng(seed)
+    taps = rng.standard_normal(2 * half_order + 1) + 1j * rng.standard_normal(2 * half_order + 1)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    block = default_block_size(len(taps), length) << extra_doublings
+    plain = _overlap_save(x, taps, block)
+    given_spectrum = _overlap_save(x, taps, block, np.fft.fft(taps, block))
+    assert np.array_equal(given_spectrum.view(np.uint64), plain.view(np.uint64))
 
 
 def _padded_points(block: int, tap_count: int, samples: int) -> int:

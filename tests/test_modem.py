@@ -176,6 +176,48 @@ def test_demodulate_rejects_short_signal():
         ofdm_demodulate(short, DESK, 0, 48)
 
 
+def _modulate_axis0(grid, n):
+    """Oracle: the tones x symbols (axis-0) formula that `ofdm_modulate` replaced."""
+    bins = (np.arange(grid.tones) - grid.tones // 2) % n.fft_size
+    spectrum = np.zeros((n.fft_size, grid.symbols), dtype=np.complex128)
+    spectrum[bins, :] = grid.cells
+    body = np.fft.ifft(spectrum, axis=0, norm="ortho")
+    with_cp = np.concatenate([body[n.fft_size - n.cp_samples:, :], body], axis=0)
+    return with_cp.reshape(-1, order="F")
+
+
+def _demodulate_axis0(x, n, advance, tones):
+    """Oracle: the gathered-window (axis-0) formula that `ofdm_demodulate` replaced."""
+    sps = n.samples_per_symbol
+    starts = np.arange(len(x) // sps) * sps + n.cp_samples - advance
+    windows = x[starts[None, :] + np.arange(n.fft_size)[:, None]]
+    spectrum = np.fft.fft(windows, axis=0, norm="ortho")
+    return spectrum[(np.arange(tones) - tones // 2) % n.fft_size, :]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_symbol_major_transforms_are_bitwise_the_axis0_formulas(data):
+    fft = data.draw(st.integers(64, 2048), label="fft_size")
+    cp = data.draw(st.integers(0, fft // 4), label="cp")
+    symbols = data.draw(st.integers(1, 28), label="symbols")
+    tones = data.draw(st.integers(1, fft), label="tones")
+    advance = data.draw(st.integers(0, max(cp - 1, 0)), label="advance")
+    partial = data.draw(st.integers(0, fft + cp - 1), label="trailing samples")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = Numerology(scs_hz=15e3, fft_size=fft, cp_samples=cp, symbols_per_tti=symbols)
+    grid = ResourceGrid(rng.standard_normal((tones, symbols))
+                        + 1j * rng.standard_normal((tones, symbols)))
+    sig = ofdm_modulate(grid, n)
+    assert np.array_equal(sig.samples.view(np.uint64), _modulate_axis0(grid, n).view(np.uint64))
+    tail = rng.standard_normal(partial) + 1j * rng.standard_normal(partial)
+    rx = type(sig)(np.concatenate([sig.samples, tail]), sig.sample_rate_hz)
+    got = ofdm_demodulate(rx, n, advance, tones).cells
+    oracle = _demodulate_axis0(rx.samples, n, advance, tones)
+    assert got.shape == (tones, symbols)
+    assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+
+
 def test_modulator_unitary_power():
     # 1/sqrt(N) scaling: time-domain power is (tones/N) x grid power (CP off).
     rng = seeded_rng(5, "modem/pwr")

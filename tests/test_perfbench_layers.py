@@ -5,9 +5,12 @@ paths are checked here, in the regular suite."""
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from waveform_lab import cli, core, subband
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,8 +40,6 @@ def test_tracer_reads_the_call_shapes_it_counts(tmp_path):
     """The tracer's work counters read positional arguments of the library
     calls (`tx_subband`, `genie_estimates`, `_overlap_save`, `qam_demap`); a
     signature change that moves them breaks the traced benchmark."""
-    cli = importlib.import_module("waveform_lab.cli")  # `cli.main` is looked up traced
-
     runs = {
         "guardtone": ["guardtone", "--scenario", "three-subband-desk", "--guards", "0",
                       "--offsets-db", "0", "--modulations", "qpsk", "--trials", "1"],
@@ -53,3 +54,31 @@ def test_tracer_reads_the_call_shapes_it_counts(tmp_path):
     assert metrics["guardtone"]["subband.genie_estimates.tone_taps"] > 0
     assert metrics["guardtone"]["modem.qam_demap.symbols"] > 0
     assert metrics["psd"]["filters.overlap_save.samples"] > 0
+    # `_overlap_save` is called with the filter's spectrum as a 4th argument;
+    # the tracer still counts one call and the input samples of every pass.
+    calls, samples = _sweep_convolutions("three-subband-desk", guard=0, power_db=0.0, mod="qpsk")
+    assert metrics["guardtone"]["filters.overlap_save.calls"] == calls
+    assert metrics["guardtone"]["filters.overlap_save.samples"] == samples
+
+
+def _sweep_convolutions(preset, guard, power_db, mod):
+    """(calls, input samples) of `_overlap_save` in a 1-trial guardtone sweep
+    of one guard, offset and modulation: the isolated baseline, then the
+    cell. Each subband's stream is filtered on transmit, and the victim's
+    composite on receive."""
+    cfg = core.load_scenario(cli.resolve_scenario_path(preset)[0])
+    order, backoff = subband.scenario_filter_profile(cfg)
+    baseline = replace(cfg.subbands[0], modulation=mod, power_offset_db=0.0,
+                       timing_offset_samples=0)
+    calls = samples = 0
+    for subs in ([baseline], subband._sweep_geometry(cfg, guard, power_db, mod)):
+        composite = 0
+        for s in subs:
+            fir = subband.design_subband_filter(s, cfg.sample_rate_hz, order=order,
+                                                edge_backoff_tones=backoff)
+            extra = subband.derive_tail_policy(fir, s.numerology).extra_cp_samples
+            stream = s.numerology.symbols_per_tti * (s.numerology.samples_per_symbol + extra)
+            composite = max(composite, s.timing_offset_samples + stream + len(fir.taps) - 1)
+            calls, samples = calls + 1, samples + stream
+        calls, samples = calls + 1, samples + composite
+    return calls, samples

@@ -439,6 +439,13 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
     for name in ("design_subband_filter", "genie_estimates", "upconversion_carrier",
                  "downconversion_carrier", "payload_bits", "_sweep_noise"):
         counted(name)
+    spectra = []
+    real_spectrum = FirFilter.spectrum
+
+    def spectrum(self, block):
+        spectra.append((self, block, real_spectrum(self, block)))
+        return spectra[-1][2]
+    monkeypatch.setattr(FirFilter, "spectrum", spectrum)
     guards, offsets, mods, trials = [0, 2], [0.0, 10.0], ("qpsk", "16qam"), 3
     guardtone_sweep(_sweep_base(), guards, offsets, 30.0, trials, modulations=mods)
     groups = len(mods) + len(guards) * len(mods)  # baselines first
@@ -454,6 +461,13 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
         "_sweep_noise": trials * groups,
     }
     assert len(victim_bits) == trials * groups
+    # Each group's filters are its own, and each (filter, block) is
+    # transformed once for all the group's trials and offsets.
+    transforms = {id(s) for _, _, s in spectra}
+    assert len(transforms) == len({(id(f), block) for f, block, _ in spectra})
+    assert len({id(f) for f, _, _ in spectra}) == per_subband
+    # Per trial: the victim's tx per group, two more tx and one rx per cell, one rx per baseline.
+    assert len(spectra) == trials * (groups + 3 * cells + len(mods))
 
 
 def _row_bits(rows):
