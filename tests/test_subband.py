@@ -2,12 +2,15 @@
 guard-tone interference sweep."""
 
 from dataclasses import astuple, replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waveform_lab import subband
+from waveform_lab.cli import preset_dir
 from waveform_lab.core import (
     ConfigError,
     ImpairmentConfig,
@@ -15,6 +18,7 @@ from waveform_lab.core import (
     ScenarioConfig,
     SignalBuffer,
     SubbandSpec,
+    load_scenario,
     seeded_rng,
 )
 from waveform_lab.filters import FilterSpec, FirFilter
@@ -78,6 +82,11 @@ def _loopback(spec, policy=None, fir=None, label="loop"):
     sig, grid = _tx(spec, bits, policy, fir)
     res = _rx(sig, spec, fir, grid, policy)
     return bits, res
+
+
+def _period(shift_hz, fs):
+    """Samples after which the subband's carrier repeats."""
+    return (Fraction(shift_hz) / Fraction(fs)).denominator
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +267,72 @@ def test_loopback_derived_policy_all_modulations():
         assert res.evm_db <= -35.0
 
 
+# Properties of the chain rather than of its floats: they hold through a
+# re-baseline of the golden files.
+
+@st.composite
+def _isolated_subbands(draw):
+    """One subband near the presets' isolated profile (15 or 7.5 kHz spacing
+    at 7.68 MHz, a normal CP, a TTI or two), anywhere in the band."""
+    fft = draw(st.sampled_from([512, 1024]))
+    width = draw(st.sampled_from([48, 72, 96, 144]))
+    n = Numerology(scs_hz=FS / fft, fft_size=fft,
+                   cp_samples=fft * draw(st.integers(34, 38)) // 512,
+                   symbols_per_tti=draw(st.integers(14, 28)))
+    return _subband(start=draw(st.integers(-200, 200 - width)), width=width, numerology=n,
+                    mod=draw(st.sampled_from(sorted(BITS_PER_SYMBOL))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_isolated_subbands(), seed=st.integers(0, 2**32 - 1))
+def test_noiseless_fofdm_loopback_is_error_free(spec, seed):
+    fir = design_subband_filter(spec, FS)
+    policy = derive_tail_policy(fir, spec.numerology)
+    bits = payload_bits(spec, seeded_rng(seed, "loop"))
+    sig, grid = _tx(spec, bits, policy, fir)
+    # The carrier repeats every `period` samples; the stream spans many periods.
+    assert len(sig) > 7 * _period(spec.shift_hz, FS)
+    res = _rx(sig, spec, fir, grid, policy)
+    assert ber(bits, res.bits).errors == 0
+    assert res.evm_db <= -35.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=_isolated_subbands(), power_db=st.floats(-30, 30), seed=st.integers(0, 2**32 - 1))
+def test_transmission_scales_with_amplitude(spec, power_db, seed):
+    fir = design_subband_filter(spec, FS)
+    policy = derive_tail_policy(fir, spec.numerology)
+    bits = payload_bits(spec, seeded_rng(seed, "scale"))
+    scaled = replace(spec, power_offset_db=power_db)
+    carrier = upconversion_carrier(spec, FS, policy)
+    for unit, got in (
+        (_tx(spec, bits, policy, fir)[0], _tx(scaled, bits, policy, fir)[0]),
+        (tx_subband_unfiltered(spec, FS, bits, policy, carrier),
+         tx_subband_unfiltered(scaled, FS, bits, policy, carrier)),
+    ):
+        expect = scaled.amplitude * unit.samples
+        assert np.abs(got.samples - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_assembled_composite_is_the_sum_of_its_shifted_subbands(data):
+    subs = _sweep_base(symbols=data.draw(st.integers(1, 3))).subbands
+    signals, offsets = [], []
+    for i in data.draw(st.lists(st.integers(0, len(subs) - 1), min_size=1, max_size=4)):
+        spec = subs[i]
+        fir = design_subband_filter(spec, FS)
+        bits = payload_bits(spec, seeded_rng(data.draw(st.integers(0, 99)), f"asm/{i}"))
+        signals.append(_tx(spec, bits, TAIL_NONE, fir)[0])
+        offsets.append(data.draw(st.integers(0, 3_000)))
+    out = assemble(signals, offsets)
+    expect = np.zeros(max(o + len(s) for s, o in zip(signals, offsets)), dtype=complex)
+    for s, o in zip(signals, offsets):
+        expect[o:o + len(s)] += s.samples
+    assert len(out) == len(expect)
+    assert np.abs(out.samples - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_narrow_subband_tail_treatment_helps():
     spec = _subband(start=-6, width=12)
     fir = design_subband_filter(spec, FS)
@@ -306,23 +381,80 @@ def test_carrier_length_must_match_the_stream():
 @pytest.mark.parametrize("fs", [FS, 30.72e6])
 @pytest.mark.parametrize("shift_hz", [-2.5e6, -7.5e3, 0.0, 7.5e3, 1234567.891, 3.3333e6])
 def test_carriers_are_bitwise_the_complex_exponential(shift_hz, fs):
-    # Oracles: the carriers as the plain complex expressions they replace.
+    # Oracles: the plain complex expressions the carriers replace, evaluated
+    # at the remainder of t by the carrier's period that keeps t's sign.
+    period = _period(shift_hz, fs)
     n = replace(DESK, symbols_per_tti=2)
     policy = TailPolicy(extra_cp_samples=5)
     length = 2 * (n.samples_per_symbol + 5)
     for first in (0, 1, 77_280):
         spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=0)
-        t = np.arange(first, first + length)
-        oracle = np.exp(2j * np.pi * shift_hz * t / fs)
+        r = np.fmod(np.arange(first, first + length), period)
+        oracle = np.exp(2j * np.pi * shift_hz * r / fs)
         got = upconversion_carrier(spec, fs, policy, first)
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
     fir = SimpleNamespace(taps=np.zeros(257))
     for offset in (0, 274, 548):
         spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=offset)
-        t = np.arange(length + 256)
-        oracle = np.exp(-2j * np.pi * shift_hz * (t - offset) / fs)
+        r = np.fmod(np.arange(length + 256) - offset, period)
+        oracle = np.exp(-2j * np.pi * shift_hz * r / fs)
         got = downconversion_carrier(spec, fir, length, fs)
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+
+
+_shifts = st.one_of(st.integers(-600, 600).map(lambda k: 7.5e3 * k),
+                    st.floats(-1.5e7, 1.5e7, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift_hz=_shifts, fs=st.sampled_from([FS, 30.72e6]), data=st.data())
+def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
+    # A carrier's samples depend on their index alone, never on where the
+    # stream or the chunk starts or how long it is.
+    def spec(symbols, offset=0):
+        return SimpleNamespace(numerology=replace(DESK, symbols_per_tti=symbols),
+                               shift_hz=shift_hz, timing_offset_samples=offset)
+
+    policy = TailPolicy(extra_cp_samples=data.draw(st.integers(0, 40)))
+    symbols = data.draw(st.integers(1, 3))
+    first = data.draw(st.integers(0, 10**6))
+    lead = data.draw(st.integers(0, min(first, 3 * 14 * DESK.samples_per_symbol)))
+    got = upconversion_carrier(spec(symbols), fs, policy, first)
+    whole = upconversion_carrier(spec(symbols + lead // DESK.samples_per_symbol + 1), fs, policy,
+                                 first - lead)
+    assert np.array_equal(got.view(np.uint64), whole[lead:lead + len(got)].view(np.uint64))
+
+    fir = SimpleNamespace(taps=np.zeros(data.draw(st.integers(1, 300))))
+    offset = data.draw(st.integers(0, 5_000))
+    lead = data.draw(st.integers(0, 5_000))
+    composite_len = data.draw(st.integers(1, 20_000))
+    got = downconversion_carrier(spec(1, offset), fir, composite_len, fs)
+    whole = downconversion_carrier(spec(1, offset + lead), fir,
+                                   composite_len + lead + data.draw(st.integers(0, 2_000)), fs)
+    assert np.array_equal(got.view(np.uint64), whole[lead:lead + len(got)].view(np.uint64))
+
+
+@pytest.mark.parametrize("preset", ["three-subband-desk", "three-subband-lte20"])
+def test_carriers_stay_accurate_over_long_streams(preset):
+    # The exact phasor exp(2j*pi*((K*t) mod M)/M), shift/fs = K/M, in integer
+    # arithmetic. The carrier's phase never exceeds 2*pi*|K| in magnitude, so
+    # a few of its ulps bound the carrier's error at every t; the former
+    # formula, 2*pi*shift*t/fs in floats, drifts far past that by t ~ 10^7.
+    cfg = load_scenario(preset_dir() / f"{preset}.json")
+    fs = cfg.sample_rate_hz
+    for spec in cfg.subbands:
+        q = Fraction(spec.shift_hz) / Fraction(fs)
+        k, m = q.numerator, q.denominator
+        bound = 4 * np.finfo(float).eps * (2 * np.pi * abs(k) + 1)
+        for first in (0, 10**7 - 40_000):
+            got = upconversion_carrier(spec, fs, TAIL_NONE, first)
+            t = first + np.arange(len(got))
+            exact = np.exp(2j * np.pi * np.array([k * i % m for i in t.tolist()]) / m)
+            assert len(got) > m  # every residue is checked
+            assert np.abs(got - exact).max() <= bound
+        # The last window ends at t = 10^7 - 40,000 + len(got).
+        former = np.exp(1j * ((2 * np.pi * spec.shift_hz) * t * (1.0 / fs)))
+        assert np.abs(former - exact).max() > 100 * bound
 
 
 def test_rx_buffer_too_short():
