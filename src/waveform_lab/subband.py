@@ -11,6 +11,7 @@ known channel snapshot).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -184,11 +185,11 @@ def payload_bits(spec: SubbandSpec, rng: np.random.Generator) -> np.ndarray:
 
 def upconversion_carrier(
     spec: SubbandSpec, sample_rate_hz: float, policy: TailPolicy, first_sample: int = 0
-) -> np.ndarray:
+) -> Carrier:
     """Phasor that shifts the subband's baseband TTI (CP extended per policy)
-    to its center; it does not depend on the payload, so a sweep cell builds
-    it once for all its trials. Its samples depend only on their index, so
-    from `first_sample` on it is bitwise that slice of the phasor of a longer
+    to its center; it does not depend on the payload, so a sweep builds it
+    once for all its trials. Its samples depend only on their index, so from
+    `first_sample` on it is bitwise that slice of the phasor of a longer
     stream."""
     n = _extended_numerology(spec, policy)
     coef = 2 * np.pi * spec.shift_hz
@@ -199,7 +200,7 @@ def upconversion_carrier(
 
 def downconversion_carrier(
     spec: SubbandSpec, fir: FirFilter, composite_len: int, sample_rate_hz: float
-) -> np.ndarray:
+) -> Carrier:
     """Phasor that brings the subband back to baseband from the matched-filter
     output of a `composite_len`-sample stream, referenced to the subband's
     timing offset."""
@@ -222,25 +223,55 @@ def _carrier_period(shift_hz: float, sample_rate_hz: float) -> int:
     return (Fraction(shift_hz) / Fraction(sample_rate_hz)).denominator
 
 
-def _periodic_phasor(phase_of, first: int, count: int, period: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Carrier:
+    """Samples t = first, ..., first + length - 1 of a phasor that repeats
+    every period within each run of t of one sign. Only one period of each
+    run is kept, or the whole run when it is shorter: `runs` holds (t0, head)
+    per run, t0 being the run's first t, and the sample at t is
+    head[(t - t0) % len(head)]. A slice is a view on the same heads."""
+    first: int
+    length: int
+    runs: tuple[tuple[int, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index: slice) -> Carrier:
+        lo, hi, step = index.indices(self.length)
+        if step != 1:
+            raise ValueError("carriers slice with step 1 only")
+        return replace(self, first=self.first + lo, length=max(hi - lo, 0))
+
+    def pieces(self):
+        """(lo, hi, head, k) per run: samples [lo, hi) of this carrier are
+        head[k], head[k + 1], ..., going back to head[0] after its end."""
+        end = self.first + self.length
+        for t0, head in self.runs:
+            lo, hi = max(self.first, t0), min(end, 0) if t0 < 0 else end
+            if lo < hi:
+                yield lo - self.first, hi - self.first, head, (lo - t0) % len(head)
+
+    def materialize(self) -> np.ndarray:
+        """Every sample, in one array."""
+        out = np.empty(self.length, dtype=np.complex128)
+        for lo, hi, head, k in self.pieces():
+            out[lo:hi] = head[(k + np.arange(hi - lo)) % len(head)]
+        return out
+
+
+def _periodic_phasor(phase_of, first: int, count: int, period: int) -> Carrier:
     """`exp(1j * phase_of(r))` at r = np.fmod(t, period) for t = first, ...,
     first + count - 1. fmod keeps the sign of t, so each run of t of one sign
-    repeats every `period` samples: its first period is evaluated and copied
-    into the rest of one preallocated output. For |t| < period, r is t."""
-    out = np.empty(count, dtype=np.complex128)
+    repeats every `period` samples: only its first period is evaluated. For
+    |t| < period, r is t."""
     modulus = min(period, 2**62)  # fmod by anything above every |t| is the identity
-    negative = min(max(-first, 0), count)  # out[:negative] has t < 0
-    for lo, hi in ((0, negative), (negative, count)):
-        head = min(hi - lo, period)
-        if head:
-            r = np.fmod(np.arange(first + lo, first + lo + head), modulus)
-            _phasor(phase_of(r), out[lo:lo + head])
-        run = out[lo:hi]
-        if len(run) > period:
-            whole = len(run) // period * period
-            run[period:whole].reshape(-1, period)[:] = run[:period]
-            run[whole:] = run[:len(run) - whole]
-    return out
+    runs = []
+    for lo, hi in ((first, min(first + count, 0)), (max(first, 0), first + count)):
+        if lo < hi:
+            r = np.fmod(np.arange(lo, lo + min(hi - lo, period)), modulus)
+            runs.append((lo, _phasor(phase_of(r), np.empty(len(r), dtype=np.complex128))))
+    return Carrier(first, count, tuple(runs))
 
 
 def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -258,22 +289,39 @@ def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
 _ELIDED_PRODUCT_BYTES = 256 * 1024
 
 
-def _mixed(samples: np.ndarray, carrier: np.ndarray, stream_samples: int | None) -> np.ndarray:
+def _mixed(samples: np.ndarray, carrier: Carrier, stream_samples: int | None) -> np.ndarray:
     """`samples` shifted by `carrier`, with the operands in the order numpy
     uses for `samples * np.exp(...)` on the whole `stream_samples`-sample
     stream (`samples` itself when None). Its SIMD complex multiply (AVX-512)
     is not bitwise commutative, so this keeps every output bit the same
-    whether a carrier is built per call, once per sweep cell, or per chunk."""
+    whether a carrier is built per call, once per sweep, or per chunk. Each
+    run is multiplied a period-long row at a time against the carrier's one
+    stored period; an elementwise product does not depend on the row."""
     if len(carrier) != len(samples):
         raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
                           f"{len(samples)}-sample stream")
-    if (stream_samples or len(samples)) * samples.itemsize >= _ELIDED_PRODUCT_BYTES:
-        return carrier * samples
-    return samples * carrier
+    carrier_first = (stream_samples or len(samples)) * samples.itemsize >= _ELIDED_PRODUCT_BYTES
+
+    def product(c, x, out):
+        if carrier_first:
+            np.multiply(c, x, out=out)
+        else:
+            np.multiply(x, c, out=out)
+
+    out = np.empty(len(samples), dtype=np.complex128)
+    for lo, hi, head, k in carrier.pieces():
+        x, o, period = samples[lo:hi], out[lo:hi], len(head)
+        lead = min(hi - lo, period - k)  # up to the end of the stored period
+        whole = lead + (hi - lo - lead) // period * period
+        product(head[k:k + lead], x[:lead], o[:lead])
+        if whole > lead:
+            product(head, x[lead:whole].reshape(-1, period), o[lead:whole].reshape(-1, period))
+        product(head[:hi - lo - whole], x[whole:], o[whole:])
+    return out
 
 
 def _upconverted(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray,
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: Carrier,
     stream_samples: int | None,
 ) -> tuple[ResourceGrid, np.ndarray]:
     """Grid and its OFDM signal (CP extended per policy) shifted to the
@@ -286,7 +334,7 @@ def _upconverted(
 
 def tx_subband(
     spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter,
-    carrier: np.ndarray, stream_samples: int | None = None,
+    carrier: Carrier, stream_samples: int | None = None,
 ) -> tuple[SignalBuffer, ResourceGrid]:
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
     subband; also returns the grid."""
@@ -298,7 +346,7 @@ def tx_subband(
 
 
 def tx_subband_unfiltered(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: np.ndarray,
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: Carrier,
     stream_samples: int | None = None,
 ) -> SignalBuffer:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
@@ -342,7 +390,7 @@ def rx_subband(
     fir: FirFilter,
     sent: ResourceGrid,
     policy: TailPolicy,
-    carrier: np.ndarray,
+    carrier: Carrier,
     estimates: np.ndarray,
 ) -> SubbandRxResult:
     """Recover one subband from the assembled stream, downconverting by
@@ -505,6 +553,29 @@ class _ErrorAccumulator:
         )
 
 
+def _noise_prefix(noise: np.ndarray, length: int) -> np.ndarray:
+    """The `length`-sample `_sweep_noise` drawn from the generator state that
+    drew `noise`. That draw takes I, then Q, from one run of standard normals,
+    all scaled alike: I is the run's first `length` values and Q the next
+    `length`, both cut from `noise`'s I and Q laid end to end."""
+    if length == len(noise):
+        return noise
+    out = np.empty(length, dtype=np.complex128)
+    out.real = noise.real[:length]
+    within = min(length, len(noise) - length)  # Q's normals that fall in `noise`'s I
+    out.imag[:within] = noise.real[length:length + within]
+    out.imag[within:] = noise.imag[:length - within]
+    return out
+
+
+def _reject_duplicates(axis: str, values) -> None:
+    seen = set()
+    for v in values:
+        if v in seen:  # by value: 0.0 and -0.0 are one power offset
+            raise ConfigError(f"{axis} {v!r} appears more than once in the sweep")
+        seen.add(v)
+
+
 def guardtone_sweep(
     base: ScenarioConfig,
     guard_counts: list[int],
@@ -528,6 +599,9 @@ def guardtone_sweep(
     for m in modulations:
         if m not in BITS_PER_SYMBOL:
             raise ConfigError(f"unknown modulation {m!r}")
+    _reject_duplicates("guard count", guard_counts)
+    _reject_duplicates("power offset", [float(p) for p in power_offsets_db])
+    _reject_duplicates("modulation", modulations)
     if not base.subbands:
         raise ConfigError("base scenario has no subbands")
     report = validate_scenario(base)
@@ -542,63 +616,79 @@ def guardtone_sweep(
     victim_template = base.subbands[0]
     edge_count = _edge_tone_count(victim_template)
 
-    def run_group(cells: list[tuple[str, list[SubbandSpec]]], mod: str) -> list[_ErrorAccumulator]:
-        """All trials of cells (label, subbands) that differ only in the
-        interferer's power offset: transmit every subband, assemble, add
-        noise, and receive the victim (subbands[0]). Everything that depends
-        on neither the payload, the noise nor the power offset is built once,
-        before the trials; the victim's transmission and the noise are made
-        once per trial and shared by every cell."""
-        subs = cells[0][1]
-        firs = [design_subband_filter(s, fs, order=filter_order,
-                                      edge_backoff_tones=edge_backoff)
-                for s in subs]
-        policies = [derive_tail_policy(f, s.numerology) for s, f in zip(subs, firs)]
-        ups = [upconversion_carrier(s, fs, p) for s, p in zip(subs, policies)]
-        offsets = [s.timing_offset_samples for s in subs]
-        comp_len = max(o + len(c) + len(f.taps) - 1 for o, c, f in zip(offsets, ups, firs))
-        victim = subs[0]
-        down = downconversion_carrier(victim, firs[0], comp_len, fs)
-        est = genie_estimates(victim, firs[0], policies[0])
-        edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
-        accs = [_ErrorAccumulator(victim.data_tones, edge) for _ in cells]
-        comp = np.empty(comp_len, dtype=np.complex128)
-        for trial in range(trials):
-            # The victim's payload and the noise are drawn as in the baseline,
-            # so baseline deltas isolate inter-subband interference.
-            bits = payload_bits(victim, seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
-            sig, grid = tx_subband(victim, fs, bits, policies[0], firs[0], ups[0])
-            noise = _sweep_noise(comp_len, sigma2,
-                                 seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
-            for (cell, cell_subs), acc in zip(cells, accs):
-                signals = [sig]
-                for i, s in enumerate(cell_subs[1:], start=1):
-                    b = payload_bits(s, seeded_rng(base.seed, f"bits/{cell}/{trial}/s{i}"))
-                    signals.append(tx_subband(s, fs, b, policies[i], firs[i], ups[i])[0])
-                # Noise last, as `(sum of signals) + noise`.
-                comp.fill(0)
-                assemble(signals, offsets, comp)
-                comp += noise
-                res = rx_subband(SignalBuffer(comp, fs), victim, firs[0], grid, policies[0],
-                                 down, est)
-                acc.add(grid, res.grid, bits, res.bits)
-        return accs
+    def run_modulation(mod: str, groups: list[list[tuple[str, list[SubbandSpec]]]]):
+        """All trials of `mod`'s groups: the isolated baseline, then one
+        group per guard count. A group's cells (label, subbands) differ only
+        in the interferer's power offset: transmit every subband, assemble,
+        add noise, and receive the victim (subbands[0]). Filters, carriers and
+        genie estimates depend on neither the payload, the noise nor the
+        power offset, so they are built before the trials, once per distinct
+        subband. Per trial the victim's payload and the longest noise are
+        drawn once, as in the baseline, so baseline deltas isolate
+        inter-subband interference; each group adds a prefix of that noise.
+        Groups that share a victim run back to back, so each distinct victim
+        is sent once per trial and one transmission is held at a time.
+        Returns one accumulator per cell of each group."""
+        @functools.cache
+        def design(s: SubbandSpec):
+            """(tail policy, filter, upconversion carrier) of a subband."""
+            fir = design_subband_filter(s, fs, order=filter_order, edge_backoff_tones=edge_backoff)
+            policy = derive_tail_policy(fir, s.numerology)
+            return policy, fir, upconversion_carrier(s, fs, policy)
 
-    # Baselines: isolated victim, one per modulation, same noise calibration.
-    baselines = {}
+        estimates = {}  # victim -> genie estimate
+        plans = []
+        for cells in groups:
+            subs = cells[0][1]
+            built = [design(s) for s in subs]
+            offsets = [s.timing_offset_samples for s in subs]
+            comp_len = max(o + len(up) + len(fir.taps) - 1
+                           for o, (_, fir, up) in zip(offsets, built))
+            victim, (policy, fir, _) = subs[0], built[0]
+            if victim not in estimates:
+                estimates[victim] = genie_estimates(victim, fir, policy)
+            edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
+            plans.append((victim, cells, built, offsets, comp_len,
+                          downconversion_carrier(victim, fir, comp_len, fs),
+                          [_ErrorAccumulator(victim.data_tones, edge) for _ in cells]))
+        rank = {v: i for i, v in enumerate(estimates)}
+        by_victim = sorted(plans, key=lambda plan: rank[plan[0]])
+        baseline = plans[0][0]  # every victim carries the baseline's payload
+        longest = max(plan[4] for plan in plans)
+        buffer = np.empty(longest, dtype=np.complex128)
+        for trial in range(trials):
+            bits = payload_bits(baseline, seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
+            noise = _sweep_noise(longest, sigma2,
+                                 seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
+            sent = None
+            for victim, cells, built, offsets, comp_len, down, accs in by_victim:
+                policy, fir, _ = built[0]
+                if sent is None or sent[0] != victim:
+                    sent = (victim, *tx_subband(victim, fs, bits, *built[0]))
+                _, sig, grid = sent
+                comp, group_noise = buffer[:comp_len], _noise_prefix(noise, comp_len)
+                for (cell, cell_subs), acc in zip(cells, accs):
+                    signals = [sig]
+                    for i, s in enumerate(cell_subs[1:], start=1):
+                        b = payload_bits(s, seeded_rng(base.seed, f"bits/{cell}/{trial}/s{i}"))
+                        signals.append(tx_subband(s, fs, b, *built[i])[0])
+                    # Noise last, as `(sum of signals) + noise`.
+                    comp.fill(0)
+                    assemble(signals, offsets, comp)
+                    comp += group_noise
+                    res = rx_subband(SignalBuffer(comp, fs), victim, fir, grid, policy,
+                                     down, estimates[victim])
+                    acc.add(grid, res.grid, bits, res.bits)
+            del sent, noise, group_noise  # before the next trial's are made
+        return [accs for *_, accs in plans]
+
+    guards = guard_counts if not single and power_offsets_db else []
+    baselines, rows = {}, []
     for mod in modulations:
         spec = replace(victim_template, modulation=mod, power_offset_db=0.0,
                        timing_offset_samples=0)
-        (acc,) = run_group([(f"baseline/{mod}", [spec])], mod)
-        baselines[mod] = acc.row(-1, 0.0, mod, snr_db)
-
-    rows = []
-    for guard in guard_counts:
-        for mod in modulations:
-            if single:
-                rows += [replace(baselines[mod], guard_tones=guard, power_offset_db=power_db)
-                         for power_db in power_offsets_db]
-                continue
+        groups = [[(f"baseline/{mod}", [spec])]]
+        for guard in guards:
             cells = []
             for power_db in power_offsets_db:
                 subs = _sweep_geometry(base, guard, power_db, mod)
@@ -608,9 +698,16 @@ def guardtone_sweep(
                         f"sweep cell guard={guard} invalid: {rep.violations[0].message}"
                     )
                 cells.append((f"g{guard}/p{power_db:g}/{mod}", subs))
-            if cells:
-                rows += [acc.row(guard, power_db, mod, snr_db)
-                         for power_db, acc in zip(power_offsets_db, run_group(cells, mod))]
+            groups.append(cells)
+        (isolated,), *guarded = run_modulation(mod, groups)
+        baselines[mod] = isolated.row(-1, 0.0, mod, snr_db)
+        for guard, accs in zip(guards, guarded):
+            rows += [acc.row(guard, power_db, mod, snr_db)
+                     for power_db, acc in zip(power_offsets_db, accs)]
+        if single:
+            # No interferer: every guard count reads the baseline.
+            rows += [replace(baselines[mod], guard_tones=guard, power_offset_db=power_db)
+                     for guard in guard_counts for power_db in power_offsets_db]
 
     rows.sort(key=lambda r: (r.guard_tones, r.power_offset_db, r.modulation))
     return SweepResult(rows=tuple(rows), baselines=baselines)

@@ -405,6 +405,10 @@ def test_malformed_scenario_field_exit_code(tmp_path, capsys, edit, field):
     ["guardtone", "--snr-db", "nan"],
     ["guardtone", "--guards", "a"],
     ["guardtone", "--offsets-db", "x"],
+    ["guardtone", "--guards", "0,0"],
+    ["guardtone", "--offsets-db", "0,-0"],
+    ["guardtone", "--modulations", "qpsk,qpsk"],
+    ["guardtone", "--guards", "0,0", "--offsets-db", "0,0", "--modulations", "qpsk,qpsk"],
     ["psd", "--ttis", "-1"],
     ["psd", "--ttis", "0"],
 ], ids=" ".join)

@@ -19,14 +19,22 @@ After a deliberate change of results, rewrite the golden files with
 which prints, for each file, "unchanged" or the lines that moved and the
 largest numeric difference (`describe_difference`); list them in the
 change's description and show each within the rule above.
+
+The rule itself is checked on this host too: the psd cases, the ones whose
+bits move with the dispatch, rerun in a child process with numpy held to
+its pre-AVX2 x86-64 dispatch.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import waveform_lab
 from waveform_lab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,6 +91,61 @@ def test_csvs_match_golden(case, tmp_path):
         assert data == expected[name], (
             f"{case}/{name} differs from {expected_dir / name}: "
             + describe_difference(data, expected[name]))
+
+
+# Narrows numpy's SIMD dispatch to the x86-64 baseline (no AVX2, no AVX-512)
+# in the process it is set for; feature names a host lacks are ignored.
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+DB_UNIT = 1e-6  # one printed unit of a dB column
+
+
+def cross_host_violations(got: bytes, expected: bytes) -> list[str]:
+    """Where `got` breaks the cross-host rule against `expected`: a line
+    added or removed, a non-dB field that differs, or a dB field (a column
+    named `*_db*`) off by more than one printed unit."""
+    new, old = got.decode().splitlines(), expected.decode().splitlines()
+    if len(new) != len(old):
+        return [f"{len(new)} lines, expected {len(old)}"]
+    header = old[0].split(",") if old else []
+    out = []
+    for i, (a, b) in enumerate(zip(new, old), start=1):
+        fields, want = a.split(","), b.split(",")
+        if len(fields) != len(want):
+            out.append(f"line {i}: {len(fields)} fields, expected {len(want)}")
+            continue
+        for col, x, y in zip(header, fields, want):
+            delta = _field_difference(x, y) if "_db" in col else None
+            if x != y and (i == 1 or delta is None or delta > DB_UNIT * (1 + 1e-6)):
+                out.append(f"line {i} {col}: {x} against {y}")
+    return out
+
+
+@pytest.mark.parametrize("case", ["psd-desk", "psd-lte20"])
+def test_psd_csvs_hold_the_cross_host_rule_at_baseline_dispatch(case, tmp_path):
+    out = tmp_path / case
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(waveform_lab.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    code = "import sys; from waveform_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", code, *CASES[case], "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    expected_dir = GOLDEN / case
+    got = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert sorted(got) == sorted(p.name for p in expected_dir.glob("*.csv"))
+    for name, data in got.items():
+        assert cross_host_violations(data, (expected_dir / name).read_bytes()) == [], name
+
+
+def test_cross_host_rule_allows_one_db_unit_and_nothing_else():
+    old = b"freq_hz,power_dbr\n-100.000000,-150.000001\n0.000000,-3.000000\n"
+    assert cross_host_violations(old, old) == []
+    assert cross_host_violations(old.replace(b"-150.000001", b"-150.000002"), old) == []
+    assert cross_host_violations(old.replace(b"-150.000001", b"-150.000003"), old) == [
+        "line 2 power_dbr: -150.000003 against -150.000001"]
+    assert cross_host_violations(old.replace(b"-100.000000", b"-100.000001"), old) == [
+        "line 2 freq_hz: -100.000001 against -100.000000"]
+    assert cross_host_violations(old + b"1,2\n", old) == ["4 lines, expected 3"]
 
 
 def test_difference_report_names_lines_and_largest_delta():

@@ -1,6 +1,7 @@
 """Per-subband transmit/receive chains, tail policies, assembly, and the
 guard-tone interference sweep."""
 
+import re
 from dataclasses import astuple, replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -391,14 +392,14 @@ def test_carriers_are_bitwise_the_complex_exponential(shift_hz, fs):
         spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=0)
         r = np.fmod(np.arange(first, first + length), period)
         oracle = np.exp(2j * np.pi * shift_hz * r / fs)
-        got = upconversion_carrier(spec, fs, policy, first)
+        got = upconversion_carrier(spec, fs, policy, first).materialize()
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
     fir = SimpleNamespace(taps=np.zeros(257))
     for offset in (0, 274, 548):
         spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=offset)
         r = np.fmod(np.arange(length + 256) - offset, period)
         oracle = np.exp(-2j * np.pi * shift_hz * r / fs)
-        got = downconversion_carrier(spec, fir, length, fs)
+        got = downconversion_carrier(spec, fir, length, fs).materialize()
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
 
 
@@ -419,19 +420,53 @@ def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
     symbols = data.draw(st.integers(1, 3))
     first = data.draw(st.integers(0, 10**6))
     lead = data.draw(st.integers(0, min(first, 3 * 14 * DESK.samples_per_symbol)))
-    got = upconversion_carrier(spec(symbols), fs, policy, first)
+    got = upconversion_carrier(spec(symbols), fs, policy, first).materialize()
     whole = upconversion_carrier(spec(symbols + lead // DESK.samples_per_symbol + 1), fs, policy,
                                  first - lead)
-    assert np.array_equal(got.view(np.uint64), whole[lead:lead + len(got)].view(np.uint64))
+    for part in (whole.materialize()[lead:lead + len(got)],
+                 whole[lead:lead + len(got)].materialize()):
+        assert np.array_equal(got.view(np.uint64), part.view(np.uint64))
 
     fir = SimpleNamespace(taps=np.zeros(data.draw(st.integers(1, 300))))
     offset = data.draw(st.integers(0, 5_000))
     lead = data.draw(st.integers(0, 5_000))
     composite_len = data.draw(st.integers(1, 20_000))
-    got = downconversion_carrier(spec(1, offset), fir, composite_len, fs)
+    got = downconversion_carrier(spec(1, offset), fir, composite_len, fs).materialize()
     whole = downconversion_carrier(spec(1, offset + lead), fir,
                                    composite_len + lead + data.draw(st.integers(0, 2_000)), fs)
-    assert np.array_equal(got.view(np.uint64), whole[lead:lead + len(got)].view(np.uint64))
+    for part in (whole.materialize()[lead:lead + len(got)],
+                 whole[lead:lead + len(got)].materialize()):
+        assert np.array_equal(got.view(np.uint64), part.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shift_hz=_shifts, fs=st.sampled_from([FS, 30.72e6]), data=st.data())
+def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data):
+    # `_mixed` multiplies a period-long row at a time by the one period a
+    # carrier keeps; that is bitwise the product with every sample laid out,
+    # in the operand order the stream's size selects. Covered: both sides of
+    # the elision threshold, negative t (downconversion after a timing
+    # offset), periods longer than the stream (non-grid shifts) and slices
+    # (psd chunks, the receiver's frame).
+    if data.draw(st.booleans()):
+        spec = SimpleNamespace(numerology=replace(DESK, symbols_per_tti=data.draw(
+            st.integers(1, 3))), shift_hz=shift_hz, timing_offset_samples=0)
+        carrier = upconversion_carrier(spec, fs, TAIL_NONE, data.draw(st.integers(0, 10**6)))
+    else:
+        spec = SimpleNamespace(numerology=DESK, shift_hz=shift_hz,
+                               timing_offset_samples=data.draw(st.integers(0, 5_000)))
+        fir = SimpleNamespace(taps=np.zeros(data.draw(st.integers(1, 300))))
+        carrier = downconversion_carrier(spec, fir, data.draw(st.integers(1, 30_000)), fs)
+    lo = data.draw(st.integers(0, len(carrier) - 1))
+    part = carrier[lo:data.draw(st.integers(lo, len(carrier)))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(len(part)) + 1j * rng.standard_normal(len(part))
+    elided = subband._ELIDED_PRODUCT_BYTES // x.itemsize
+    stream = data.draw(st.sampled_from([None, len(part), elided - 1, elided, 10**6]))
+    c = part.materialize()
+    expect = c * x if (stream or len(x)) >= elided else x * c
+    got = subband._mixed(x, part, stream)
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 @pytest.mark.parametrize("preset", ["three-subband-desk", "three-subband-lte20"])
@@ -447,7 +482,7 @@ def test_carriers_stay_accurate_over_long_streams(preset):
         k, m = q.numerator, q.denominator
         bound = 4 * np.finfo(float).eps * (2 * np.pi * abs(k) + 1)
         for first in (0, 10**7 - 40_000):
-            got = upconversion_carrier(spec, fs, TAIL_NONE, first)
+            got = upconversion_carrier(spec, fs, TAIL_NONE, first).materialize()
             t = first + np.arange(len(got))
             exact = np.exp(2j * np.pi * np.array([k * i % m for i in t.tolist()]) / m)
             assert len(got) > m  # every residue is checked
@@ -554,10 +589,13 @@ def test_sweep_single_subband_degenerates_to_baseline():
 
 
 def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
-    # Filters, carriers and the genie estimate depend on neither the trial nor
-    # the power offset: each is built once per (guard, modulation) group, an
-    # isolated baseline being a group of its own. In each trial of a group,
-    # the victim's payload and the noise are drawn once for all its offsets.
+    # Filters, carriers and genie estimates depend on neither the trial nor
+    # the power offset: each is built once per distinct subband of a
+    # modulation's pass, and each downconversion carrier once per group (the
+    # isolated baseline, then each guard count). The interferer does not move
+    # with the guard count, and the baseline's victim is guard 2's. In each
+    # trial of a modulation the victim's payload and the noise are drawn
+    # once, and each distinct victim is sent once, for every group and offset.
     calls = {}
 
     def counted(name):
@@ -569,7 +607,7 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
         monkeypatch.setattr(subband, name, wrapper)
 
     for name in ("design_subband_filter", "genie_estimates", "upconversion_carrier",
-                 "downconversion_carrier", "payload_bits", "_sweep_noise"):
+                 "downconversion_carrier", "payload_bits", "_sweep_noise", "tx_subband"):
         counted(name)
     spectra = []
     real_spectrum = FirFilter.spectrum
@@ -580,26 +618,33 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
     monkeypatch.setattr(FirFilter, "spectrum", spectrum)
     guards, offsets, mods, trials = [0, 2], [0.0, 10.0], ("qpsk", "16qam"), 3
     guardtone_sweep(_sweep_base(), guards, offsets, 30.0, trials, modulations=mods)
-    groups = len(mods) + len(guards) * len(mods)  # baselines first
-    per_subband = len(mods) + 3 * len(guards) * len(mods)
+    groups = len(mods) + len(guards) * len(mods)
+    victims = len(guards) * len(mods)  # guard 0's and guard 2's, which is the baseline's
+    designed = victims + len(mods) + len(guards) * len(mods)  # victims, interferer, third
     cells = len(guards) * len(offsets) * len(mods)
-    victim_bits = [a for a in calls["payload_bits"] if a[0].timing_offset_samples == 0]
     assert {name: len(args) for name, args in calls.items()} == {
-        "design_subband_filter": per_subband,
-        "genie_estimates": groups,
+        "design_subband_filter": designed,
+        "genie_estimates": victims,
         "downconversion_carrier": groups,
-        "upconversion_carrier": per_subband,
-        "payload_bits": trials * (groups + 2 * cells),  # interferer, third subband per cell
-        "_sweep_noise": trials * groups,
+        "upconversion_carrier": designed,
+        "payload_bits": trials * (len(mods) + 2 * cells),  # interferer, third subband per cell
+        "_sweep_noise": trials * len(mods),
+        "tx_subband": trials * (victims + 2 * cells),
     }
-    assert len(victim_bits) == trials * groups
-    # Each group's filters are its own, and each (filter, block) is
-    # transformed once for all the group's trials and offsets.
+    assert len({args[0] for args in calls["design_subband_filter"]}) == designed
+    victim_bits = [a for a in calls["payload_bits"] if a[0].timing_offset_samples == 0]
+    assert len(victim_bits) == trials * len(mods)
+    sent = [a[0] for a in calls["tx_subband"] if a[0].timing_offset_samples == 0]
+    per_trial = victims // len(mods)
+    assert len(sent) == trials * victims
+    assert all(len(set(sent[i:i + per_trial])) == per_trial
+               for i in range(0, len(sent), per_trial))
+    # Each (filter, block) is transformed once for all trials and offsets.
     transforms = {id(s) for _, _, s in spectra}
     assert len(transforms) == len({(id(f), block) for f, block, _ in spectra})
-    assert len({id(f) for f, _, _ in spectra}) == per_subband
-    # Per trial: the victim's tx per group, two more tx and one rx per cell, one rx per baseline.
-    assert len(spectra) == trials * (groups + 3 * cells + len(mods))
+    assert len({id(f) for f, _, _ in spectra}) == designed
+    # Per trial: each victim's tx, two more tx and one rx per cell, one rx per baseline.
+    assert len(spectra) == trials * (victims + 3 * cells + len(mods))
 
 
 def _row_bits(rows):
@@ -616,6 +661,45 @@ def test_sweep_offsets_share_work_without_changing_rows():
     apart.sort(key=lambda r: (r.guard_tones, r.power_offset_db, r.modulation))
     assert len(joint.rows) == 8
     assert _row_bits(joint.rows) == _row_bits(apart)
+
+
+def test_sweep_guard_and_baseline_rows_do_not_depend_on_the_other_groups():
+    # A modulation's groups share the victim's payload, its transmission and
+    # one noise draw per trial, but no group's rows depend on which others run.
+    kw = dict(snr_db=30.0, trials=2, modulations=("qpsk", "64qam"))
+    joint = guardtone_sweep(_sweep_base(), [0, 1, 2], [0.0, 10.0], **kw)
+    for guard in (0, 1, 2):
+        alone = guardtone_sweep(_sweep_base(), [guard], [0.0, 10.0], **kw)
+        assert _row_bits(alone.rows) == _row_bits(r for r in joint.rows if r.guard_tones == guard)
+        assert _row_bits(alone.baselines.values()) == _row_bits(joint.baselines.values())
+    isolated = guardtone_sweep(_sweep_base(), [], [0.0, 10.0], **kw)
+    assert isolated.rows == ()
+    assert _row_bits(isolated.baselines.values()) == _row_bits(joint.baselines.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(longest=st.integers(1, 5_000), data=st.data())
+def test_noise_prefix_is_the_shorter_draw_of_the_same_label(longest, data):
+    # A baseline's noise is cut from the longer noise of its modulation's
+    # guard groups, drawn from the same label.
+    length = data.draw(st.integers(1, longest))
+    seed, label = data.draw(st.integers(0, 2**32 - 1)), f"noise/baseline/qpsk/{length}"
+    variance = data.draw(st.floats(1e-6, 10.0))
+    noise = subband._sweep_noise(longest, variance, seeded_rng(seed, label))
+    fresh = subband._sweep_noise(length, variance, seeded_rng(seed, label))
+    got = subband._noise_prefix(noise, length)
+    assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
+
+
+@pytest.mark.parametrize("guards, offsets, modulations, repeated", [
+    ([0, 0], [0.0], ("qpsk",), "guard count 0 "),
+    ([0], [10.0, 10], ("qpsk",), "power offset 10.0 "),
+    ([0], [0.0, -0.0], ("qpsk",), "power offset -0.0 "),
+    ([0], [0.0], ("qpsk", "16qam", "qpsk"), "modulation 'qpsk' "),
+])
+def test_sweep_rejects_repeated_axis_values(guards, offsets, modulations, repeated):
+    with pytest.raises(ConfigError, match=re.escape(repeated)):
+        guardtone_sweep(_sweep_base(), guards, offsets, 30.0, 1, modulations=modulations)
 
 
 @pytest.mark.parametrize("snr_db, modulations", [
