@@ -126,8 +126,6 @@ class RappConfig:
 
 @dataclass(frozen=True)
 class ImpairmentConfig:
-    snr_db: Optional[float] = None  # None == noise off
-    channel: str = "ideal"          # "ideal" or a TDL profile name
     pa: Optional[RappConfig] = None
 
 
@@ -249,17 +247,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
         bad(None, "seed must be an unsigned 64-bit integer")
 
     imp = cfg.impairments
-    if imp.snr_db is not None and not _finite(imp.snr_db):
-        bad(None, "snr_db must be a finite number or off")
     if imp.pa is not None:
         if not _finite(imp.pa.input_backoff_db):
             bad(None, "pa input_backoff_db must be finite")
         if not (_finite(imp.pa.smoothness) and imp.pa.smoothness > 0):
             bad(None, "pa smoothness must be positive and finite")
-    if imp.channel != "ideal":
-        from . import impairments as _imp  # local import; avoids module cycle
-        if imp.channel not in _imp.available_profiles():
-            bad(None, f"unknown channel profile {imp.channel!r}")
 
     half_bw = cfg.total_bandwidth_hz / 2.0 if cfg.total_bandwidth_hz > 0 else None
     for i, sb in enumerate(cfg.subbands):
@@ -373,9 +365,7 @@ def _subband_from_dict(d: dict, ctx: str) -> SubbandSpec:
 
 
 def _impairments_from_dict(d: dict, ctx: str) -> ImpairmentConfig:
-    _take(d, {"snr_db", "channel", "pa"}, ctx)
-    snr = d.get("snr_db", "off")
-    snr_db = None if snr == "off" or snr is None else _field(d, "snr_db", float, ctx)
+    _take(d, {"pa"}, ctx)
     pa_raw = d.get("pa", "off")
     if pa_raw == "off" or pa_raw is None:
         pa = None
@@ -386,8 +376,7 @@ def _impairments_from_dict(d: dict, ctx: str) -> ImpairmentConfig:
             input_backoff_db=_field(pa_raw, "input_backoff_db", float, pa_ctx),
             smoothness=_field(pa_raw, "smoothness", float, pa_ctx, RappConfig.smoothness),
         )
-    channel = _field(d, "channel", str, ctx, ImpairmentConfig.channel)
-    return ImpairmentConfig(snr_db=snr_db, channel=channel, pa=pa)
+    return ImpairmentConfig(pa=pa)
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
@@ -410,8 +399,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "total_bandwidth_hz": cfg.total_bandwidth_hz,
         "seed": cfg.seed,
         "impairments": {
-            "snr_db": "off" if imp.snr_db is None else imp.snr_db,
-            "channel": imp.channel,
             "pa": "off" if imp.pa is None else {
                 "input_backoff_db": imp.pa.input_backoff_db,
                 "smoothness": imp.pa.smoothness,

@@ -5,8 +5,7 @@ tail policy), upconvert to the subband center, bandpass-filter with the
 subband-shifted windowed sinc, apply the power offset. Receive: matched
 filter, downconvert, strip the two filter group delays, demodulate with the
 receiver window advanced per policy, then divide out the genie estimate
-(filter cascade response, window-advance phase ramp, power offset, and the
-known channel snapshot).
+(filter cascade response, window-advance phase ramp and power offset).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .filters import (
     design_windowed_sinc,
     response_at,
 )
-from .impairments import ChannelRealization
 from .impairments import complex_noise as _sweep_noise  # fixed variance, no calibration
 from .modem import (
     BITS_PER_SYMBOL,
@@ -321,8 +319,7 @@ def _mixed(samples: np.ndarray, carrier: Carrier, stream_samples: int | None) ->
 
 
 def _upconverted(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: Carrier,
-    stream_samples: int | None,
+    spec: SubbandSpec, bits, policy: TailPolicy, carrier: Carrier, stream_samples: int | None,
 ) -> tuple[ResourceGrid, np.ndarray]:
     """Grid and its OFDM signal (CP extended per policy) shifted to the
     subband by `carrier`, before any filter or power offset: the plain-OFDM
@@ -338,7 +335,7 @@ def tx_subband(
 ) -> tuple[SignalBuffer, ResourceGrid]:
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
     subband; also returns the grid."""
-    grid, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier, stream_samples)
+    grid, up = _upconverted(spec, bits, policy, carrier, stream_samples)
     block = default_block_size(len(fir.taps), len(up))
     filtered = _overlap_save(up, fir.taps, block, fir.spectrum(block))
     np.multiply(spec.amplitude, filtered, out=filtered)  # operand order of `amplitude * filtered`
@@ -350,19 +347,14 @@ def tx_subband_unfiltered(
     stream_samples: int | None = None,
 ) -> SignalBuffer:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
-    _, up = _upconverted(spec, sample_rate_hz, bits, policy, carrier, stream_samples)
+    _, up = _upconverted(spec, bits, policy, carrier, stream_samples)
     return SignalBuffer(spec.amplitude * up, sample_rate_hz)
 
 
-def genie_estimates(
-    spec: SubbandSpec,
-    fir: FirFilter,
-    policy: TailPolicy,
-    channel: ChannelRealization | None = None,
-) -> np.ndarray:
+def genie_estimates(spec: SubbandSpec, fir: FirFilter, policy: TailPolicy) -> np.ndarray:
     """Per-tone complex gain of the full known chain (both filter passes,
-    delay-compensated group delay, window-advance phase ramp, power offset,
-    and channel snapshot)."""
+    delay-compensated group delay, window-advance phase ramp and power
+    offset)."""
     n = spec.numerology
     d = spec.data_tones
     bins = np.arange(d) - d // 2
@@ -371,10 +363,7 @@ def genie_estimates(
     total_delay = len(fir.taps) - 1
     advance = policy.rx_advance_samples
     ramp = np.exp(2j * np.pi * bins * (total_delay - advance) / n.fft_size)
-    est = spec.amplitude * cascade * ramp
-    if channel is not None:
-        est = est * channel.frequency_response(tone_freqs)
-    return est
+    return spec.amplitude * cascade * ramp
 
 
 @dataclass(frozen=True)

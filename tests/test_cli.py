@@ -438,7 +438,12 @@ def test_unapplied_impairments_rejected(tmp_path, capsys, argv, impairments, fie
     out = tmp_path / "x"
     rc = main([*argv, "--scenario", scn, "--out", str(out)])
     assert rc == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    section, key = field.split(".")
+    if key == "pa":
+        assert f"does not apply {field}" in err
+    else:  # no scenario field sets noise or a channel; the parser names the key
+        assert f"unknown keys in scenario.{section}: ['{key}']" in err
     assert not out.exists()
 
 

@@ -181,7 +181,6 @@ def _with_subband(cfg, index, **changes):
 _FLOAT_FIELDS = {
     "sample_rate_hz": lambda c, v, i: replace(c, sample_rate_hz=v),
     "total_bandwidth_hz": lambda c, v, i: replace(c, total_bandwidth_hz=v),
-    "snr_db": lambda c, v, i: replace(c, impairments=ImpairmentConfig(snr_db=v)),
     "pa.input_backoff_db": lambda c, v, i: replace(
         c, impairments=ImpairmentConfig(pa=RappConfig(v))),
     "pa.smoothness": lambda c, v, i: replace(
@@ -193,8 +192,6 @@ _FLOAT_FIELDS = {
 
 
 @pytest.mark.parametrize("field, value", [
-    ("snr_db", math.nan),
-    ("snr_db", math.inf),
     ("power_offset_db", math.nan),
     ("power_offset_db", -math.inf),
     ("pa.input_backoff_db", math.nan),
@@ -291,7 +288,11 @@ def _desk_dict():
     (lambda d: d.update(seed=True), "scenario.seed"),
     (lambda d: d.update(subbands={}), "scenario.subbands"),
     (lambda d: d.update(impairments=[]), "scenario.impairments"),
-    (lambda d: d["impairments"].update(snr_db="high"), "scenario.impairments.snr_db"),
+    # No verb applies noise or a channel from the scenario; the keys are unknown.
+    (lambda d: d["impairments"].update(snr_db="high"),
+     "unknown keys in scenario.impairments: ['snr_db']"),
+    (lambda d: d["impairments"].update(channel="epa"),
+     "unknown keys in scenario.impairments: ['channel']"),
     (lambda d: d["impairments"].update(pa={"smoothness": 2.0}),
      "scenario.impairments.pa.input_backoff_db"),
 ])
@@ -342,8 +343,6 @@ _scenarios = st.builds(
     ), max_size=4).map(tuple),
     impairments=st.builds(
         ImpairmentConfig,
-        snr_db=st.none() | _finite,
-        channel=st.text(max_size=8),
         pa=st.none() | st.builds(RappConfig, _finite, _finite),
     ),
     seed=st.integers(0, 2**64 - 1),
@@ -364,26 +363,11 @@ def test_impairments_serialization():
         sample_rate_hz=cfg.sample_rate_hz,
         total_bandwidth_hz=cfg.total_bandwidth_hz,
         subbands=cfg.subbands,
-        impairments=ImpairmentConfig(snr_db=20.0, channel="epa",
-                                     pa=RappConfig(9.6, 2.0)),
+        impairments=ImpairmentConfig(pa=RappConfig(9.6, 2.0)),
         seed=1,
     )
     again = scenario_from_dict(scenario_to_dict(cfg))
-    assert again.impairments.snr_db == 20.0
-    assert again.impairments.channel == "epa"
     assert again.impairments.pa.input_backoff_db == pytest.approx(9.6)
-
-
-def test_validate_rejects_unknown_channel_profile():
-    cfg = _scenario([_subband(-24, 48)])
-    cfg = ScenarioConfig(
-        sample_rate_hz=cfg.sample_rate_hz,
-        total_bandwidth_hz=cfg.total_bandwidth_hz,
-        subbands=cfg.subbands,
-        impairments=ImpairmentConfig(channel="no-such-profile"),
-        seed=1,
-    )
-    assert not validate_scenario(cfg).ok
 
 
 # ---------------------------------------------------------------------------

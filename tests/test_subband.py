@@ -23,7 +23,6 @@ from waveform_lab.core import (
     seeded_rng,
 )
 from waveform_lab.filters import FilterSpec, FirFilter
-from waveform_lab.impairments import apply_tdl, load_tdl_profile
 from waveform_lab.metrics import psd_welch
 from waveform_lab.modem import BITS_PER_SYMBOL, ber, qam_map
 from waveform_lab.subband import (
@@ -68,10 +67,10 @@ def _tx(spec, bits, policy, fir):
     return tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
 
 
-def _rx(composite, spec, fir, grid, policy, channel=None):
+def _rx(composite, spec, fir, grid, policy):
     return rx_subband(composite, spec, fir, grid, policy,
                       downconversion_carrier(spec, fir, len(composite), FS),
-                      genie_estimates(spec, fir, policy, channel))
+                      genie_estimates(spec, fir, policy))
 
 
 def _loopback(spec, policy=None, fir=None, label="loop"):
@@ -349,19 +348,6 @@ def test_genie_estimates_shape_and_power_offset():
     assert est.shape == (48,)
     # Center tone: clean cascade response times the amplitude offset.
     assert abs(est[24]) == pytest.approx(10 ** 0.3, rel=1e-3)
-
-
-def test_rx_through_known_channel():
-    spec = _subband(mod="16qam")
-    fir = design_subband_filter(spec, FS)
-    policy = derive_tail_policy(fir, DESK, DEFAULT_TAIL_THRESHOLD)
-    bits = payload_bits(spec, seeded_rng(1, "chan"))
-    sig, grid = _tx(spec, bits, policy, fir)
-    faded, ch = apply_tdl(sig, load_tdl_profile("epa"), seeded_rng(1, "chan/tdl"),
-                          cp_budget_samples=DESK.cp_samples)
-    res = _rx(faded, spec, fir, grid, policy, channel=ch)
-    assert res.evm_db <= -30.0
-    assert ber(bits, res.bits).errors == 0
 
 
 def test_carrier_length_must_match_the_stream():
