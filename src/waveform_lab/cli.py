@@ -193,16 +193,20 @@ def _scale_ttis(cfg: ScenarioConfig, n_ttis: int) -> ScenarioConfig:
     return replace(cfg, subbands=subs)
 
 
-# `psd` sends each subband's stream in chunks of this many TTIs, so a run
-# holds one composite and a few chunks at a time, whatever `--ttis` is.
+# `psd` sends each subband's stream in chunks of this many TTIs, drawing each
+# chunk's payload as it goes, so a run holds one composite and one chunk's
+# temporaries at a time, whatever `--ttis` is.
 PSD_CHUNK_TTIS = 10
 
 
-def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> SignalBuffer:
-    """The f-OFDM (`filtered`) or plain-OFDM composite of `ttis` TTIs per
-    subband, overlap-adding chunks of PSD_CHUNK_TTIS TTIs. Plain chunks do not
-    overlap, so that composite is bitwise the whole-stream one; filtering is
-    linear, so the f-OFDM one matches it up to rounding."""
+def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> np.ndarray:
+    """The samples of the f-OFDM (`filtered`) or plain-OFDM composite of
+    `ttis` TTIs per subband, overlap-adding chunks of PSD_CHUNK_TTIS TTIs.
+    Each chunk draws its bits from the subband's one `psd/bits/{i}`
+    generator, so the chunks' bits concatenate to one whole-stream draw.
+    Plain chunks do not overlap, so that composite is bitwise the
+    whole-stream one; filtering is linear, so the f-OFDM one matches it up
+    to rounding."""
     fs = cfg.sample_rate_hz
     tti_samples = [sb.numerology.symbols_per_tti * (sb.numerology.samples_per_symbol
                                                     + policy.extra_cp_samples)
@@ -210,18 +214,16 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> S
     length = max(sb.timing_offset_samples + ttis * n + (len(fir.taps) - 1 if filtered else 0)
                  for sb, n, (fir, _) in zip(cfg.subbands, tti_samples, designs))
     out = np.zeros(length, dtype=np.complex128)
-    whole = _scale_ttis(cfg, ttis).subbands
-    for i, (sb, n, (fir, policy)) in enumerate(zip(whole, tti_samples, designs)):
-        bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
-        tti_bits = len(bits) // ttis
+    for i, (sb, n, (fir, policy)) in enumerate(zip(cfg.subbands, tti_samples, designs)):
+        rng = seeded_rng(cfg.seed, f"psd/bits/{i}")
         for first in range(0, ttis, PSD_CHUNK_TTIS):
             chunk = _scale_ttis(cfg, min(PSD_CHUNK_TTIS, ttis - first)).subbands[i]
             carrier = upconversion_carrier(chunk, fs, policy, first * n)
-            part = bits[first * tti_bits:(first + PSD_CHUNK_TTIS) * tti_bits]
-            sig = (tx_subband(chunk, fs, part, policy, fir, carrier, ttis * n)[0] if filtered
-                   else tx_subband_unfiltered(chunk, fs, part, policy, carrier, ttis * n))
+            bits = payload_bits(chunk, rng)
+            sig = (tx_subband(chunk, fs, bits, policy, fir, carrier, ttis * n)[0] if filtered
+                   else tx_subband_unfiltered(chunk, fs, bits, policy, carrier, ttis * n))
             assemble([sig], [sb.timing_offset_samples + first * n], out)
-    return SignalBuffer(out, fs)
+    return out
 
 
 def cmd_psd(args) -> int:
@@ -246,12 +248,14 @@ def cmd_psd(args) -> int:
         # segment size follows the f-OFDM composite, built first.
         estimates, segment = {}, None
         for name, filtered in (("fofdm", True), ("ofdm", False)):
-            composite = _psd_composite(cfg, args.ttis, designs, filtered)
-            if pa_cfg is not None:
-                composite = pa_rapp(composite, pa_cfg.input_backoff_db, pa_cfg.smoothness)
+            samples = _psd_composite(cfg, args.ttis, designs, filtered)
+            composite = SignalBuffer(samples, fs)
+            if pa_cfg is not None:  # in place: the PA output is the composite's buffer
+                composite = pa_rapp(composite, pa_cfg.input_backoff_db, pa_cfg.smoothness,
+                                    out=samples)
             segment = segment or min(4096, 1 << (len(composite) // 2).bit_length() - 1)
             estimates[name] = psd_welch(composite, segment_size=segment, in_band_hz=(lo, hi))
-            del composite
+            del samples, composite
 
         scale = fs / FULL_SCALE_RATE_HZ
         offsets_hz = [mhz * 1e6 * scale for mhz in (0.5, 1.0, 2.0)]

@@ -172,6 +172,10 @@ class ResourceGrid:
         return isinstance(other, ResourceGrid) and np.array_equal(self._cells, other._cells)
 
 
+# `SignalBuffer.power` sums over slices this long, bounding its temporaries.
+_POWER_SLICE_SAMPLES = 1 << 15
+
+
 @dataclass(frozen=True)
 class SignalBuffer:
     """Complex baseband sample stream tagged with its sample rate."""
@@ -188,7 +192,14 @@ class SignalBuffer:
         return len(self.samples)
 
     def power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2)) if len(self.samples) else 0.0
+        """Mean |x|^2, summed over slices of _POWER_SLICE_SAMPLES to bound
+        the temporaries."""
+        if not len(self.samples):
+            return 0.0
+        total = 0.0
+        for start in range(0, len(self.samples), _POWER_SLICE_SAMPLES):
+            total += float(np.sum(np.abs(self.samples[start:start + _POWER_SLICE_SAMPLES]) ** 2))
+        return total / len(self.samples)
 
 
 def require_matching_rates(*buffers: SignalBuffer) -> float:

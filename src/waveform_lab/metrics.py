@@ -41,21 +41,25 @@ def _welch_density(x: np.ndarray, fs: float, n: int) -> tuple[np.ndarray, np.nda
     periodic-Hann-windowed periodograms of `n`-sample segments of `x`,
     overlapping by `n // 2`; with the bin frequencies in Hz.
 
-    The operation order is part of the result: the `tests/golden/` PSD files
-    hold its exact floats. The window is scaled by a sequential `sum` divided
-    by `1 / fs`, |X|^2 is re^2 + im^2, and the mean runs along the contiguous
-    last axis of one (bins, segments) array; `np.sum`, `* fs`, `abs(X) ** 2`
-    or `mean(axis=0)` each move some bins by an ulp.
+    The operation order is part of the result, since an ulp can move a
+    printed value in the `tests/golden/` PSD files. The window is scaled by a
+    sequential `sum` divided by `1 / fs`, |X|^2 is re^2 + im^2, and the mean
+    is a sequential sum over segments divided by their count: each
+    periodogram is added, in segment order, into one n-bin total. `np.sum`,
+    `* fs`, `abs(X) ** 2` or a pairwise `mean` each move some bins by an ulp.
+    No (bins, segments) array is held, and the bits do not depend on the
+    batching.
     """
     window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
     window = window * (1.0 / np.sqrt(sum(window ** 2) / (1.0 / fs)))
     segments = np.lib.stride_tricks.sliding_window_view(x, n)[::n - n // 2]
-    periodograms = np.empty((n, len(segments)))
+    total = np.zeros(n)
     batch = max(1, _WELCH_BATCH_SAMPLES // n)
     for first in range(0, len(segments), batch):
         spectra = np.fft.fft(segments[first:first + batch] * window, axis=1)
-        periodograms[:, first:first + batch] = (spectra.real ** 2 + spectra.imag ** 2).T
-    density = periodograms.mean(axis=-1)
+        for periodogram in spectra.real ** 2 + spectra.imag ** 2:
+            total += periodogram
+    density = total / len(segments)
     return np.fft.fftshift(np.fft.fftfreq(n, 1.0 / fs)), np.fft.fftshift(density)
 
 

@@ -164,10 +164,10 @@ def test_chunked_psd_composites_match_whole_streams():
         assert tti < 16384 <= ttis * tti
     whole_f, whole_p = _whole_stream_composites(cfg, ttis)
     chunked_p = cli._psd_composite(cfg, ttis, designs, filtered=False)
-    assert np.array_equal(chunked_p.samples, whole_p.samples)
+    assert np.array_equal(chunked_p, whole_p.samples)
     chunked_f = cli._psd_composite(cfg, ttis, designs, filtered=True)
     assert len(chunked_f) == len(whole_f)
-    err = np.linalg.norm(chunked_f.samples - whole_f.samples) / np.linalg.norm(whole_f.samples)
+    err = np.linalg.norm(chunked_f - whole_f.samples) / np.linalg.norm(whole_f.samples)
     assert err < 1e-12
 
 
@@ -189,19 +189,48 @@ def test_psd_transforms_each_filter_once_not_once_per_chunk(tmp_path, monkeypatc
     assert len({id(s) for _, _, s in spectra}) == len(cfg.subbands)  # one transform each
 
 
-def test_psd_memory_stays_within_a_few_composites(tmp_path):
-    ttis = 60
-    cfg, designs = _desk_designs()
-    composite_bytes = cli._psd_composite(cfg, ttis, designs, filtered=True).samples.nbytes
+def _psd_peak_bytes(tmp_path, ttis: int) -> int:
+    """tracemalloc peak of one desk `psd --pa-on` call."""
     argv = ["psd", "--scenario", "three-subband-desk", "--pa-on", "--ttis", str(ttis),
-            "--out", str(tmp_path / "psd")]
+            "--out", str(tmp_path / f"psd{ttis}")]
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * composite_bytes, f"peak is {peak / composite_bytes:.2f} composites"
+
+
+def test_psd_memory_stays_within_a_few_composites(tmp_path):
+    ttis = 60
+    cfg, designs = _desk_designs()
+    composite_bytes = cli._psd_composite(cfg, ttis, designs, filtered=True).nbytes
+    peak = _psd_peak_bytes(tmp_path, ttis)
+    assert peak <= 2.5 * composite_bytes, f"peak is {peak / composite_bytes:.2f} composites"
+
+
+def test_psd_memory_grows_only_by_the_composite(tmp_path):
+    # The composite is the only whole-stream array: payload bits, PA output
+    # and Welch periodograms stay one chunk or batch long.
+    cfg, designs = _desk_designs()
+    composite = {t: cli._psd_composite(cfg, t, designs, filtered=True).nbytes for t in (60, 120)}
+    peak = {t: _psd_peak_bytes(tmp_path, t) for t in (60, 120)}
+    growth = (peak[120] - peak[60]) / (composite[120] - composite[60])
+    assert growth <= 1.1, f"peak grows by {growth:.2f}x the composite's growth"
+
+
+@pytest.mark.parametrize("preset", ["three-subband-desk", "three-subband-lte20"])
+def test_psd_chunk_payloads_concatenate_to_one_draw(preset):
+    cfg = load_scenario(resolve_scenario_path(preset)[0])
+    ttis = 2 * cli.PSD_CHUNK_TTIS + 5  # chunks of 10, 10 and 5 TTIs
+    whole = cli._scale_ttis(cfg, ttis).subbands
+    for i, sb in enumerate(whole):
+        rng = seeded_rng(cfg.seed, f"psd/bits/{i}")
+        chunks = [payload_bits(
+            cli._scale_ttis(cfg, min(cli.PSD_CHUNK_TTIS, ttis - first)).subbands[i], rng)
+            for first in range(0, ttis, cli.PSD_CHUNK_TTIS)]
+        want = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
+        assert np.array_equal(np.concatenate(chunks), want), f"subband {i}"
 
 
 # ---------------------------------------------------------------------------

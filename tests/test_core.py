@@ -4,6 +4,7 @@ scenario (de)serialization, and seeded randomness."""
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -235,6 +236,25 @@ def test_resource_grid_immutable():
 def test_signal_buffer_power():
     s = SignalBuffer(np.array([3.0 + 4.0j, 0.0]), FS)
     assert s.power() == pytest.approx(12.5)
+
+
+@pytest.mark.parametrize("length", [1, 1000, (1 << 15) + 1, 200_003])
+def test_signal_buffer_power_is_the_mean_of_squares(length):
+    rng = seeded_rng(3, f"core/power/{length}")
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    want = np.mean(np.abs(x) ** 2)
+    assert SignalBuffer(x, FS).power() == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_signal_buffer_power_holds_no_whole_stream_temporary():
+    s = SignalBuffer(np.ones(10**6, dtype=complex), FS)
+    tracemalloc.start()
+    try:
+        s.power()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"power() peaked at {peak} bytes"
 
 
 def test_signal_buffer_immutable():

@@ -17,7 +17,7 @@ FS = 7.68e6
 # Noise
 # ---------------------------------------------------------------------------
 
-def test_awgn_power_calibration():
+def test_complex_noise_power_calibration():
     noise = complex_noise(10**6, 0.01, seeded_rng(1, "imp/awgn/noise"))
     measured = 10 * np.log10(np.mean(np.abs(noise) ** 2) / 0.01)
     assert measured == pytest.approx(0.0, abs=0.05)
@@ -74,6 +74,25 @@ def test_rapp_slices_change_no_output_bit(monkeypatch):
     whole = pa_rapp(x, 3.0, 2.0).samples
     monkeypatch.setattr(impairments, "_PA_SLICE_SAMPLES", 1000)
     assert np.array_equal(pa_rapp(x, 3.0, 2.0).samples, whole)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+def test_rapp_in_place_is_bitwise_the_fresh_output(monkeypatch, scale):
+    monkeypatch.setattr(impairments, "_PA_SLICE_SAMPLES", 1000)
+    rng = seeded_rng(7, "imp/rapp/in-place")
+    buf = scale * (rng.standard_normal(5500) + 1j * rng.standard_normal(5500))
+    x = SignalBuffer(buf, FS)
+    assert np.shares_memory(x.samples, buf)
+    fresh = pa_rapp(x, 3.0, 2.0).samples
+    y = pa_rapp(x, 3.0, 2.0, out=buf)
+    assert np.shares_memory(y.samples, buf)
+    assert np.array_equal(y.samples.view(np.uint64), fresh.view(np.uint64))
+
+
+def test_rapp_rejects_a_mismatched_out():
+    x = SignalBuffer(np.ones(8, dtype=complex), FS)
+    with pytest.raises(ValueError):
+        pa_rapp(x, 3.0, 2.0, out=np.empty(7, dtype=complex))
 
 
 def test_rapp_smoothness_validation():
