@@ -220,8 +220,8 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
             chunk = _scale_ttis(cfg, min(PSD_CHUNK_TTIS, ttis - first)).subbands[i]
             carrier = upconversion_carrier(chunk, fs, policy, first * n)
             bits = payload_bits(chunk, rng)
-            sig = (tx_subband(chunk, fs, bits, policy, fir, carrier, ttis * n)[0] if filtered
-                   else tx_subband_unfiltered(chunk, fs, bits, policy, carrier, ttis * n))
+            sig = (tx_subband(chunk, fs, bits, policy, fir, carrier)[0] if filtered
+                   else tx_subband_unfiltered(chunk, fs, bits, policy, carrier))
             assemble([sig], [sb.timing_offset_samples + first * n], out)
     return out
 

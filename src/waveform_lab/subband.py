@@ -224,13 +224,13 @@ def _carrier_period(shift_hz: float, sample_rate_hz: float) -> int:
 @dataclass(frozen=True, eq=False)
 class Carrier:
     """Samples t = first, ..., first + length - 1 of a phasor that repeats
-    every period within each run of t of one sign. Only one period of each
-    run is kept, or the whole run when it is shorter: `runs` holds (t0, head)
-    per run, t0 being the run's first t, and the sample at t is
-    head[(t - t0) % len(head)]. A slice is a view on the same heads."""
+    every period. Only one period is kept, from t = t0 on, or the whole
+    carrier when it is shorter: the sample at t is
+    head[(t - t0) % len(head)]. A slice is a view on the same head."""
     first: int
     length: int
-    runs: tuple[tuple[int, np.ndarray], ...]
+    t0: int
+    head: np.ndarray
 
     def __len__(self) -> int:
         return self.length
@@ -241,35 +241,20 @@ class Carrier:
             raise ValueError("carriers slice with step 1 only")
         return replace(self, first=self.first + lo, length=max(hi - lo, 0))
 
-    def pieces(self):
-        """(lo, hi, head, k) per run: samples [lo, hi) of this carrier are
-        head[k], head[k + 1], ..., going back to head[0] after its end."""
-        end = self.first + self.length
-        for t0, head in self.runs:
-            lo, hi = max(self.first, t0), min(end, 0) if t0 < 0 else end
-            if lo < hi:
-                yield lo - self.first, hi - self.first, head, (lo - t0) % len(head)
-
     def materialize(self) -> np.ndarray:
         """Every sample, in one array."""
-        out = np.empty(self.length, dtype=np.complex128)
-        for lo, hi, head, k in self.pieces():
-            out[lo:hi] = head[(k + np.arange(hi - lo)) % len(head)]
-        return out
+        t = np.arange(self.first, self.first + self.length)
+        return self.head[(t - self.t0) % len(self.head)]
 
 
 def _periodic_phasor(phase_of, first: int, count: int, period: int) -> Carrier:
-    """`exp(1j * phase_of(r))` at r = np.fmod(t, period) for t = first, ...,
-    first + count - 1. fmod keeps the sign of t, so each run of t of one sign
-    repeats every `period` samples: only its first period is evaluated. For
-    |t| < period, r is t."""
-    modulus = min(period, 2**62)  # fmod by anything above every |t| is the identity
-    runs = []
-    for lo, hi in ((first, min(first + count, 0)), (max(first, 0), first + count)):
-        if lo < hi:
-            r = np.fmod(np.arange(lo, lo + min(hi - lo, period)), modulus)
-            runs.append((lo, _phasor(phase_of(r), np.empty(len(r), dtype=np.complex128))))
-    return Carrier(first, count, tuple(runs))
+    """`exp(1j * phase_of(r))` at r = np.mod(t, period), the non-negative
+    remainder, for t = first, ..., first + count - 1. It repeats every
+    `period` samples, so only its first period is evaluated. For
+    0 <= t < period, r is t."""
+    modulus = min(period, 2**62)  # within int64; no stream spans 2**62 samples
+    r = np.mod(np.arange(first, first + min(count, modulus)), modulus)
+    return Carrier(first, count, first, _phasor(phase_of(r), np.empty(len(r), dtype=np.complex128)))
 
 
 def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -282,60 +267,46 @@ def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-# From this size on numpy evaluates `a * <temporary>` in the temporary's
-# buffer, as `<temporary> * a` (its temporary elision threshold).
-_ELIDED_PRODUCT_BYTES = 256 * 1024
-
-
-def _mixed(samples: np.ndarray, carrier: Carrier, stream_samples: int | None) -> np.ndarray:
-    """`samples` shifted by `carrier`, with the operands in the order numpy
-    uses for `samples * np.exp(...)` on the whole `stream_samples`-sample
-    stream (`samples` itself when None). Its SIMD complex multiply (AVX-512)
-    is not bitwise commutative, so this keeps every output bit the same
-    whether a carrier is built per call, once per sweep, or per chunk. Each
-    run is multiplied a period-long row at a time against the carrier's one
-    stored period; an elementwise product does not depend on the row."""
+def _mixed(samples: np.ndarray, carrier: Carrier) -> np.ndarray:
+    """`samples` shifted by `carrier`: bitwise
+    `np.multiply(carrier.materialize(), samples)`, computed against the
+    carrier's one stored period as a lead piece up to the period's end,
+    period-long rows, then a tail. An elementwise product does not depend on
+    the row, so the bits are the same whether a carrier is built per call,
+    once per sweep, or per chunk."""
     if len(carrier) != len(samples):
         raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
                           f"{len(samples)}-sample stream")
-    carrier_first = (stream_samples or len(samples)) * samples.itemsize >= _ELIDED_PRODUCT_BYTES
-
-    def product(c, x, out):
-        if carrier_first:
-            np.multiply(c, x, out=out)
-        else:
-            np.multiply(x, c, out=out)
-
-    out = np.empty(len(samples), dtype=np.complex128)
-    for lo, hi, head, k in carrier.pieces():
-        x, o, period = samples[lo:hi], out[lo:hi], len(head)
-        lead = min(hi - lo, period - k)  # up to the end of the stored period
-        whole = lead + (hi - lo - lead) // period * period
-        product(head[k:k + lead], x[:lead], o[:lead])
-        if whole > lead:
-            product(head, x[lead:whole].reshape(-1, period), o[lead:whole].reshape(-1, period))
-        product(head[:hi - lo - whole], x[whole:], o[whole:])
+    head, n, period = carrier.head, len(samples), len(carrier.head)
+    k = (carrier.first - carrier.t0) % period
+    lead = min(n, period - k)  # up to the end of the stored period
+    whole = lead + (n - lead) // period * period
+    out = np.empty(n, dtype=np.complex128)
+    np.multiply(head[k:k + lead], samples[:lead], out=out[:lead])
+    np.multiply(head, samples[lead:whole].reshape(-1, period),
+                out=out[lead:whole].reshape(-1, period))
+    np.multiply(head[:n - whole], samples[whole:], out=out[whole:])
     return out
 
 
 def _upconverted(
-    spec: SubbandSpec, bits, policy: TailPolicy, carrier: Carrier, stream_samples: int | None,
+    spec: SubbandSpec, bits, policy: TailPolicy, carrier: Carrier
 ) -> tuple[ResourceGrid, np.ndarray]:
     """Grid and its OFDM signal (CP extended per policy) shifted to the
     subband by `carrier`, before any filter or power offset: the plain-OFDM
     chain."""
     grid = build_grid(spec, bits)
     baseband = ofdm_modulate(grid, _extended_numerology(spec, policy))
-    return grid, _mixed(baseband.samples, carrier, stream_samples)
+    return grid, _mixed(baseband.samples, carrier)
 
 
 def tx_subband(
     spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter,
-    carrier: Carrier, stream_samples: int | None = None,
+    carrier: Carrier,
 ) -> tuple[SignalBuffer, ResourceGrid]:
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
     subband; also returns the grid."""
-    grid, up = _upconverted(spec, bits, policy, carrier, stream_samples)
+    grid, up = _upconverted(spec, bits, policy, carrier)
     block = default_block_size(len(fir.taps), len(up))
     filtered = _overlap_save(up, fir.taps, block, fir.spectrum(block))
     np.multiply(spec.amplitude, filtered, out=filtered)  # operand order of `amplitude * filtered`
@@ -343,11 +314,10 @@ def tx_subband(
 
 
 def tx_subband_unfiltered(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: Carrier,
-    stream_samples: int | None = None,
+    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: Carrier
 ) -> SignalBuffer:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
-    _, up = _upconverted(spec, bits, policy, carrier, stream_samples)
+    _, up = _upconverted(spec, bits, policy, carrier)
     return SignalBuffer(spec.amplitude * up, sample_rate_hz)
 
 
@@ -398,9 +368,8 @@ def rx_subband(
         raise ConfigError("composite buffer too short for the subband frame")
     block = default_block_size(len(fir.taps), len(composite))
     filtered = _overlap_save(composite.samples, fir.taps, block, fir.spectrum(block))
-    # Only the frame is downconverted, with numpy's operand order for the whole stream.
-    frame = slice(start, start + seg_len)
-    seg = SignalBuffer(_mixed(filtered[frame], carrier[frame], filtered_len), fs)
+    frame = slice(start, start + seg_len)  # only the frame is downconverted
+    seg = SignalBuffer(_mixed(filtered[frame], carrier[frame]), fs)
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)

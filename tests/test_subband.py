@@ -369,21 +369,21 @@ def test_carrier_length_must_match_the_stream():
 @pytest.mark.parametrize("shift_hz", [-2.5e6, -7.5e3, 0.0, 7.5e3, 1234567.891, 3.3333e6])
 def test_carriers_are_bitwise_the_complex_exponential(shift_hz, fs):
     # Oracles: the plain complex expressions the carriers replace, evaluated
-    # at the remainder of t by the carrier's period that keeps t's sign.
+    # at the non-negative remainder of t by the carrier's period.
     period = _period(shift_hz, fs)
     n = replace(DESK, symbols_per_tti=2)
     policy = TailPolicy(extra_cp_samples=5)
     length = 2 * (n.samples_per_symbol + 5)
     for first in (0, 1, 77_280):
         spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=0)
-        r = np.fmod(np.arange(first, first + length), period)
+        r = np.mod(np.arange(first, first + length), period)
         oracle = np.exp(2j * np.pi * shift_hz * r / fs)
         got = upconversion_carrier(spec, fs, policy, first).materialize()
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
     fir = SimpleNamespace(taps=np.zeros(257))
     for offset in (0, 274, 548):
         spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=offset)
-        r = np.fmod(np.arange(length + 256) - offset, period)
+        r = np.mod(np.arange(length + 256) - offset, period)
         oracle = np.exp(-2j * np.pi * shift_hz * r / fs)
         got = downconversion_carrier(spec, fir, length, fs).materialize()
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
@@ -418,6 +418,13 @@ def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
     lead = data.draw(st.integers(0, 5_000))
     composite_len = data.draw(st.integers(1, 20_000))
     got = downconversion_carrier(spec(1, offset), fir, composite_len, fs).materialize()
+    if shift_hz % 7.5e3 == 0:
+        # On the grid the carrier repeats every period at every t: from
+        # t = -offset it is the carrier that starts whole periods later, at t >= 0.
+        period = _period(shift_hz, fs)
+        later = -(-offset // period) * period
+        moved = downconversion_carrier(spec(1, offset - later), fir, composite_len, fs)
+        assert np.array_equal(got.view(np.uint64), moved.materialize().view(np.uint64))
     whole = downconversion_carrier(spec(1, offset + lead), fir,
                                    composite_len + lead + data.draw(st.integers(0, 2_000)), fs)
     for part in (whole.materialize()[lead:lead + len(got)],
@@ -429,11 +436,10 @@ def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
 @given(shift_hz=_shifts, fs=st.sampled_from([FS, 30.72e6]), data=st.data())
 def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data):
     # `_mixed` multiplies a period-long row at a time by the one period a
-    # carrier keeps; that is bitwise the product with every sample laid out,
-    # in the operand order the stream's size selects. Covered: both sides of
-    # the elision threshold, negative t (downconversion after a timing
-    # offset), periods longer than the stream (non-grid shifts) and slices
-    # (psd chunks, the receiver's frame).
+    # carrier keeps; that is bitwise the product of every sample laid out
+    # with the stream, carrier first. Covered: negative t (downconversion
+    # after a timing offset), periods longer than the stream (non-grid
+    # shifts) and slices (psd chunks, the receiver's frame).
     if data.draw(st.booleans()):
         spec = SimpleNamespace(numerology=replace(DESK, symbols_per_tti=data.draw(
             st.integers(1, 3))), shift_hz=shift_hz, timing_offset_samples=0)
@@ -447,11 +453,8 @@ def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data)
     part = carrier[lo:data.draw(st.integers(lo, len(carrier)))]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal(len(part)) + 1j * rng.standard_normal(len(part))
-    elided = subband._ELIDED_PRODUCT_BYTES // x.itemsize
-    stream = data.draw(st.sampled_from([None, len(part), elided - 1, elided, 10**6]))
-    c = part.materialize()
-    expect = c * x if (stream or len(x)) >= elided else x * c
-    got = subband._mixed(x, part, stream)
+    expect = np.multiply(part.materialize(), x)
+    got = subband._mixed(x, part)
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
