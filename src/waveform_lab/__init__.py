@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
     ConfigError,
-    ImpairmentConfig,
     Numerology,
-    RappConfig,
     ResourceGrid,
     ScenarioConfig,
     SignalBuffer,

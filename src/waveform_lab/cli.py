@@ -25,7 +25,6 @@ from . import __version__
 from .core import (
     MODULATIONS,
     ConfigError,
-    RappConfig,
     ScenarioConfig,
     SignalBuffer,
     _field,
@@ -63,6 +62,7 @@ from .subband import (
 PRESET_ENV = "WAVEFORM_LAB_PRESETS"
 FULL_SCALE_RATE_HZ = 30.72e6
 PA_BACKOFF_DB = 9.6
+PA_SMOOTHNESS = 2.0
 
 
 def preset_dir() -> Path:
@@ -166,13 +166,6 @@ def _load_and_check(args) -> tuple[ScenarioConfig, Path, str]:
     return cfg, path, preset
 
 
-def _reject_unapplied_impairments(cfg: ScenarioConfig, verb: str, pa_fix: str | None) -> None:
-    """Fail on a scenario PA that `verb` would leave unapplied; `pa_fix`
-    tells how to resolve it, None if the verb applies it."""
-    if cfg.impairments.pa is not None and pa_fix is not None:
-        raise ConfigError(f"{verb} does not apply impairments.pa; {pa_fix}")
-
-
 def _parse_list(text: str, kind: type, flag: str) -> list:
     try:
         return [kind(v) for v in text.split(",")]
@@ -228,8 +221,6 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
 
 def cmd_psd(args) -> int:
     cfg, _, preset = _load_and_check(args)
-    _reject_unapplied_impairments(
-        cfg, "psd", None if args.pa_on else 'set it to "off" or pass --pa-on')
     out_dir = _out_dir(args.out)
     with ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset) as manifest:
         if args.ttis < 1:
@@ -239,8 +230,6 @@ def cmd_psd(args) -> int:
         firs = [design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
                 for sb in cfg.subbands]
         designs = [(f, derive_tail_policy(f, sb.numerology)) for sb, f in zip(cfg.subbands, firs)]
-        pa_cfg = (cfg.impairments.pa or RappConfig(input_backoff_db=PA_BACKOFF_DB)
-                  if args.pa_on else None)
         lo = min(sb.occupied_low_hz for sb in cfg.subbands)
         hi = max(sb.occupied_high_hz for sb in cfg.subbands)
 
@@ -250,9 +239,8 @@ def cmd_psd(args) -> int:
         for name, filtered in (("fofdm", True), ("ofdm", False)):
             samples = _psd_composite(cfg, args.ttis, designs, filtered)
             composite = SignalBuffer(samples, fs)
-            if pa_cfg is not None:  # in place: the PA output is the composite's buffer
-                composite = pa_rapp(composite, pa_cfg.input_backoff_db, pa_cfg.smoothness,
-                                    out=samples)
+            if args.pa_on:  # in place: the PA output is the composite's buffer
+                composite = pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS, out=samples)
             segment = segment or min(4096, 1 << (len(composite) // 2).bit_length() - 1)
             estimates[name] = psd_welch(composite, segment_size=segment, in_band_hz=(lo, hi))
             del samples, composite
@@ -286,7 +274,6 @@ def cmd_psd(args) -> int:
 
 def cmd_guardtone(args) -> int:
     cfg, _, preset = _load_and_check(args)
-    _reject_unapplied_impairments(cfg, "guardtone", 'set it to "off"')
     out_dir = _out_dir(args.out)
     with ManifestWriter(out_dir, "guardtone", scenario_hash(cfg), cfg.seed, preset) as manifest:
         guards = _parse_list(args.guards, int, "--guards")
@@ -427,7 +414,7 @@ def run_selftest(corrupt_taps: bool = False, verbose: bool = True) -> list[tuple
     policy = derive_tail_policy(fir, n)
     sig, grid = tx_subband(spec, fs, bits, policy, fir, upconversion_carrier(spec, fs, policy))
     res = rx_subband(sig, spec, fir, grid, policy,
-                     downconversion_carrier(spec, fir, len(sig), fs),
+                     downconversion_carrier(spec, fir, policy, fs),
                      genie_estimates(spec, fir, policy))
     r = _ber(bits, res.bits)
     results.append(("fofdm_loopback",
@@ -507,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("psd", help="PSD and OOBE of OFDM vs f-OFDM")
     common(sp)
     sp.add_argument("--pa-on", action="store_true",
-                    help=f"apply the Rapp PA ({PA_BACKOFF_DB} dB backoff unless the "
-                         "scenario sets one)")
+                    help=f"apply the Rapp PA ({PA_BACKOFF_DB} dB backoff)")
     sp.add_argument("--ttis", type=int, default=8, help="TTIs to average over")
     sp.set_defaults(func=cmd_psd)
 

@@ -119,22 +119,10 @@ class SubbandSpec:
 
 
 @dataclass(frozen=True)
-class RappConfig:
-    input_backoff_db: float
-    smoothness: float = 2.0
-
-
-@dataclass(frozen=True)
-class ImpairmentConfig:
-    pa: Optional[RappConfig] = None
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     sample_rate_hz: float
     total_bandwidth_hz: float
     subbands: tuple[SubbandSpec, ...]
-    impairments: ImpairmentConfig = ImpairmentConfig()
     seed: int = 0
 
     def __post_init__(self):
@@ -151,10 +139,6 @@ class ResourceGrid:
         cells = cells.copy()
         cells.flags.writeable = False
         self._cells = cells
-
-    @classmethod
-    def zeros(cls, tones: int, symbols: int) -> "ResourceGrid":
-        return cls(np.zeros((tones, symbols), dtype=np.complex128))
 
     @property
     def cells(self) -> np.ndarray:
@@ -256,13 +240,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
         bad(None, "total_bandwidth_hz must be positive and finite")
     if not (isinstance(cfg.seed, int) and 0 <= cfg.seed < 2**64):
         bad(None, "seed must be an unsigned 64-bit integer")
-
-    imp = cfg.impairments
-    if imp.pa is not None:
-        if not _finite(imp.pa.input_backoff_db):
-            bad(None, "pa input_backoff_db must be finite")
-        if not (_finite(imp.pa.smoothness) and imp.pa.smoothness > 0):
-            bad(None, "pa smoothness must be positive and finite")
 
     half_bw = cfg.total_bandwidth_hz / 2.0 if cfg.total_bandwidth_hz > 0 else None
     for i, sb in enumerate(cfg.subbands):
@@ -375,46 +352,23 @@ def _subband_from_dict(d: dict, ctx: str) -> SubbandSpec:
     )
 
 
-def _impairments_from_dict(d: dict, ctx: str) -> ImpairmentConfig:
-    _take(d, {"pa"}, ctx)
-    pa_raw = d.get("pa", "off")
-    if pa_raw == "off" or pa_raw is None:
-        pa = None
-    else:
-        pa_ctx = f"{ctx}.pa"
-        _take(pa_raw, {"input_backoff_db", "smoothness"}, pa_ctx)
-        pa = RappConfig(
-            input_backoff_db=_field(pa_raw, "input_backoff_db", float, pa_ctx),
-            smoothness=_field(pa_raw, "smoothness", float, pa_ctx, RappConfig.smoothness),
-        )
-    return ImpairmentConfig(pa=pa)
-
-
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     ctx = "scenario"
-    _take(d, {"sample_rate_hz", "total_bandwidth_hz", "subbands", "impairments", "seed"}, ctx)
+    _take(d, {"sample_rate_hz", "total_bandwidth_hz", "subbands", "seed"}, ctx)
     return ScenarioConfig(
         sample_rate_hz=_field(d, "sample_rate_hz", float, ctx),
         total_bandwidth_hz=_field(d, "total_bandwidth_hz", float, ctx),
         subbands=tuple(_subband_from_dict(s, f"{ctx}.subbands[{i}]")
                        for i, s in enumerate(_field(d, "subbands", list, ctx))),
-        impairments=_impairments_from_dict(d.get("impairments", {}), f"{ctx}.impairments"),
         seed=_field(d, "seed", int, ctx, ScenarioConfig.seed),
     )
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    imp = cfg.impairments
     return {
         "sample_rate_hz": cfg.sample_rate_hz,
         "total_bandwidth_hz": cfg.total_bandwidth_hz,
         "seed": cfg.seed,
-        "impairments": {
-            "pa": "off" if imp.pa is None else {
-                "input_backoff_db": imp.pa.input_backoff_db,
-                "smoothness": imp.pa.smoothness,
-            },
-        },
         "subbands": [
             {
                 "start_tone": sb.start_tone,

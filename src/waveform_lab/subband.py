@@ -161,11 +161,9 @@ def _extended_numerology(spec: SubbandSpec, policy: TailPolicy):
 
 
 def build_grid(spec: SubbandSpec, bits) -> ResourceGrid:
-    """Symbol-major fill of the subband grid; empty bits give an empty grid."""
+    """Symbol-major fill of the subband grid."""
     d = spec.data_tones
     s = spec.numerology.symbols_per_tti
-    if len(bits) == 0:
-        return ResourceGrid.zeros(d, s)
     bps = BITS_PER_SYMBOL[spec.modulation]
     if len(bits) != d * s * bps:
         raise ConfigError(
@@ -197,11 +195,13 @@ def upconversion_carrier(
 
 
 def downconversion_carrier(
-    spec: SubbandSpec, fir: FirFilter, composite_len: int, sample_rate_hz: float
+    spec: SubbandSpec, fir: FirFilter, policy: TailPolicy, sample_rate_hz: float
 ) -> Carrier:
-    """Phasor that brings the subband back to baseband from the matched-filter
-    output of a `composite_len`-sample stream, referenced to the subband's
-    timing offset."""
+    """Phasor that brings the subband's frame (CP extended per policy) back to
+    baseband from the matched-filter output, with t counted from the
+    subband's timing offset: the frame starts at t = len(fir.taps) - 1, the
+    delay of the two filter passes, so t is never negative."""
+    n = _extended_numerology(spec, policy)
     coef = -2 * np.pi * spec.shift_hz
 
     def phase_of(r):
@@ -209,8 +209,8 @@ def downconversion_carrier(
         phase += 0.0  # a zero phase is +0.0 in the complex expression, never -0.0
         return phase
 
-    return _periodic_phasor(phase_of, -spec.timing_offset_samples,
-                            composite_len + len(fir.taps) - 1,
+    return _periodic_phasor(phase_of, len(fir.taps) - 1,
+                            n.symbols_per_tti * n.samples_per_symbol,
                             _carrier_period(spec.shift_hz, sample_rate_hz))
 
 
@@ -223,28 +223,18 @@ def _carrier_period(shift_hz: float, sample_rate_hz: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Carrier:
-    """Samples t = first, ..., first + length - 1 of a phasor that repeats
-    every period. Only one period is kept, from t = t0 on, or the whole
-    carrier when it is shorter: the sample at t is
-    head[(t - t0) % len(head)]. A slice is a view on the same head."""
-    first: int
+    """`length` samples of a phasor that repeats every period. Only its
+    first period is kept, or the whole carrier when it is shorter: sample i
+    is head[i % len(head)]."""
     length: int
-    t0: int
     head: np.ndarray
 
     def __len__(self) -> int:
         return self.length
 
-    def __getitem__(self, index: slice) -> Carrier:
-        lo, hi, step = index.indices(self.length)
-        if step != 1:
-            raise ValueError("carriers slice with step 1 only")
-        return replace(self, first=self.first + lo, length=max(hi - lo, 0))
-
     def materialize(self) -> np.ndarray:
         """Every sample, in one array."""
-        t = np.arange(self.first, self.first + self.length)
-        return self.head[(t - self.t0) % len(self.head)]
+        return np.resize(self.head, self.length)
 
 
 def _periodic_phasor(phase_of, first: int, count: int, period: int) -> Carrier:
@@ -254,7 +244,7 @@ def _periodic_phasor(phase_of, first: int, count: int, period: int) -> Carrier:
     0 <= t < period, r is t."""
     modulus = min(period, 2**62)  # within int64; no stream spans 2**62 samples
     r = np.mod(np.arange(first, first + min(count, modulus)), modulus)
-    return Carrier(first, count, first, _phasor(phase_of(r), np.empty(len(r), dtype=np.complex128)))
+    return Carrier(count, _phasor(phase_of(r), np.empty(len(r), dtype=np.complex128)))
 
 
 def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -270,21 +260,17 @@ def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _mixed(samples: np.ndarray, carrier: Carrier) -> np.ndarray:
     """`samples` shifted by `carrier`: bitwise
     `np.multiply(carrier.materialize(), samples)`, computed against the
-    carrier's one stored period as a lead piece up to the period's end,
-    period-long rows, then a tail. An elementwise product does not depend on
-    the row, so the bits are the same whether a carrier is built per call,
-    once per sweep, or per chunk."""
+    carrier's one stored period as period-long rows, then a tail. An
+    elementwise product does not depend on the row, so the bits are the same
+    whether a carrier is built per call, once per sweep, or per chunk."""
     if len(carrier) != len(samples):
         raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
                           f"{len(samples)}-sample stream")
     head, n, period = carrier.head, len(samples), len(carrier.head)
-    k = (carrier.first - carrier.t0) % period
-    lead = min(n, period - k)  # up to the end of the stored period
-    whole = lead + (n - lead) // period * period
+    whole = n // period * period
     out = np.empty(n, dtype=np.complex128)
-    np.multiply(head[k:k + lead], samples[:lead], out=out[:lead])
-    np.multiply(head, samples[lead:whole].reshape(-1, period),
-                out=out[lead:whole].reshape(-1, period))
+    np.multiply(head, samples[:whole].reshape(-1, period),
+                out=out[:whole].reshape(-1, period))
     np.multiply(head[:n - whole], samples[whole:], out=out[whole:])
     return out
 
@@ -352,15 +338,12 @@ def rx_subband(
     carrier: Carrier,
     estimates: np.ndarray,
 ) -> SubbandRxResult:
-    """Recover one subband from the assembled stream, downconverting by
-    `downconversion_carrier` and equalizing by `genie_estimates`; EVM is
-    against the transmitted grid `sent`."""
+    """Recover one subband from the assembled stream, downconverting its
+    frame by `downconversion_carrier` and equalizing by `genie_estimates`;
+    EVM is against the transmitted grid `sent`."""
     fs = composite.sample_rate_hz
     total_delay = len(fir.taps) - 1
     filtered_len = len(composite) + total_delay
-    if len(carrier) != filtered_len:
-        raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
-                          f"{filtered_len}-sample stream")
     n_ext = _extended_numerology(spec, policy)
     start = spec.timing_offset_samples + total_delay
     seg_len = n_ext.symbols_per_tti * n_ext.samples_per_symbol
@@ -369,12 +352,11 @@ def rx_subband(
     block = default_block_size(len(fir.taps), len(composite))
     filtered = _overlap_save(composite.samples, fir.taps, block, fir.spectrum(block))
     frame = slice(start, start + seg_len)  # only the frame is downconverted
-    seg = SignalBuffer(_mixed(filtered[frame], carrier[frame]), fs)
+    seg = SignalBuffer(_mixed(filtered[frame], carrier), fs)
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
-    evm = evm_db(sent, eq) if np.any(sent.cells != 0) else float("nan")
-    return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm)
+    return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm_db(sent, eq))
 
 
 def assemble(
@@ -581,9 +563,10 @@ def guardtone_sweep(
         add noise, and receive the victim (subbands[0]). Filters, carriers and
         genie estimates depend on neither the payload, the noise nor the
         power offset, so they are built before the trials, once per distinct
-        subband. Per trial the victim's payload and the longest noise are
-        drawn once, as in the baseline, so baseline deltas isolate
-        inter-subband interference; each group adds a prefix of that noise.
+        subband (the receive side's once per distinct victim). Per trial the
+        victim's payload and the longest noise are drawn once, as in the
+        baseline, so baseline deltas isolate inter-subband interference;
+        each group adds a prefix of that noise.
         Groups that share a victim run back to back, so each distinct victim
         is sent once per trial and one transmission is held at a time.
         Returns one accumulator per cell of each group."""
@@ -594,7 +577,7 @@ def guardtone_sweep(
             policy = derive_tail_policy(fir, s.numerology)
             return policy, fir, upconversion_carrier(s, fs, policy)
 
-        estimates = {}  # victim -> genie estimate
+        receivers = {}  # victim -> (downconversion carrier, genie estimate)
         plans = []
         for cells in groups:
             subs = cells[0][1]
@@ -603,13 +586,13 @@ def guardtone_sweep(
             comp_len = max(o + len(up) + len(fir.taps) - 1
                            for o, (_, fir, up) in zip(offsets, built))
             victim, (policy, fir, _) = subs[0], built[0]
-            if victim not in estimates:
-                estimates[victim] = genie_estimates(victim, fir, policy)
+            if victim not in receivers:
+                receivers[victim] = (downconversion_carrier(victim, fir, policy, fs),
+                                     genie_estimates(victim, fir, policy))
             edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
             plans.append((victim, cells, built, offsets, comp_len,
-                          downconversion_carrier(victim, fir, comp_len, fs),
                           [_ErrorAccumulator(victim.data_tones, edge) for _ in cells]))
-        rank = {v: i for i, v in enumerate(estimates)}
+        rank = {v: i for i, v in enumerate(receivers)}
         by_victim = sorted(plans, key=lambda plan: rank[plan[0]])
         baseline = plans[0][0]  # every victim carries the baseline's payload
         longest = max(plan[4] for plan in plans)
@@ -619,7 +602,7 @@ def guardtone_sweep(
             noise = _sweep_noise(longest, sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
             sent = None
-            for victim, cells, built, offsets, comp_len, down, accs in by_victim:
+            for victim, cells, built, offsets, comp_len, accs in by_victim:
                 policy, fir, _ = built[0]
                 if sent is None or sent[0] != victim:
                     sent = (victim, *tx_subband(victim, fs, bits, *built[0]))
@@ -635,7 +618,7 @@ def guardtone_sweep(
                     assemble(signals, offsets, comp)
                     comp += group_noise
                     res = rx_subband(SignalBuffer(comp, fs), victim, fir, grid, policy,
-                                     down, estimates[victim])
+                                     *receivers[victim])
                     acc.add(grid, res.grid, bits, res.bits)
             del sent, noise, group_noise  # before the next trial's are made
         return [accs for *_, accs in plans]

@@ -132,7 +132,7 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
     assert len(bits) >= 100_000
     sig, grid = tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
     res = rx_subband(sig, spec, fir, grid, policy,
-                     downconversion_carrier(spec, fir, len(sig), FS),
+                     downconversion_carrier(spec, fir, policy, FS),
                      genie_estimates(spec, fir, policy))
     assert ber(bits, res.bits).errors == 0
     assert res.evm_db <= -35.0

@@ -14,9 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from waveform_lab.core import (
     ConfigError,
-    ImpairmentConfig,
     Numerology,
-    RappConfig,
     ResourceGrid,
     ScenarioConfig,
     SignalBuffer,
@@ -41,7 +39,6 @@ def _scenario(subbands, fs=FS, bw=6.5e6, seed=1):
         sample_rate_hz=fs,
         total_bandwidth_hz=bw,
         subbands=tuple(subbands),
-        impairments=ImpairmentConfig(),
         seed=seed,
     )
 
@@ -182,10 +179,6 @@ def _with_subband(cfg, index, **changes):
 _FLOAT_FIELDS = {
     "sample_rate_hz": lambda c, v, i: replace(c, sample_rate_hz=v),
     "total_bandwidth_hz": lambda c, v, i: replace(c, total_bandwidth_hz=v),
-    "pa.input_backoff_db": lambda c, v, i: replace(
-        c, impairments=ImpairmentConfig(pa=RappConfig(v))),
-    "pa.smoothness": lambda c, v, i: replace(
-        c, impairments=ImpairmentConfig(pa=RappConfig(9.6, v))),
     "power_offset_db": lambda c, v, i: _with_subband(c, i, power_offset_db=v),
     "numerology.scs_hz": lambda c, v, i: _with_subband(
         c, i, numerology=replace(c.subbands[i].numerology, scs_hz=v)),
@@ -195,7 +188,6 @@ _FLOAT_FIELDS = {
 @pytest.mark.parametrize("field, value", [
     ("power_offset_db", math.nan),
     ("power_offset_db", -math.inf),
-    ("pa.input_backoff_db", math.nan),
     ("timing_offset_samples", -5),
 ])
 def test_validate_rejects_nonfinite_and_negative_offsets(field, value):
@@ -228,7 +220,7 @@ def test_validate_reports_subband_index():
 # ---------------------------------------------------------------------------
 
 def test_resource_grid_immutable():
-    g = ResourceGrid.zeros(4, 2)
+    g = ResourceGrid(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         g.cells[0, 0] = 1.0
 
@@ -307,14 +299,8 @@ def _desk_dict():
     (lambda d: d.update(total_bandwidth_hz=10**400), "scenario.total_bandwidth_hz"),
     (lambda d: d.update(seed=True), "scenario.seed"),
     (lambda d: d.update(subbands={}), "scenario.subbands"),
-    (lambda d: d.update(impairments=[]), "scenario.impairments"),
-    # No verb applies noise or a channel from the scenario; the keys are unknown.
-    (lambda d: d["impairments"].update(snr_db="high"),
-     "unknown keys in scenario.impairments: ['snr_db']"),
-    (lambda d: d["impairments"].update(channel="epa"),
-     "unknown keys in scenario.impairments: ['channel']"),
-    (lambda d: d["impairments"].update(pa={"smoothness": 2.0}),
-     "scenario.impairments.pa.input_backoff_db"),
+    # The PA is set by `psd --pa-on` alone; the scenario has no impairments.
+    (lambda d: d.update(impairments={"pa": "off"}), "unknown keys in scenario: ['impairments']"),
 ])
 def test_scenario_from_dict_names_malformed_field(edit, field):
     d = _desk_dict()
@@ -327,13 +313,11 @@ def test_scenario_from_dict_defaults_come_from_the_dataclasses():
     d = _desk_dict()
     for key in ("power_offset_db", "timing_offset_samples", "guard_tones_left"):
         del d["subbands"][1][key]
-    d["impairments"] = {"pa": {"input_backoff_db": 3.0}}
     del d["seed"]
     cfg = scenario_from_dict(d)
     assert cfg.subbands[1].power_offset_db == 0.0
     assert cfg.subbands[1].timing_offset_samples == 0
     assert cfg.subbands[1].guard_tones_left == 0
-    assert cfg.impairments == ImpairmentConfig(pa=RappConfig(3.0, 2.0))
     assert cfg.seed == 0
 
 
@@ -361,10 +345,6 @@ _scenarios = st.builds(
         power_offset_db=_finite,
         timing_offset_samples=st.integers(-10, 10**6),
     ), max_size=4).map(tuple),
-    impairments=st.builds(
-        ImpairmentConfig,
-        pa=st.none() | st.builds(RappConfig, _finite, _finite),
-    ),
     seed=st.integers(0, 2**64 - 1),
 )
 
@@ -377,17 +357,12 @@ def test_scenario_dict_round_trip_is_identity(cfg):
     assert scenario_hash(again) == scenario_hash(cfg)
 
 
-def test_impairments_serialization():
-    cfg = _scenario([_subband(-24, 48)])
-    cfg = ScenarioConfig(
-        sample_rate_hz=cfg.sample_rate_hz,
-        total_bandwidth_hz=cfg.total_bandwidth_hz,
-        subbands=cfg.subbands,
-        impairments=ImpairmentConfig(pa=RappConfig(9.6, 2.0)),
-        seed=1,
-    )
-    again = scenario_from_dict(scenario_to_dict(cfg))
-    assert again.impairments.pa.input_backoff_db == pytest.approx(9.6)
+@pytest.mark.parametrize("preset", ["three-subband-desk", "three-subband-lte20"])
+def test_shipped_presets_hold_only_parsed_keys(preset):
+    # Every key a preset writes is one the parser reads back, with its value.
+    path = resources.files("waveform_lab") / "data" / "presets" / f"{preset}.json"
+    with open(path, encoding="utf-8") as fh:
+        assert scenario_to_dict(load_scenario(path)) == json.load(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,13 @@ def test_evm_perfect_hits_floor():
     assert evm_db(g, g) == -100.0
 
 
+def test_evm_rejects_an_all_zero_reference():
+    # No payload sends an all-zero grid; `rx_subband` relies on this raising.
+    zeros = ResourceGrid(np.zeros((4, 2), dtype=complex))
+    with pytest.raises(ConfigError, match="no nonzero cells"):
+        evm_db(zeros, zeros)
+
+
 def test_evm_known_error():
     ref = ResourceGrid(np.ones((1, 1), dtype=complex))
     rec = ResourceGrid(np.full((1, 1), 1.0 + 0.1j))

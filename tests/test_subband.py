@@ -14,7 +14,6 @@ from waveform_lab import subband
 from waveform_lab.cli import preset_dir
 from waveform_lab.core import (
     ConfigError,
-    ImpairmentConfig,
     Numerology,
     ScenarioConfig,
     SignalBuffer,
@@ -69,7 +68,7 @@ def _tx(spec, bits, policy, fir):
 
 def _rx(composite, spec, fir, grid, policy):
     return rx_subband(composite, spec, fir, grid, policy,
-                      downconversion_carrier(spec, fir, len(composite), FS),
+                      downconversion_carrier(spec, fir, policy, FS),
                       genie_estimates(spec, fir, policy))
 
 
@@ -149,9 +148,8 @@ def test_tail_policy_threshold_parameter():
 
 
 def test_scenario_profiles():
-    iso = ScenarioConfig(FS, 6.5e6, (_subband(),), ImpairmentConfig(), 1)
-    packed = ScenarioConfig(FS, 6.5e6, (_subband(-100), _subband(0)),
-                            ImpairmentConfig(), 1)
+    iso = ScenarioConfig(FS, 6.5e6, (_subband(),), 1)
+    packed = ScenarioConfig(FS, 6.5e6, (_subband(-100), _subband(0)), 1)
     assert scenario_filter_profile(iso) == (None, 0.0)
     assert scenario_filter_profile(packed) == (256, 1.0)
 
@@ -169,14 +167,10 @@ def test_build_grid_symbol_major():
     assert np.array_equal(grid.cells[:, 0], first_symbol)
 
 
-def test_build_grid_empty_bits():
-    grid = build_grid(_subband(width=12), np.array([]))
-    assert np.all(grid.cells == 0)
-
-
 def test_build_grid_wrong_payload():
-    with pytest.raises(ConfigError):
-        build_grid(_subband(width=12), np.zeros(5, dtype=int))
+    for count in (0, 5):  # an empty payload is rejected like a short one
+        with pytest.raises(ConfigError):
+            build_grid(_subband(width=12), np.zeros(count, dtype=int))
 
 
 def test_payload_bits_count():
@@ -354,14 +348,13 @@ def test_carrier_length_must_match_the_stream():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
     bits = payload_bits(spec, seeded_rng(1, "carrier"))
-    longer = upconversion_carrier(replace(spec, numerology=replace(DESK, symbols_per_tti=15)),
-                                  FS, TAIL_NONE)
-    with pytest.raises(ConfigError):
-        tx_subband(spec, FS, bits, TAIL_NONE, fir, longer)
+    longer = replace(spec, numerology=replace(DESK, symbols_per_tti=15))
+    with pytest.raises(ConfigError, match="carrier of"):
+        tx_subband(spec, FS, bits, TAIL_NONE, fir, upconversion_carrier(longer, FS, TAIL_NONE))
     sig, grid = _tx(spec, bits, TAIL_NONE, fir)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="carrier of"):
         rx_subband(sig, spec, fir, grid, TAIL_NONE,
-                   downconversion_carrier(spec, fir, len(sig) - 1, FS),
+                   downconversion_carrier(longer, fir, TAIL_NONE, FS),
                    genie_estimates(spec, fir, TAIL_NONE))
 
 
@@ -380,12 +373,12 @@ def test_carriers_are_bitwise_the_complex_exponential(shift_hz, fs):
         oracle = np.exp(2j * np.pi * shift_hz * r / fs)
         got = upconversion_carrier(spec, fs, policy, first).materialize()
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
-    fir = SimpleNamespace(taps=np.zeros(257))
-    for offset in (0, 274, 548):
-        spec = SimpleNamespace(numerology=n, shift_hz=shift_hz, timing_offset_samples=offset)
-        r = np.mod(np.arange(length + 256) - offset, period)
+    spec = SimpleNamespace(numerology=n, shift_hz=shift_hz)
+    for taps in (1, 257, 1025):  # the frame starts at t = taps - 1
+        r = np.mod(np.arange(taps - 1, taps - 1 + length), period)
         oracle = np.exp(-2j * np.pi * shift_hz * r / fs)
-        got = downconversion_carrier(spec, fir, length, fs).materialize()
+        got = downconversion_carrier(spec, SimpleNamespace(taps=np.zeros(taps)), policy,
+                                     fs).materialize()
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
 
 
@@ -398,9 +391,9 @@ _shifts = st.one_of(st.integers(-600, 600).map(lambda k: 7.5e3 * k),
 def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
     # A carrier's samples depend on their index alone, never on where the
     # stream or the chunk starts or how long it is.
-    def spec(symbols, offset=0):
+    def spec(symbols):
         return SimpleNamespace(numerology=replace(DESK, symbols_per_tti=symbols),
-                               shift_hz=shift_hz, timing_offset_samples=offset)
+                               shift_hz=shift_hz)
 
     policy = TailPolicy(extra_cp_samples=data.draw(st.integers(0, 40)))
     symbols = data.draw(st.integers(1, 3))
@@ -408,28 +401,24 @@ def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
     lead = data.draw(st.integers(0, min(first, 3 * 14 * DESK.samples_per_symbol)))
     got = upconversion_carrier(spec(symbols), fs, policy, first).materialize()
     whole = upconversion_carrier(spec(symbols + lead // DESK.samples_per_symbol + 1), fs, policy,
-                                 first - lead)
-    for part in (whole.materialize()[lead:lead + len(got)],
-                 whole[lead:lead + len(got)].materialize()):
-        assert np.array_equal(got.view(np.uint64), part.view(np.uint64))
+                                 first - lead).materialize()
+    assert np.array_equal(got.view(np.uint64), whole[lead:lead + len(got)].view(np.uint64))
 
-    fir = SimpleNamespace(taps=np.zeros(data.draw(st.integers(1, 300))))
-    offset = data.draw(st.integers(0, 5_000))
-    lead = data.draw(st.integers(0, 5_000))
-    composite_len = data.draw(st.integers(1, 20_000))
-    got = downconversion_carrier(spec(1, offset), fir, composite_len, fs).materialize()
+    # The frame starts at t = taps - 1: a filter `lead` taps shorter starts
+    # its frame `lead` samples earlier, on the same phasor.
+    taps = data.draw(st.integers(1, 300))
+    lead = data.draw(st.integers(0, taps - 1))
+    got = downconversion_carrier(spec(symbols), SimpleNamespace(taps=np.zeros(taps)), policy,
+                                 fs).materialize()
+    whole = downconversion_carrier(spec(symbols + 1), SimpleNamespace(taps=np.zeros(taps - lead)),
+                                   policy, fs).materialize()
+    assert np.array_equal(got.view(np.uint64), whole[lead:lead + len(got)].view(np.uint64))
     if shift_hz % 7.5e3 == 0:
-        # On the grid the carrier repeats every period at every t: from
-        # t = -offset it is the carrier that starts whole periods later, at t >= 0.
-        period = _period(shift_hz, fs)
-        later = -(-offset // period) * period
-        moved = downconversion_carrier(spec(1, offset - later), fir, composite_len, fs)
+        # On the grid the carrier repeats every period: a frame one period
+        # later is bitwise the same.
+        moved = downconversion_carrier(
+            spec(symbols), SimpleNamespace(taps=np.zeros(taps + _period(shift_hz, fs))), policy, fs)
         assert np.array_equal(got.view(np.uint64), moved.materialize().view(np.uint64))
-    whole = downconversion_carrier(spec(1, offset + lead), fir,
-                                   composite_len + lead + data.draw(st.integers(0, 2_000)), fs)
-    for part in (whole.materialize()[lead:lead + len(got)],
-                 whole[lead:lead + len(got)].materialize()):
-        assert np.array_equal(got.view(np.uint64), part.view(np.uint64))
 
 
 @settings(max_examples=80, deadline=None)
@@ -437,24 +426,21 @@ def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
 def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data):
     # `_mixed` multiplies a period-long row at a time by the one period a
     # carrier keeps; that is bitwise the product of every sample laid out
-    # with the stream, carrier first. Covered: negative t (downconversion
-    # after a timing offset), periods longer than the stream (non-grid
-    # shifts) and slices (psd chunks, the receiver's frame).
+    # with the stream, carrier first. Covered: periods longer than the stream
+    # (non-grid shifts) and carriers that start mid-period (psd chunks, the
+    # receiver's frame).
+    spec = SimpleNamespace(numerology=replace(DESK, symbols_per_tti=data.draw(
+        st.integers(1, 3))), shift_hz=shift_hz)
+    policy = TailPolicy(extra_cp_samples=data.draw(st.integers(0, 40)))
     if data.draw(st.booleans()):
-        spec = SimpleNamespace(numerology=replace(DESK, symbols_per_tti=data.draw(
-            st.integers(1, 3))), shift_hz=shift_hz, timing_offset_samples=0)
-        carrier = upconversion_carrier(spec, fs, TAIL_NONE, data.draw(st.integers(0, 10**6)))
+        carrier = upconversion_carrier(spec, fs, policy, data.draw(st.integers(0, 10**6)))
     else:
-        spec = SimpleNamespace(numerology=DESK, shift_hz=shift_hz,
-                               timing_offset_samples=data.draw(st.integers(0, 5_000)))
         fir = SimpleNamespace(taps=np.zeros(data.draw(st.integers(1, 300))))
-        carrier = downconversion_carrier(spec, fir, data.draw(st.integers(1, 30_000)), fs)
-    lo = data.draw(st.integers(0, len(carrier) - 1))
-    part = carrier[lo:data.draw(st.integers(lo, len(carrier)))]
+        carrier = downconversion_carrier(spec, fir, policy, fs)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal(len(part)) + 1j * rng.standard_normal(len(part))
-    expect = np.multiply(part.materialize(), x)
-    got = subband._mixed(x, part)
+    x = rng.standard_normal(len(carrier)) + 1j * rng.standard_normal(len(carrier))
+    expect = np.multiply(carrier.materialize(), x)
+    got = subband._mixed(x, carrier)
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
@@ -479,6 +465,25 @@ def test_carriers_stay_accurate_over_long_streams(preset):
         # The last window ends at t = 10^7 - 40,000 + len(got).
         former = np.exp(1j * ((2 * np.pi * spec.shift_hz) * t * (1.0 / fs)))
         assert np.abs(former - exact).max() > 100 * bound
+
+
+def test_downconversion_carrier_is_exact_off_the_sample_rate_grid():
+    # 14,999.5 Hz x 512 = 7,679,744 Hz puts the shift of a subband at tone
+    # 300 off the sample-rate grid: its carrier repeats only every 30,718,976
+    # samples. The frame starts at t = taps - 1 whatever the timing offset,
+    # so each sample is the phasor at a small non-negative t. Exact phasor:
+    # exp(-2j*pi*((K*t) mod M)/M) for shift/fs = K/M, in integer arithmetic.
+    n = Numerology(scs_hz=14_999.5, fft_size=512, cp_samples=36, symbols_per_tti=14)
+    fs = n.sample_rate_hz
+    spec = _subband(start=300, width=12, numerology=n, timing_offset_samples=274)
+    q = Fraction(spec.shift_hz) / Fraction(fs)
+    k, m = q.numerator, q.denominator
+    assert (fs, m) == (7_679_744.0, 30_718_976)
+    fir = design_subband_filter(spec, fs)
+    got = downconversion_carrier(spec, fir, derive_tail_policy(fir, n), fs).materialize()
+    t = len(fir.taps) - 1 + np.arange(len(got))
+    exact = np.exp(-2j * np.pi * np.array([k * i % m for i in t.tolist()]) / m)
+    assert np.abs(got - exact).max() <= 1e-11
 
 
 def test_rx_buffer_too_short():
@@ -538,7 +543,7 @@ def _sweep_base(symbols=4):
         _subband(start=146, width=48, guard_tones_left=2, numerology=n,
                  timing_offset_samples=548),
     )
-    return ScenarioConfig(FS, 6.5e6, subs, ImpairmentConfig(), seed=1)
+    return ScenarioConfig(FS, 6.5e6, subs, seed=1)
 
 
 def test_sweep_csv_shape_and_order():
@@ -569,7 +574,7 @@ def test_sweep_guard_monotone_and_baseline_anchor():
 
 
 def test_sweep_single_subband_degenerates_to_baseline():
-    base = ScenarioConfig(FS, 6.5e6, (_subband(),), ImpairmentConfig(), seed=1)
+    base = ScenarioConfig(FS, 6.5e6, (_subband(),), seed=1)
     small = replace(base, subbands=(replace(
         base.subbands[0], numerology=replace(DESK, symbols_per_tti=4)),))
     res = guardtone_sweep(small, [0, 2], [0.0], 30.0, 2, modulations=("qpsk",))
@@ -580,8 +585,8 @@ def test_sweep_single_subband_degenerates_to_baseline():
 def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
     # Filters, carriers and genie estimates depend on neither the trial nor
     # the power offset: each is built once per distinct subband of a
-    # modulation's pass, and each downconversion carrier once per group (the
-    # isolated baseline, then each guard count). The interferer does not move
+    # modulation's pass, and each downconversion carrier, like each genie
+    # estimate, once per distinct victim. The interferer does not move
     # with the guard count, and the baseline's victim is guard 2's. In each
     # trial of a modulation the victim's payload and the noise are drawn
     # once, and each distinct victim is sent once, for every group and offset.
@@ -607,14 +612,13 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
     monkeypatch.setattr(FirFilter, "spectrum", spectrum)
     guards, offsets, mods, trials = [0, 2], [0.0, 10.0], ("qpsk", "16qam"), 3
     guardtone_sweep(_sweep_base(), guards, offsets, 30.0, trials, modulations=mods)
-    groups = len(mods) + len(guards) * len(mods)
     victims = len(guards) * len(mods)  # guard 0's and guard 2's, which is the baseline's
     designed = victims + len(mods) + len(guards) * len(mods)  # victims, interferer, third
     cells = len(guards) * len(offsets) * len(mods)
     assert {name: len(args) for name, args in calls.items()} == {
         "design_subband_filter": designed,
         "genie_estimates": victims,
-        "downconversion_carrier": groups,
+        "downconversion_carrier": victims,
         "upconversion_carrier": designed,
         "payload_bits": trials * (len(mods) + 2 * cells),  # interferer, third subband per cell
         "_sweep_noise": trials * len(mods),
