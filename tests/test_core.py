@@ -301,6 +301,14 @@ def _desk_dict():
     (lambda d: d.update(subbands={}), "scenario.subbands"),
     # The PA is set by `psd --pa-on` alone; the scenario has no impairments.
     (lambda d: d.update(impairments={"pa": "off"}), "unknown keys in scenario: ['impairments']"),
+    # A section of any shape, or with keys that were never read, fails the
+    # same way, on the section's name. The ids name what each row feeds in.
+    pytest.param(lambda d: d.update(impairments=[]),
+                 "unknown keys in scenario: ['impairments']",
+                 id="<lambda>-scenario.impairments"),
+    pytest.param(lambda d: d.update(impairments={"snr_db": "high", "channel": "epa"}),
+                 "unknown keys in scenario: ['impairments']",
+                 id="<lambda>-unknown keys in scenario.impairments: snr_db, channel"),
 ])
 def test_scenario_from_dict_names_malformed_field(edit, field):
     d = _desk_dict()
