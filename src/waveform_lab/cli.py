@@ -207,10 +207,13 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
     length = max(sb.timing_offset_samples + ttis * n + (len(fir.taps) - 1 if filtered else 0)
                  for sb, n, (fir, _) in zip(cfg.subbands, tti_samples, designs))
     out = np.zeros(length, dtype=np.complex128)
+    # Subband specs of a whole chunk and of the last one, which may be shorter.
+    full = _scale_ttis(cfg, PSD_CHUNK_TTIS).subbands
+    last = _scale_ttis(cfg, (ttis - 1) % PSD_CHUNK_TTIS + 1).subbands
     for i, (sb, n, (fir, policy)) in enumerate(zip(cfg.subbands, tti_samples, designs)):
         rng = seeded_rng(cfg.seed, f"psd/bits/{i}")
         for first in range(0, ttis, PSD_CHUNK_TTIS):
-            chunk = _scale_ttis(cfg, min(PSD_CHUNK_TTIS, ttis - first)).subbands[i]
+            chunk = (full if ttis - first > PSD_CHUNK_TTIS else last)[i]
             carrier = upconversion_carrier(chunk, fs, policy, first * n)
             bits = payload_bits(chunk, rng)
             sig = (tx_subband(chunk, fs, bits, policy, fir, carrier)[0] if filtered

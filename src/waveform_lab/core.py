@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -365,29 +365,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "sample_rate_hz": cfg.sample_rate_hz,
-        "total_bandwidth_hz": cfg.total_bandwidth_hz,
-        "seed": cfg.seed,
-        "subbands": [
-            {
-                "start_tone": sb.start_tone,
-                "width_tones": sb.width_tones,
-                "guard_tones_left": sb.guard_tones_left,
-                "guard_tones_right": sb.guard_tones_right,
-                "modulation": sb.modulation,
-                "power_offset_db": sb.power_offset_db,
-                "timing_offset_samples": sb.timing_offset_samples,
-                "numerology": {
-                    "scs_hz": sb.numerology.scs_hz,
-                    "fft_size": sb.numerology.fft_size,
-                    "cp_samples": sb.numerology.cp_samples,
-                    "symbols_per_tti": sb.numerology.symbols_per_tti,
-                },
-            }
-            for sb in cfg.subbands
-        ],
-    }
+    return {**asdict(cfg), "subbands": [asdict(s) for s in cfg.subbands]}
 
 
 def load_scenario(path) -> ScenarioConfig:

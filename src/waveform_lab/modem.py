@@ -4,6 +4,9 @@ Constellations follow the LTE Gray convention: bits are interleaved onto the
 I and Q axes (even-index bits to I, odd to Q) and each axis is Gray-coded
 over levels {+/-1}, {+/-1, +/-3}, or {+/-1 .. +/-7}, scaled to unit average
 power by sqrt(2), sqrt(10), sqrt(42).
+
+Bit vectors are `np.uint8`, one 0/1 byte per bit: `qam_demap` returns them
+so, and `qam_map` reads any integer 0/1 vector as bytes.
 """
 
 from __future__ import annotations
@@ -65,12 +68,15 @@ def qam_map(bits, modulation: str) -> np.ndarray:
     """Map a 0/1 bit vector to Gray-labeled unit-average-power symbols."""
     if modulation not in BITS_PER_SYMBOL:
         raise ConfigError(f"unknown modulation {modulation!r}")
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.uint8)
     bps = BITS_PER_SYMBOL[modulation]
     if bits.ndim != 1 or len(bits) % bps != 0:
         raise ConfigError(f"bit count {bits.size} is not a multiple of {bps}")
     groups = bits.reshape(-1, bps)
-    labels = groups @ (1 << np.arange(bps - 1, -1, -1))
+    labels = groups[:, 0].copy()  # MSB first; a label of at most 6 bits fits a byte
+    for col in range(1, bps):
+        labels <<= 1
+        labels |= groups[:, col]
     return CONSTELLATIONS[modulation][labels]
 
 
@@ -87,7 +93,7 @@ def qam_demap(symbols, modulation: str) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
     k = BITS_PER_SYMBOL[modulation] // 2
     shifts = np.arange(k - 1, -1, -1)
-    bits = np.empty((len(symbols), 2 * k), dtype=np.int64)
+    bits = np.empty((len(symbols), 2 * k), dtype=np.uint8)
     for col, x, levels in zip((0, 1), (symbols.real, symbols.imag), _AXIS_LEVELS[modulation]):
         labels = np.argmin(np.abs(x[:, None] - levels), axis=1)  # first == lowest label
         bits[:, col::2] = (labels[:, None] >> shifts) & 1
@@ -101,13 +107,15 @@ def _tone_bins(tones: int, fft_size: int) -> np.ndarray:
 
 
 def ofdm_modulate(grid: ResourceGrid, n: Numerology) -> SignalBuffer:
-    """Centered tone mapping, unitary IFFT, cyclic prefix; symbols concatenated."""
+    """Centered tone mapping, unitary IFFT, cyclic prefix; symbols concatenated.
+
+    Built in its output: each symbol's body holds its spectrum, is
+    transformed in place, and lends its tail to the cyclic prefix."""
     bins = _tone_bins(grid.tones, n.fft_size)
-    spectrum = np.zeros((grid.symbols, n.fft_size), dtype=np.complex128)
-    spectrum[:, bins] = grid.cells.T
-    symbols = np.empty((grid.symbols, n.samples_per_symbol), dtype=np.complex128)
+    symbols = np.zeros((grid.symbols, n.samples_per_symbol), dtype=np.complex128)
     body = symbols[:, n.cp_samples:]
-    np.fft.ifft(spectrum, axis=1, norm="ortho", out=body)
+    body[:, bins] = grid.cells.T
+    np.fft.ifft(body, axis=1, norm="ortho", out=body)
     symbols[:, :n.cp_samples] = body[:, n.fft_size - n.cp_samples:]
     return SignalBuffer(symbols.reshape(-1), n.sample_rate_hz)
 
@@ -184,8 +192,9 @@ class BerResult:
 
 
 def ber(tx_bits, rx_bits) -> BerResult:
-    tx = np.asarray(tx_bits, dtype=np.int64)
-    rx = np.asarray(rx_bits, dtype=np.int64)
+    """Bit errors between two 0/1 vectors, compared in their own dtypes."""
+    tx = np.asarray(tx_bits)
+    rx = np.asarray(rx_bits)
     if tx.shape != rx.shape:
         raise ConfigError(f"bit vectors differ in length: {tx.size} vs {rx.size}")
-    return BerResult(errors=int(np.sum(tx != rx)), total=int(tx.size))
+    return BerResult(errors=int(np.count_nonzero(tx != rx)), total=int(tx.size))

@@ -175,8 +175,10 @@ def build_grid(spec: SubbandSpec, bits) -> ResourceGrid:
 
 
 def payload_bits(spec: SubbandSpec, rng: np.random.Generator) -> np.ndarray:
+    """One TTI's 0/1 payload as bytes. The draw itself stays int64: that
+    fixes which values each RNG label yields."""
     count = spec.data_tones * spec.numerology.symbols_per_tti * BITS_PER_SYMBOL[spec.modulation]
-    return rng.integers(0, 2, size=count, dtype=np.int64)
+    return rng.integers(0, 2, size=count, dtype=np.int64).astype(np.uint8)
 
 
 def upconversion_carrier(
@@ -257,18 +259,20 @@ def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _mixed(samples: np.ndarray, carrier: Carrier) -> np.ndarray:
+def _mixed(samples: np.ndarray, carrier: Carrier, out: np.ndarray | None = None) -> np.ndarray:
     """`samples` shifted by `carrier`: bitwise
     `np.multiply(carrier.materialize(), samples)`, computed against the
     carrier's one stored period as period-long rows, then a tail. An
     elementwise product does not depend on the row, so the bits are the same
-    whether a carrier is built per call, once per sweep, or per chunk."""
+    whether a carrier is built per call, once per sweep, or per chunk.
+    Written into `out` when given, which may be `samples` itself."""
     if len(carrier) != len(samples):
         raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
                           f"{len(samples)}-sample stream")
     head, n, period = carrier.head, len(samples), len(carrier.head)
     whole = n // period * period
-    out = np.empty(n, dtype=np.complex128)
+    if out is None:
+        out = np.empty(n, dtype=np.complex128)
     np.multiply(head, samples[:whole].reshape(-1, period),
                 out=out[:whole].reshape(-1, period))
     np.multiply(head[:n - whole], samples[whole:], out=out[whole:])
@@ -304,7 +308,8 @@ def tx_subband_unfiltered(
 ) -> SignalBuffer:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
     _, up = _upconverted(spec, bits, policy, carrier)
-    return SignalBuffer(spec.amplitude * up, sample_rate_hz)
+    np.multiply(spec.amplitude, up, out=up)  # operand order of `amplitude * up`
+    return SignalBuffer(up, sample_rate_hz)
 
 
 def genie_estimates(spec: SubbandSpec, fir: FirFilter, policy: TailPolicy) -> np.ndarray:
@@ -351,8 +356,8 @@ def rx_subband(
         raise ConfigError("composite buffer too short for the subband frame")
     block = default_block_size(len(fir.taps), len(composite))
     filtered = _overlap_save(composite.samples, fir.taps, block, fir.spectrum(block))
-    frame = slice(start, start + seg_len)  # only the frame is downconverted
-    seg = SignalBuffer(_mixed(filtered[frame], carrier), fs)
+    frame = filtered[start:start + seg_len]  # only the frame is downconverted, in place
+    seg = SignalBuffer(_mixed(frame, carrier, out=frame), fs)
     raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
@@ -456,10 +461,11 @@ def _sweep_geometry(base: ScenarioConfig, guard: int, power_db: float, modulatio
 
 
 class _ErrorAccumulator:
-    def __init__(self, tones: int, edge_tones: np.ndarray):
-        self.edge = edge_tones
-        self.inner = np.ones(tones, dtype=bool)
-        self.inner[edge_tones] = False
+    """Error and reference power of the victim's edge RB, its last
+    `edge_count` tones, and of its other tones; and its bit errors."""
+
+    def __init__(self, edge_count: int):
+        self.edge_count = edge_count
         self.err_edge = 0.0
         self.ref_edge = 0.0
         self.err_inner = 0.0
@@ -470,10 +476,11 @@ class _ErrorAccumulator:
     def add(self, reference: ResourceGrid, received: ResourceGrid, tx_bits, rx_bits):
         err = np.abs(received.cells - reference.cells) ** 2
         ref = np.abs(reference.cells) ** 2
-        self.err_edge += float(err[self.edge, :].sum())
-        self.ref_edge += float(ref[self.edge, :].sum())
-        self.err_inner += float(err[self.inner, :].sum())
-        self.ref_inner += float(ref[self.inner, :].sum())
+        k = self.edge_count
+        self.err_edge += float(err[-k:].sum())
+        self.ref_edge += float(ref[-k:].sum())
+        self.err_inner += float(err[:-k].sum())
+        self.ref_inner += float(ref[:-k].sum())
         r = ber(tx_bits, rx_bits)
         self.bit_errors += r.errors
         self.bits_total += r.total
@@ -589,9 +596,8 @@ def guardtone_sweep(
             if victim not in receivers:
                 receivers[victim] = (downconversion_carrier(victim, fir, policy, fs),
                                      genie_estimates(victim, fir, policy))
-            edge = np.arange(victim.data_tones - edge_count, victim.data_tones)
             plans.append((victim, cells, built, offsets, comp_len,
-                          [_ErrorAccumulator(victim.data_tones, edge) for _ in cells]))
+                          [_ErrorAccumulator(edge_count) for _ in cells]))
         rank = {v: i for i, v in enumerate(receivers)}
         by_victim = sorted(plans, key=lambda plan: rank[plan[0]])
         baseline = plans[0][0]  # every victim carries the baseline's payload

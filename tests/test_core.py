@@ -329,6 +329,17 @@ def test_scenario_from_dict_defaults_come_from_the_dataclasses():
     assert cfg.seed == 0
 
 
+@pytest.mark.parametrize("preset, digest", [
+    ("three-subband-desk", "6b53c85d3a61b66bdd17420f4a921f231266b6a3cc0c462f34aa705d25416218"),
+    ("three-subband-lte20", "6e93ab2cae4a15a5510618ee888f8fad57e2c896b21f6f5513e60f77d6f3611c"),
+])
+def test_preset_scenario_hashes_are_pinned(preset, digest):
+    # A manifest's scenario_hash moves only when a scenario's content or its
+    # serialized form does.
+    path = resources.files("waveform_lab") / "data" / "presets" / f"{preset}.json"
+    assert scenario_hash(load_scenario(path)) == digest
+
+
 def test_scenario_hash_tracks_content():
     a = _scenario([_subband(-24, 48)])
     b = _scenario([_subband(-24, 48)], seed=2)

@@ -1,12 +1,14 @@
 """Constellations, OFDM transform pair, equalization, and error counting."""
 
+import tracemalloc
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waveform_lab.core import ConfigError, Numerology, ResourceGrid, seeded_rng
+from waveform_lab.core import ConfigError, Numerology, ResourceGrid, load_scenario, seeded_rng
 from waveform_lab.modem import (
     BITS_PER_SYMBOL,
     CONSTELLATIONS,
@@ -64,6 +66,19 @@ def test_map_demap_round_trip(mod):
     bits = bits[:n]
     again = qam_demap(qam_map(bits, mod), mod)
     assert np.array_equal(again, bits)
+
+
+@pytest.mark.parametrize("mod", list(BITS_PER_SYMBOL))
+def test_bits_are_bytes_read_msb_first(mod):
+    # Point i of the constellation carries label i, MSB first, as uint8 bits.
+    bps = BITS_PER_SYMBOL[mod]
+    labels = np.arange(2 ** bps)
+    bits = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+    points = CONSTELLATIONS[mod]
+    assert np.array_equal(qam_map(bits, mod).view(np.uint64), points.view(np.uint64))
+    demapped = qam_demap(points, mod)
+    assert demapped.dtype == np.uint8
+    assert np.array_equal(demapped, bits)
 
 
 def _squared_distances(symbol: complex, mod: str) -> list[Fraction]:
@@ -176,6 +191,25 @@ def test_demodulate_rejects_short_signal():
         ofdm_demodulate(short, DESK, 0, 48)
 
 
+def test_modulate_allocates_only_its_output():
+    # The LTE-20 interferer: 1,200 tones on a 2,048-point FFT. The grid is
+    # scattered into the output's symbol bodies and transformed there, so no
+    # (symbols, fft) spectrum is live beside the output.
+    path = resources.files("waveform_lab") / "data" / "presets" / "three-subband-lte20.json"
+    spec = load_scenario(path).subbands[1]
+    n = spec.numerology
+    grid = _random_grid(seeded_rng(5, "modem/alloc"), spec.data_tones, n.symbols_per_tti)
+    ofdm_modulate(grid, n)  # FFT plans are cached, not counted against a call
+    tracemalloc.start()
+    try:
+        sig = ofdm_modulate(grid, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.data_tones == 1200
+    assert peak < 1.2 * sig.samples.nbytes
+
+
 def _modulate_axis0(grid, n):
     """Oracle: the tones x symbols (axis-0) formula that `ofdm_modulate` replaced."""
     bins = (np.arange(grid.tones) - grid.tones // 2) % n.fft_size
@@ -273,9 +307,11 @@ def test_evm_ignores_empty_cells():
 
 
 def test_ber_counts():
-    r = ber(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1]))
-    assert (r.errors, r.total) == (2, 4)
-    assert r.ratio == pytest.approx(0.5)
+    # int64, the payload's bytes, and int64 sent against demapped bytes.
+    for tx_dtype, rx_dtype in ((np.int64, np.int64), (np.uint8, np.uint8), (np.int64, np.uint8)):
+        r = ber(np.array([0, 1, 1, 0], dtype=tx_dtype), np.array([0, 1, 0, 1], dtype=rx_dtype))
+        assert (r.errors, r.total) == (2, 4)
+        assert r.ratio == pytest.approx(0.5)
 
 
 def test_ber_length_mismatch():

@@ -179,6 +179,19 @@ def test_payload_bits_count():
     assert len(bits) == 48 * 14 * 6
 
 
+@pytest.mark.parametrize("mod", list(BITS_PER_SYMBOL))
+def test_payload_bits_are_bytes_of_the_int64_draw(mod):
+    # One byte per bit, but drawn as int64: every RNG label yields the bits
+    # it always did, and leaves its generator where it always did.
+    spec = _subband(width=48, mod=mod)
+    rng, oracle = seeded_rng(1, f"bytes/{mod}"), seeded_rng(1, f"bytes/{mod}")
+    bits = payload_bits(spec, rng)
+    draw = oracle.integers(0, 2, 48 * 14 * BITS_PER_SYMBOL[mod], dtype=np.int64)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, draw)
+    assert rng.integers(0, 2**62) == oracle.integers(0, 2**62)
+
+
 # ---------------------------------------------------------------------------
 # Transmit chain
 # ---------------------------------------------------------------------------
@@ -442,6 +455,9 @@ def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data)
     expect = np.multiply(carrier.materialize(), x)
     got = subband._mixed(x, carrier)
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+    in_place = subband._mixed(x, carrier, out=x)  # as the receiver mixes its frame
+    assert in_place is x
+    assert np.array_equal(x.view(np.uint64), expect.view(np.uint64))
 
 
 @pytest.mark.parametrize("preset", ["three-subband-desk", "three-subband-lte20"])
