@@ -10,7 +10,6 @@ from .core import (  # noqa: F401
     SignalBuffer,
     SubbandSpec,
     load_scenario,
-    save_scenario,
     seeded_rng,
     validate_scenario,
 )

@@ -46,16 +46,8 @@ class Numerology:
     symbols_per_tti: int
 
     @property
-    def symbol_duration_s(self) -> float:
-        return 1.0 / self.scs_hz
-
-    @property
     def samples_per_symbol(self) -> int:
         return self.fft_size + self.cp_samples
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.scs_hz * self.fft_size
 
 
 @dataclass(frozen=True)
@@ -240,6 +232,8 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
         bad(None, "total_bandwidth_hz must be positive and finite")
     if not (isinstance(cfg.seed, int) and 0 <= cfg.seed < 2**64):
         bad(None, "seed must be an unsigned 64-bit integer")
+    if not cfg.subbands:
+        bad(None, "scenario has no subbands")
 
     half_bw = cfg.total_bandwidth_hz / 2.0 if cfg.total_bandwidth_hz > 0 else None
     for i, sb in enumerate(cfg.subbands):
@@ -375,12 +369,6 @@ def load_scenario(path) -> ScenarioConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"scenario file {path} is not valid JSON: {e}") from e
     return scenario_from_dict(raw)
-
-
-def save_scenario(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def scenario_hash(cfg: ScenarioConfig) -> str:

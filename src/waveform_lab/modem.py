@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ConfigError, Numerology, ResourceGrid, SignalBuffer
+from .core import ConfigError, Numerology, ResourceGrid
 
 BITS_PER_SYMBOL = {"qpsk": 2, "16qam": 4, "64qam": 6}
 
@@ -106,22 +106,23 @@ def _tone_bins(tones: int, fft_size: int) -> np.ndarray:
     return (np.arange(tones) - tones // 2) % fft_size
 
 
-def ofdm_modulate(grid: ResourceGrid, n: Numerology) -> SignalBuffer:
+def ofdm_modulate(grid: ResourceGrid, n: Numerology) -> np.ndarray:
     """Centered tone mapping, unitary IFFT, cyclic prefix; symbols concatenated.
 
-    Built in its output: each symbol's body holds its spectrum, is
-    transformed in place, and lends its tail to the cyclic prefix."""
+    Built in its output, a writeable array the caller owns: each symbol's
+    body holds its spectrum, is transformed in place, and lends its tail to
+    the cyclic prefix."""
     bins = _tone_bins(grid.tones, n.fft_size)
     symbols = np.zeros((grid.symbols, n.samples_per_symbol), dtype=np.complex128)
     body = symbols[:, n.cp_samples:]
     body[:, bins] = grid.cells.T
     np.fft.ifft(body, axis=1, norm="ortho", out=body)
     symbols[:, :n.cp_samples] = body[:, n.fft_size - n.cp_samples:]
-    return SignalBuffer(symbols.reshape(-1), n.sample_rate_hz)
+    return symbols.reshape(-1)
 
 
 def ofdm_demodulate(
-    sig: SignalBuffer, n: Numerology, window_advance_samples: int, tones: int
+    samples: np.ndarray, n: Numerology, window_advance_samples: int, tones: int
 ) -> ResourceGrid:
     """Unitary FFT per symbol with the window advanced into the cyclic prefix.
 
@@ -135,10 +136,10 @@ def ofdm_demodulate(
             f"window advance {window_advance_samples} must lie in [0, cp={n.cp_samples})"
         )
     sps = n.samples_per_symbol
-    n_sym = len(sig) // sps
+    n_sym = len(samples) // sps
     if n_sym < 1:
-        raise ConfigError(f"signal of {len(sig)} samples is shorter than one symbol ({sps})")
-    x = np.asarray(sig.samples)[n.cp_samples - window_advance_samples:]
+        raise ConfigError(f"signal of {len(samples)} samples is shorter than one symbol ({sps})")
+    x = np.ascontiguousarray(samples, dtype=np.complex128)[n.cp_samples - window_advance_samples:]
     # Window k starts k*sps + cp - advance into the signal and, as advance >= 0,
     # ends by (k + 1) * sps: every window lies inside the signal.
     step = x.strides[0]

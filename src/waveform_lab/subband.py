@@ -11,6 +11,7 @@ receiver window advanced per policy, then divide out the genie estimate
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -284,10 +285,10 @@ def _upconverted(
 ) -> tuple[ResourceGrid, np.ndarray]:
     """Grid and its OFDM signal (CP extended per policy) shifted to the
     subband by `carrier`, before any filter or power offset: the plain-OFDM
-    chain."""
+    chain. The shift is made in the modulator's output."""
     grid = build_grid(spec, bits)
     baseband = ofdm_modulate(grid, _extended_numerology(spec, policy))
-    return grid, _mixed(baseband.samples, carrier)
+    return grid, _mixed(baseband, carrier, out=baseband)
 
 
 def tx_subband(
@@ -346,7 +347,6 @@ def rx_subband(
     """Recover one subband from the assembled stream, downconverting its
     frame by `downconversion_carrier` and equalizing by `genie_estimates`;
     EVM is against the transmitted grid `sent`."""
-    fs = composite.sample_rate_hz
     total_delay = len(fir.taps) - 1
     filtered_len = len(composite) + total_delay
     n_ext = _extended_numerology(spec, policy)
@@ -357,8 +357,8 @@ def rx_subband(
     block = default_block_size(len(fir.taps), len(composite))
     filtered = _overlap_save(composite.samples, fir.taps, block, fir.spectrum(block))
     frame = filtered[start:start + seg_len]  # only the frame is downconverted, in place
-    seg = SignalBuffer(_mixed(frame, carrier, out=frame), fs)
-    raw = ofdm_demodulate(seg, n_ext, policy.rx_advance_samples, spec.data_tones)
+    raw = ofdm_demodulate(_mixed(frame, carrier, out=frame), n_ext,
+                          policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
     return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm_db(sent, eq))
@@ -549,8 +549,6 @@ def guardtone_sweep(
     _reject_duplicates("guard count", guard_counts)
     _reject_duplicates("power offset", [float(p) for p in power_offsets_db])
     _reject_duplicates("modulation", modulations)
-    if not base.subbands:
-        raise ConfigError("base scenario has no subbands")
     report = validate_scenario(base)
     if not report.ok:
         raise ConfigError(f"base scenario invalid: {report.violations[0].message}")
@@ -563,20 +561,19 @@ def guardtone_sweep(
     victim_template = base.subbands[0]
     edge_count = _edge_tone_count(victim_template)
 
-    def run_modulation(mod: str, groups: list[list[tuple[str, list[SubbandSpec]]]]):
-        """All trials of `mod`'s groups: the isolated baseline, then one
-        group per guard count. A group's cells (label, subbands) differ only
-        in the interferer's power offset: transmit every subband, assemble,
-        add noise, and receive the victim (subbands[0]). Filters, carriers and
-        genie estimates depend on neither the payload, the noise nor the
-        power offset, so they are built before the trials, once per distinct
-        subband (the receive side's once per distinct victim). Per trial the
+    def run_pass(mod: str, cells: list[tuple[str, list[SubbandSpec]]]):
+        """All trials of `mod`'s cells (label, subbands): the isolated
+        baseline, then one cell per (guard, power offset). Each cell
+        transmits every subband, assembles, adds noise, and receives the
+        victim (subbands[0]). Filters, tail policies and carriers depend on
+        neither the payload, the noise nor the power offset, so they are
+        built once per distinct subband at zero power offset; downconversion
+        carriers and genie estimates once per distinct victim. Per trial the
         victim's payload and the longest noise are drawn once, as in the
         baseline, so baseline deltas isolate inter-subband interference;
-        each group adds a prefix of that noise.
-        Groups that share a victim run back to back, so each distinct victim
-        is sent once per trial and one transmission is held at a time.
-        Returns one accumulator per cell of each group."""
+        each cell adds a prefix of that noise. Cells that share a victim run
+        back to back, so each distinct victim is sent once per trial and one
+        transmission is held at a time. Returns one accumulator per cell."""
         @functools.cache
         def design(s: SubbandSpec):
             """(tail policy, filter, upconversion carrier) of a subband."""
@@ -584,73 +581,67 @@ def guardtone_sweep(
             policy = derive_tail_policy(fir, s.numerology)
             return policy, fir, upconversion_carrier(s, fs, policy)
 
-        receivers = {}  # victim -> (downconversion carrier, genie estimate)
+        @functools.cache
+        def receiver(victim: SubbandSpec):
+            """(downconversion carrier, genie estimate) of a victim."""
+            policy, fir, _ = design(replace(victim, power_offset_db=0.0))
+            return (downconversion_carrier(victim, fir, policy, fs),
+                    genie_estimates(victim, fir, policy))
+
+        accs = [_ErrorAccumulator(edge_count) for _ in cells]
         plans = []
-        for cells in groups:
-            subs = cells[0][1]
-            built = [design(s) for s in subs]
+        for (label, subs), acc in zip(cells, accs):
+            built = [design(replace(s, power_offset_db=0.0)) for s in subs]
             offsets = [s.timing_offset_samples for s in subs]
             comp_len = max(o + len(up) + len(fir.taps) - 1
                            for o, (_, fir, up) in zip(offsets, built))
-            victim, (policy, fir, _) = subs[0], built[0]
-            if victim not in receivers:
-                receivers[victim] = (downconversion_carrier(victim, fir, policy, fs),
-                                     genie_estimates(victim, fir, policy))
-            plans.append((victim, cells, built, offsets, comp_len,
-                          [_ErrorAccumulator(edge_count) for _ in cells]))
-        rank = {v: i for i, v in enumerate(receivers)}
-        by_victim = sorted(plans, key=lambda plan: rank[plan[0]])
-        baseline = plans[0][0]  # every victim carries the baseline's payload
-        longest = max(plan[4] for plan in plans)
+            plans.append((subs[0], label, subs, built, offsets, comp_len, acc))
+        victims = list(dict.fromkeys(plan[0] for plan in plans))
+        plans.sort(key=lambda plan: victims.index(plan[0]))
+        baseline = cells[0][1][0]  # every victim carries the baseline's payload
+        longest = max(plan[5] for plan in plans)
         buffer = np.empty(longest, dtype=np.complex128)
         for trial in range(trials):
             bits = payload_bits(baseline, seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
             noise = _sweep_noise(longest, sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
-            sent = None
-            for victim, cells, built, offsets, comp_len, accs in by_victim:
-                policy, fir, _ = built[0]
-                if sent is None or sent[0] != victim:
-                    sent = (victim, *tx_subband(victim, fs, bits, *built[0]))
-                _, sig, grid = sent
-                comp, group_noise = buffer[:comp_len], _noise_prefix(noise, comp_len)
-                for (cell, cell_subs), acc in zip(cells, accs):
+            for victim, group in itertools.groupby(plans, key=lambda plan: plan[0]):
+                policy, fir, up = design(replace(victim, power_offset_db=0.0))
+                sig, grid = tx_subband(victim, fs, bits, policy, fir, up)
+                for _, label, subs, built, offsets, comp_len, acc in group:
                     signals = [sig]
-                    for i, s in enumerate(cell_subs[1:], start=1):
-                        b = payload_bits(s, seeded_rng(base.seed, f"bits/{cell}/{trial}/s{i}"))
+                    for i, s in enumerate(subs[1:], start=1):
+                        b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{trial}/s{i}"))
                         signals.append(tx_subband(s, fs, b, *built[i])[0])
                     # Noise last, as `(sum of signals) + noise`.
+                    comp = buffer[:comp_len]
                     comp.fill(0)
                     assemble(signals, offsets, comp)
-                    comp += group_noise
+                    comp += _noise_prefix(noise, comp_len)
                     res = rx_subband(SignalBuffer(comp, fs), victim, fir, grid, policy,
-                                     *receivers[victim])
+                                     *receiver(victim))
                     acc.add(grid, res.grid, bits, res.bits)
-            del sent, noise, group_noise  # before the next trial's are made
-        return [accs for *_, accs in plans]
+            del sig, grid, noise  # before the next trial's are made
+        return accs
 
     guards = guard_counts if not single and power_offsets_db else []
     baselines, rows = {}, []
     for mod in modulations:
         spec = replace(victim_template, modulation=mod, power_offset_db=0.0,
                        timing_offset_samples=0)
-        groups = [[(f"baseline/{mod}", [spec])]]
-        for guard in guards:
-            cells = []
-            for power_db in power_offsets_db:
-                subs = _sweep_geometry(base, guard, power_db, mod)
-                rep = validate_scenario(replace(base, subbands=tuple(subs)))
-                if not rep.ok:
-                    raise ConfigError(
-                        f"sweep cell guard={guard} invalid: {rep.violations[0].message}"
-                    )
-                cells.append((f"g{guard}/p{power_db:g}/{mod}", subs))
-            groups.append(cells)
-        (isolated,), *guarded = run_modulation(mod, groups)
+        cells = [(f"baseline/{mod}", [spec])]
+        for guard, power_db in itertools.product(guards, power_offsets_db):
+            subs = _sweep_geometry(base, guard, power_db, mod)
+            rep = validate_scenario(replace(base, subbands=tuple(subs)))
+            if not rep.ok:
+                raise ConfigError(
+                    f"sweep cell guard={guard} invalid: {rep.violations[0].message}"
+                )
+            cells.append((f"g{guard}/p{power_db:g}/{mod}", subs))
+        isolated, *guarded = run_pass(mod, cells)
         baselines[mod] = isolated.row(-1, 0.0, mod, snr_db)
-        for guard, accs in zip(guards, guarded):
-            rows += [acc.row(guard, power_db, mod, snr_db)
-                     for power_db, acc in zip(power_offsets_db, accs)]
+        rows += [acc.row(guard, power_db, mod, snr_db) for (guard, power_db), acc
+                 in zip(itertools.product(guards, power_offsets_db), guarded)]
         if single:
             # No interferer: every guard count reads the baseline.
             rows += [replace(baselines[mod], guard_tones=guard, power_offset_db=power_db)

@@ -378,18 +378,27 @@ def test_selftest_passes(capsys):
     assert "8/8 passed" in out
 
 
-def test_selftest_detects_corruption(capsys):
-    rc = main(["selftest", "--corrupt-taps"])
-    out = capsys.readouterr().out
+def test_selftest_detects_corruption(monkeypatch, capsys):
+    real = cli._overlap_save
+
+    def perturbed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[len(out) // 2] *= 1.001
+        return out
+    monkeypatch.setattr(cli, "_overlap_save", perturbed)
+    rc = main(["selftest"])
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 1
-    assert "FAIL" in out
+    assert [ln.split()[:2] for ln in lines if ln.startswith("overlap_save_vs_direct")] == [
+        ["overlap_save_vs_direct", "FAIL"]]
 
 
-def test_jobs_flag_rejected(capsys):
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--corrupt-taps"]], ids=["jobs", "corrupt-taps"])
+def test_jobs_flag_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["selftest", "--jobs", "2"])
+        main(["selftest", *flag])
     assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert flag[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["selftest", "throughput"])
@@ -414,6 +423,7 @@ def _desk_file(tmp_path, edit) -> str:
 @pytest.mark.parametrize("edit, field", [
     (lambda c: c["subbands"][0]["numerology"].update(fft_size=float("nan")), "fft_size"),
     (lambda c: c["subbands"][1].pop("modulation"), "modulation"),
+    (lambda c: c.update(subbands=[]), "scenario has no subbands"),
 ])
 def test_malformed_scenario_field_exit_code(tmp_path, capsys, edit, field):
     scn = _desk_file(tmp_path, edit)

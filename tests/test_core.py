@@ -20,7 +20,6 @@ from waveform_lab.core import (
     SignalBuffer,
     SubbandSpec,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_hash,
     scenario_to_dict,
@@ -61,16 +60,16 @@ def _subband(start, width, **kw):
 # ---------------------------------------------------------------------------
 
 def test_numerology_symbol_timing():
-    assert DESK.symbol_duration_s == pytest.approx(1 / 15e3)
-    assert DESK.cp_samples / DESK.sample_rate_hz == pytest.approx(36 / FS)
+    assert 1 / DESK.scs_hz == pytest.approx(1 / 15e3)
+    assert DESK.cp_samples / (DESK.scs_hz * DESK.fft_size) == pytest.approx(36 / FS)
     assert DESK.samples_per_symbol == 548
 
 
 def test_timing_narrow_spacing():
     # 3.75 kHz spacing at the same rate: four times the symbol duration.
     n = Numerology(scs_hz=3.75e3, fft_size=2048, cp_samples=20, symbols_per_tti=14)
-    assert n.sample_rate_hz == pytest.approx(FS)
-    assert n.symbol_duration_s == pytest.approx(266.67e-6, rel=1e-4)
+    assert n.scs_hz * n.fft_size == pytest.approx(FS)
+    assert 1 / n.scs_hz == pytest.approx(266.67e-6, rel=1e-4)
 
 
 def test_timing_rate_mismatch_rejected():
@@ -87,7 +86,7 @@ def test_timing_cp_exceeding_symbol_rejected():
 
 
 def test_numerology_sample_rate_property():
-    assert DESK.sample_rate_hz == pytest.approx(FS)
+    assert DESK.scs_hz * DESK.fft_size == pytest.approx(FS)
     assert DESK.samples_per_symbol == 548
 
 
@@ -208,6 +207,12 @@ def test_validate_rejects_any_nonfinite_float(field, value, index):
     assert not validate_scenario(_FLOAT_FIELDS[field](DESK_PRESET, value, index)).ok
 
 
+def test_validate_rejects_empty_scenario():
+    report = validate_scenario(_scenario([]))
+    assert [(v.subband, v.message) for v in report.violations] == [
+        (None, "scenario has no subbands")]
+
+
 def test_validate_reports_subband_index():
     cfg = _scenario([_subband(-100, 48), _subband(200, 48)])
     report = validate_scenario(cfg)
@@ -262,7 +267,7 @@ def test_signal_buffer_immutable():
 def test_scenario_round_trip(tmp_path):
     cfg = _scenario([_subband(-24, 48, guard_tones_right=2, power_offset_db=3.0)])
     path = tmp_path / "s.json"
-    save_scenario(cfg, path)
+    path.write_text(json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     again = load_scenario(path)
     assert again == cfg
     assert scenario_hash(again) == scenario_hash(cfg)

@@ -2,6 +2,7 @@
 guard-tone interference sweep."""
 
 import re
+import tracemalloc
 from dataclasses import astuple, replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -258,6 +259,34 @@ def test_unit_filter_tx_matches_unfiltered_chain():
     assert err < 1e-12
 
 
+def _traced_peak(call):
+    """tracemalloc peak, in bytes, of `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unfiltered_chunk_is_shifted_in_the_modulator_output():
+    # A 10-TTI desk interferer chunk, as `psd` sends it: the carrier shifts
+    # the OFDM baseband in place, so the baseband and an upconverted copy of
+    # it are never held at once.
+    desk = load_scenario(preset_dir() / "three-subband-desk.json")
+    fs, sb = desk.sample_rate_hz, desk.subbands[1]
+    spec = replace(sb, numerology=replace(sb.numerology,
+                                          symbols_per_tti=10 * sb.numerology.symbols_per_tti))
+    order, backoff = scenario_filter_profile(desk)
+    policy = derive_tail_policy(
+        design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff), spec.numerology)
+    carrier = upconversion_carrier(spec, fs, policy)
+    bits = payload_bits(spec, seeded_rng(1, "chunk"))
+    out = tx_subband_unfiltered(spec, fs, bits, policy, carrier)  # FFT plans are cached
+    peak = _traced_peak(lambda: tx_subband_unfiltered(spec, fs, bits, policy, carrier))
+    assert peak < 2.0 * out.samples.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Receive chain
 # ---------------------------------------------------------------------------
@@ -490,7 +519,7 @@ def test_downconversion_carrier_is_exact_off_the_sample_rate_grid():
     # so each sample is the phasor at a small non-negative t. Exact phasor:
     # exp(-2j*pi*((K*t) mod M)/M) for shift/fs = K/M, in integer arithmetic.
     n = Numerology(scs_hz=14_999.5, fft_size=512, cp_samples=36, symbols_per_tti=14)
-    fs = n.sample_rate_hz
+    fs = n.scs_hz * n.fft_size
     spec = _subband(start=300, width=12, numerology=n, timing_offset_samples=274)
     q = Fraction(spec.shift_hz) / Fraction(fs)
     k, m = q.numerator, q.denominator
@@ -654,6 +683,20 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
     assert len({id(f) for f, _, _ in spectra}) == designed
     # Per trial: each victim's tx, two more tx and one rx per cell, one rx per baseline.
     assert len(spectra) == trials * (victims + 3 * cells + len(mods))
+
+
+def test_sweep_memory_is_scoped_to_one_pass():
+    # Each modulation's pass frees its designs, carriers, estimates and
+    # buffer before the next pass builds its own, so three passes peak as
+    # high as one.
+    desk = load_scenario(preset_dir() / "three-subband-desk.json")
+
+    def sweep(*mods):
+        return guardtone_sweep(desk, [0, 2], [0.0, 10.0], 30.0, 1, modulations=mods)
+    sweep("qpsk")  # FFT plans are cached, not counted against a sweep
+    one = _traced_peak(lambda: sweep("qpsk"))
+    three = _traced_peak(lambda: sweep("qpsk", "16qam", "64qam"))
+    assert three <= 1.05 * one
 
 
 def _row_bits(rows):
