@@ -2,8 +2,9 @@
 
 Filters are Hann-windowed sinc prototypes, optionally modulated to a
 subband center, and applied to sample streams with overlap-save block
-convolution. A direct O(N*L) convolution is kept as the reference
-implementation.
+convolution. Overlap-save stages, filters and compacts its blocks in one
+`(blocks, block)` array and returns a view of it. A direct O(N*L)
+convolution is kept as the reference implementation.
 """
 
 from __future__ import annotations
@@ -125,27 +126,47 @@ def _overlap_save(
     x: np.ndarray, taps: np.ndarray, block: int, spectrum: np.ndarray | None = None
 ) -> np.ndarray:
     """Linear convolution via overlap-save blocks of `block` FFT points;
-    `spectrum`, when given, is `np.fft.fft(taps, block)` (`FirFilter.spectrum`)."""
+    `spectrum`, when given, is `np.fft.fft(taps, block)` (`FirFilter.spectrum`).
+    Returns a view into the one array the blocks were filtered in."""
     taps = np.asarray(taps)
     tap_count = len(taps)
     if block < 2 * tap_count or block & (block - 1) != 0:
         raise ConfigError(
             f"block size {block} must be a power of two and at least 2x tap count {tap_count}"
         )
-    n_out = len(x) + tap_count - 1
-    step = block - (tap_count - 1)
     if spectrum is None:
         spectrum = np.fft.fft(taps, block)
+    elif spectrum.shape != (block,):
+        raise ConfigError(f"spectrum of shape {spectrum.shape} given for {block}-point blocks")
+    lead = tap_count - 1
+    n_out = len(x) + lead
+    step = block - lead
     n_blocks = -(-n_out // step)
-    padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
-    padded[tap_count - 1:tap_count - 1 + len(x)] = x
-    # Block i reads padded[i*step : i*step + block]; the last one ends at len(padded).
-    item = padded.itemsize
-    blocks = as_strided(padded, (n_blocks, block), (step * item, item), writeable=False)
-    spectra = np.fft.fft(blocks, axis=1)
-    spectra *= spectrum
-    np.fft.ifft(spectra, axis=1, out=spectra)
-    return spectra[:, tap_count - 1:tap_count - 1 + step].reshape(-1)[:n_out]
+    rows = np.empty((n_blocks, block), dtype=np.complex128)
+    # Row i holds x[i*step - lead : i*step - lead + block], zero outside x.
+    # Rows 1 to inner-1 lie wholly inside x and are copied in one go.
+    inner = len(x) // step
+    if inner > 1:
+        item = x.strides[0]
+        rows[1:inner] = as_strided(x[step - lead:], (inner - 1, block), (step * item, item),
+                                   writeable=False)
+    for i in (0, *range(max(inner, 1), n_blocks)):
+        start = i * step - lead
+        lo, hi = max(start, 0) - start, min(start + block, len(x)) - start
+        row = rows[i]
+        row[:lo] = 0
+        row[lo:hi] = x[start + lo:start + hi]
+        row[hi:] = 0
+    np.fft.fft(rows, axis=1, out=rows)
+    rows *= spectrum
+    np.fft.ifft(rows, axis=1, out=rows)
+    # Each row's `step` valid outputs move down to flat[i*step:], in row
+    # order: row i's destination ends before row i+1's source begins, and
+    # numpy copies a 1-D slice onto an overlapping one like memmove.
+    flat = rows.reshape(-1)
+    for i in range(n_blocks):
+        flat[i * step:(i + 1) * step] = rows[i, lead:]
+    return flat[:n_out]
 
 
 def default_block_size(tap_count: int, samples: int) -> int:

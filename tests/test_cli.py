@@ -199,7 +199,7 @@ def test_psd_memory_stays_within_a_few_composites(tmp_path):
     cfg, designs = _desk_designs()
     composite_bytes = cli._psd_composite(cfg, ttis, designs, filtered=True).nbytes
     peak = _psd_peak_bytes(tmp_path, ttis)
-    assert peak <= 2.5 * composite_bytes, f"peak is {peak / composite_bytes:.2f} composites"
+    assert peak <= 1.9 * composite_bytes, f"peak is {peak / composite_bytes:.2f} composites"
 
 
 def test_psd_memory_grows_only_by_the_composite(tmp_path):

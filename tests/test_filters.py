@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from waveform_lab.core import ConfigError, SignalBuffer, seeded_rng
 from waveform_lab.filters import (
@@ -164,6 +165,77 @@ def test_overlap_save_rejects_small_block():
     f = _design(order=128, passband=2e6)
     with pytest.raises(ConfigError):
         _overlap_save(np.ones(512, dtype=complex), f.taps, 128)  # < 2x tap count
+
+
+def test_overlap_save_rejects_a_spectrum_of_the_wrong_shape():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    taps = rng.standard_normal(5)
+    for spectrum in (np.array([1 + 0j]), np.fft.fft(taps, 32), np.fft.fft(taps, 16)[None, :]):
+        with pytest.raises(ConfigError, match="spectrum"):
+            _overlap_save(x, taps, 16, spectrum)
+
+
+def _staged_overlap_save(x, taps, block):
+    """Reference overlap-save: the blocks are read from a zero-padded copy of
+    `x`, and the valid outputs are gathered into a new array."""
+    tap_count = len(taps)
+    n_out = len(x) + tap_count - 1
+    step = block - (tap_count - 1)
+    n_blocks = -(-n_out // step)
+    padded = np.zeros((n_blocks - 1) * step + block, dtype=np.complex128)
+    padded[tap_count - 1:tap_count - 1 + len(x)] = x
+    item = padded.itemsize
+    blocks = as_strided(padded, (n_blocks, block), (step * item, item), writeable=False)
+    spectra = np.fft.fft(blocks, axis=1)
+    spectra *= np.fft.fft(taps, block)
+    np.fft.ifft(spectra, axis=1, out=spectra)
+    return spectra[:, tap_count - 1:tap_count - 1 + step].reshape(-1)[:n_out]
+
+
+def _assert_bitwise_staged(x, taps, block):
+    got = _overlap_save(x, taps, block)
+    ref = _staged_overlap_save(x, taps, block)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("length, tap_count, block", [
+    (1, 17, 64),            # one sample, one block
+    (32, 17, 64),           # the outputs fill one block's 48 valid samples
+    (47, 17, 64),           # shorter than block - taps + 1: two blocks
+    (3 * 48 - 16, 17, 64),  # the outputs end exactly on a block boundary
+    (500, 1, 2),            # a one-tap filter: nothing overlaps
+    (7672, 257, 2048),      # desk sweep: transmit streams, then the cell's composite
+    (8476, 257, 2048),
+    (30_688, 1025, 4096),   # LTE-20 sweep
+    (33_904, 1025, 4096),
+    (76_720, 257, 4096),    # a 10-TTI desk psd chunk
+])
+def test_overlap_save_is_bitwise_the_staged_kernel(length, tap_count, block):
+    rng = np.random.default_rng(length)
+    taps = rng.standard_normal(tap_count) + 1j * rng.standard_normal(tap_count)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    _assert_bitwise_staged(x, taps, block)
+
+
+def test_overlap_save_reads_a_strided_input():
+    rng = np.random.default_rng(3)
+    taps = rng.standard_normal(257)
+    x = rng.standard_normal(2 * 9000) + 1j * rng.standard_normal(2 * 9000)
+    _assert_bitwise_staged(x[::2], taps, 2048)
+    _assert_bitwise_staged(x[::-3], taps, 1024)
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 20_000), half_order=st.integers(0, 512),
+       extra_doublings=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_overlap_save_is_bitwise_the_staged_kernel_for_any_legal_block(
+        length, half_order, extra_doublings, seed):
+    rng = np.random.default_rng(seed)
+    taps = rng.standard_normal(2 * half_order + 1) + 1j * rng.standard_normal(2 * half_order + 1)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    _assert_bitwise_staged(x, taps, (1 << (2 * len(taps) - 1).bit_length()) << extra_doublings)
 
 
 def test_filter_spectrum_is_cached_read_only_and_not_inherited(monkeypatch):

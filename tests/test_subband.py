@@ -269,22 +269,42 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_unfiltered_chunk_is_shifted_in_the_modulator_output():
-    # A 10-TTI desk interferer chunk, as `psd` sends it: the carrier shifts
-    # the OFDM baseband in place, so the baseband and an upconverted copy of
-    # it are never held at once.
+def _desk_chunk():
+    """A 10-TTI desk interferer chunk, as `psd` sends it: (spec, fs, bits,
+    policy, fir, carrier)."""
     desk = load_scenario(preset_dir() / "three-subband-desk.json")
     fs, sb = desk.sample_rate_hz, desk.subbands[1]
     spec = replace(sb, numerology=replace(sb.numerology,
                                           symbols_per_tti=10 * sb.numerology.symbols_per_tti))
     order, backoff = scenario_filter_profile(desk)
-    policy = derive_tail_policy(
-        design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff), spec.numerology)
+    fir = design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff)
+    policy = derive_tail_policy(fir, spec.numerology)
     carrier = upconversion_carrier(spec, fs, policy)
     bits = payload_bits(spec, seeded_rng(1, "chunk"))
+    return spec, fs, bits, policy, fir, carrier
+
+
+def test_unfiltered_chunk_is_shifted_in_the_modulator_output():
+    # The carrier shifts the OFDM baseband in place, so the baseband and an
+    # upconverted copy of it are never held at once.
+    spec, fs, bits, policy, _, carrier = _desk_chunk()
     out = tx_subband_unfiltered(spec, fs, bits, policy, carrier)  # FFT plans are cached
     peak = _traced_peak(lambda: tx_subband_unfiltered(spec, fs, bits, policy, carrier))
     assert peak < 2.0 * out.samples.nbytes
+
+
+def test_filtered_chunk_is_convolved_in_one_buffer():
+    # Overlap-save stages, filters and compacts its blocks in the one array
+    # it returns a view of: no padded input copy, no gathered output copy.
+    spec, fs, bits, policy, fir, carrier = _desk_chunk()
+    _, up = subband._upconverted(spec, bits, policy, carrier)
+    block = subband.default_block_size(len(fir.taps), len(up))
+    filtered = subband._overlap_save(up, fir.taps, block, fir.spectrum(block))  # warm-up
+    peak = _traced_peak(lambda: subband._overlap_save(up, fir.taps, block, fir.spectrum(block)))
+    assert peak < 1.5 * filtered.nbytes, f"peak is {peak / filtered.nbytes:.2f}x the output"
+    out, _ = tx_subband(spec, fs, bits, policy, fir, carrier)
+    peak = _traced_peak(lambda: tx_subband(spec, fs, bits, policy, fir, carrier))
+    assert peak < 3.2 * out.samples.nbytes, f"peak is {peak / out.samples.nbytes:.2f}x the output"
 
 
 # ---------------------------------------------------------------------------
