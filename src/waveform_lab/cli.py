@@ -190,6 +190,20 @@ def _scale_ttis(cfg: ScenarioConfig, n_ttis: int) -> ScenarioConfig:
 PSD_CHUNK_TTIS = 10
 
 
+def _tti_samples(cfg: ScenarioConfig, designs) -> list[int]:
+    """Samples in one TTI of each subband, its CP extended per policy."""
+    return [sb.numerology.symbols_per_tti * (sb.numerology.samples_per_symbol
+                                             + policy.extra_cp_samples)
+            for sb, (_, policy) in zip(cfg.subbands, designs)]
+
+
+def _psd_length(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> int:
+    """Samples in the f-OFDM (`filtered`) or plain-OFDM composite of `ttis`
+    TTIs per subband; the f-OFDM one is longer by the filter tails."""
+    return max(sb.timing_offset_samples + ttis * n + (len(fir.taps) - 1 if filtered else 0)
+               for sb, n, (fir, _) in zip(cfg.subbands, _tti_samples(cfg, designs), designs))
+
+
 def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> np.ndarray:
     """The samples of the f-OFDM (`filtered`) or plain-OFDM composite of
     `ttis` TTIs per subband, overlap-adding chunks of PSD_CHUNK_TTIS TTIs.
@@ -199,12 +213,8 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
     whole-stream one; filtering is linear, so the f-OFDM one matches it up
     to rounding."""
     fs = cfg.sample_rate_hz
-    tti_samples = [sb.numerology.symbols_per_tti * (sb.numerology.samples_per_symbol
-                                                    + policy.extra_cp_samples)
-                   for sb, (_, policy) in zip(cfg.subbands, designs)]
-    length = max(sb.timing_offset_samples + ttis * n + (len(fir.taps) - 1 if filtered else 0)
-                 for sb, n, (fir, _) in zip(cfg.subbands, tti_samples, designs))
-    out = np.zeros(length, dtype=np.complex128)
+    tti_samples = _tti_samples(cfg, designs)
+    out = np.zeros(_psd_length(cfg, ttis, designs, filtered), dtype=np.complex128)
     # Subband specs of a whole chunk and of the last one, which may be shorter.
     full = _scale_ttis(cfg, PSD_CHUNK_TTIS).subbands
     last = _scale_ttis(cfg, (ttis - 1) % PSD_CHUNK_TTIS + 1).subbands
@@ -234,15 +244,16 @@ def cmd_psd(args) -> int:
         lo = min(sb.occupied_low_hz for sb in cfg.subbands)
         hi = max(sb.occupied_high_hz for sb in cfg.subbands)
 
-        # One chain at a time: each composite is dropped after its Welch. The
-        # segment size follows the f-OFDM composite, built first.
-        estimates, segment = {}, None
+        # One chain at a time: each composite is dropped after its Welch. Both
+        # take the segment size of the plain composite, the shorter one.
+        shorter = _psd_length(cfg, args.ttis, designs, filtered=False)
+        segment = min(4096, 1 << (shorter // 2).bit_length() - 1)
+        estimates = {}
         for name, filtered in (("fofdm", True), ("ofdm", False)):
             samples = _psd_composite(cfg, args.ttis, designs, filtered)
             composite = SignalBuffer(samples, fs)
             if args.pa_on:  # in place: the PA output is the composite's buffer
                 composite = pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS, out=samples)
-            segment = segment or min(4096, 1 << (len(composite) // 2).bit_length() - 1)
             estimates[name] = psd_welch(composite, segment_size=segment, in_band_hz=(lo, hi))
             del samples, composite
 

@@ -230,6 +230,9 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
         bad(None, "sample_rate_hz must be positive and finite")
     if not (_finite(cfg.total_bandwidth_hz) and cfg.total_bandwidth_hz > 0):
         bad(None, "total_bandwidth_hz must be positive and finite")
+    elif cfg.total_bandwidth_hz > cfg.sample_rate_hz:  # subbands beyond Nyquist
+        bad(None, f"total_bandwidth_hz {cfg.total_bandwidth_hz} exceeds "
+                  f"sample_rate_hz {cfg.sample_rate_hz}")
     if not (isinstance(cfg.seed, int) and 0 <= cfg.seed < 2**64):
         bad(None, "seed must be an unsigned 64-bit integer")
     if not cfg.subbands:

@@ -500,19 +500,21 @@ class _ErrorAccumulator:
         )
 
 
-def _noise_prefix(noise: np.ndarray, length: int) -> np.ndarray:
-    """The `length`-sample `_sweep_noise` drawn from the generator state that
-    drew `noise`. That draw takes I, then Q, from one run of standard normals,
-    all scaled alike: I is the run's first `length` values and Q the next
-    `length`, both cut from `noise`'s I and Q laid end to end."""
-    if length == len(noise):
-        return noise
-    out = np.empty(length, dtype=np.complex128)
-    out.real = noise.real[:length]
+def _add_noise_prefix(comp: np.ndarray, noise: np.ndarray) -> None:
+    """Add to `comp`, in place, the `len(comp)`-sample `_sweep_noise` drawn
+    from the generator state that drew `noise`. That draw takes I, then Q,
+    from one run of standard normals, all scaled alike: I is the run's first
+    `len(comp)` values and Q the next as many, both cut from `noise`'s I and
+    Q laid end to end. A complex sum adds its parts apart, so the bits are
+    those of `comp + fresh_draw`."""
+    length = len(comp)
+    if length == len(noise):  # one contiguous sum instead of three strided ones
+        comp += noise
+        return
     within = min(length, len(noise) - length)  # Q's normals that fall in `noise`'s I
-    out.imag[:within] = noise.real[length:length + within]
-    out.imag[within:] = noise.imag[:length - within]
-    return out
+    comp.real += noise.real[:length]
+    comp.imag[:within] += noise.real[length:length + within]
+    comp.imag[within:] += noise.imag[:length - within]
 
 
 def _reject_duplicates(axis: str, values) -> None:
@@ -563,17 +565,20 @@ def guardtone_sweep(
 
     def run_pass(mod: str, cells: list[tuple[str, list[SubbandSpec]]]):
         """All trials of `mod`'s cells (label, subbands): the isolated
-        baseline, then one cell per (guard, power offset). Each cell
-        transmits every subband, assembles, adds noise, and receives the
-        victim (subbands[0]). Filters, tail policies and carriers depend on
-        neither the payload, the noise nor the power offset, so they are
-        built once per distinct subband at zero power offset; downconversion
-        carriers and genie estimates once per distinct victim. Per trial the
-        victim's payload and the longest noise are drawn once, as in the
-        baseline, so baseline deltas isolate inter-subband interference;
-        each cell adds a prefix of that noise. Cells that share a victim run
-        back to back, so each distinct victim is sent once per trial and one
-        transmission is held at a time. Returns one accumulator per cell."""
+        baseline, then one cell per (guard, power offset). Each cell builds
+        its composite in the pass's one buffer: the victim (subbands[0]),
+        then each other subband, added as it is sent and dropped, then the
+        noise; it then receives the victim. Filters, tail policies and
+        carriers depend on neither the payload, the noise nor the power
+        offset, so they are built once per distinct subband at zero power
+        offset; downconversion carriers and genie estimates once per
+        distinct victim. Per trial the victim's payload and the longest
+        noise are drawn once, as in the baseline, so baseline deltas isolate
+        inter-subband interference; each cell adds a prefix of that noise in
+        place. Cells that share a victim run back to back, so each distinct
+        victim is sent once per trial and held across its cells. A cell
+        holds the victim's stream, the composite buffer, the noise and at
+        most one other stream in flight. Returns one accumulator per cell."""
         @functools.cache
         def design(s: SubbandSpec):
             """(tail policy, filter, upconversion carrier) of a subband."""
@@ -609,15 +614,15 @@ def guardtone_sweep(
                 policy, fir, up = design(replace(victim, power_offset_db=0.0))
                 sig, grid = tx_subband(victim, fs, bits, policy, fir, up)
                 for _, label, subs, built, offsets, comp_len, acc in group:
-                    signals = [sig]
-                    for i, s in enumerate(subs[1:], start=1):
-                        b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{trial}/s{i}"))
-                        signals.append(tx_subband(s, fs, b, *built[i])[0])
-                    # Noise last, as `(sum of signals) + noise`.
+                    # Each other subband is added as it is sent, then dropped;
+                    # noise last, as `((victim + s1) + s2) + noise`.
                     comp = buffer[:comp_len]
                     comp.fill(0)
-                    assemble(signals, offsets, comp)
-                    comp += _noise_prefix(noise, comp_len)
+                    assemble([sig], offsets[:1], comp)
+                    for i, s in enumerate(subs[1:], start=1):
+                        b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{trial}/s{i}"))
+                        assemble([tx_subband(s, fs, b, *built[i])[0]], [offsets[i]], comp)
+                    _add_noise_prefix(comp, noise)
                     res = rx_subband(SignalBuffer(comp, fs), victim, fir, grid, policy,
                                      *receiver(victim))
                     acc.add(grid, res.grid, bits, res.bits)

@@ -126,6 +126,21 @@ def test_psd_pa_flag_changes_output(tmp_path):
     assert a != b
 
 
+def test_psd_segment_fits_the_shorter_composite(tmp_path):
+    # Without a CP, one desk TTI's plain composite holds 8,024 samples, under
+    # two 4,096-point segments; the f-OFDM one is longer by the filter tails.
+    # Both take the segment that fits the plain one.
+    def no_cp(cfg):
+        for sb in cfg["subbands"]:
+            sb["numerology"]["cp_samples"] = 0
+    out = tmp_path / "psd"
+    rc = main(["psd", "--scenario", _desk_file(tmp_path, no_cp), "--out", str(out),
+               "--ttis", "1"])
+    assert rc == 0
+    for name in ("ofdm", "fofdm"):
+        assert len((out / f"{name}_psd.csv").read_text().splitlines()) == 1 + 2048
+
+
 def _desk_designs():
     cfg = load_scenario(resolve_scenario_path("three-subband-desk")[0])
     order, backoff = scenario_filter_profile(cfg)

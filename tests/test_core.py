@@ -199,6 +199,16 @@ def test_validate_rejects_nonfinite_and_negative_offsets(field, value):
     assert any(field.split(".")[-1] in v.message for v in report.violations)
 
 
+@pytest.mark.parametrize("bandwidth_hz", [7.68e6 + 1.0, 9e6])
+def test_validate_rejects_bandwidth_above_the_sample_rate(bandwidth_hz):
+    # Subbands beyond Nyquist: rejected up front, not once both psd
+    # composites are built.
+    assert validate_scenario(replace(DESK_PRESET, total_bandwidth_hz=7.68e6)).ok
+    report = validate_scenario(replace(DESK_PRESET, total_bandwidth_hz=bandwidth_hz))
+    assert [(v.subband, v.message) for v in report.violations] == [
+        (None, f"total_bandwidth_hz {bandwidth_hz} exceeds sample_rate_hz 7680000.0")]
+
+
 @settings(max_examples=50, deadline=None)
 @given(field=st.sampled_from(sorted(_FLOAT_FIELDS)),
        value=st.sampled_from([math.nan, math.inf, -math.inf]),

@@ -719,6 +719,26 @@ def test_sweep_memory_is_scoped_to_one_pass():
     assert three <= 1.05 * one
 
 
+def test_sweep_cell_holds_one_stream_beyond_the_baseline():
+    # A guard cell adds each other subband to the composite as it is sent and
+    # its noise prefix in place, so it peaks under two transmitted streams
+    # above the baseline-only sweep: 1.2 streams on LTE-20, against 4.0 when
+    # every stream was held until assembly and the noise prefix was a copy.
+    lte = load_scenario(preset_dir() / "three-subband-lte20.json")
+    fs, sb = lte.sample_rate_hz, lte.subbands[1]
+    order, backoff = scenario_filter_profile(lte)
+    fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
+    carrier = upconversion_carrier(sb, fs, derive_tail_policy(fir, sb.numerology))
+    stream = 16 * (len(carrier) + len(fir.taps) - 1)  # complex128 samples
+
+    def sweep(*guards):
+        return guardtone_sweep(lte, list(guards), [0.0], 30.0, 1, modulations=("64qam",))
+    sweep(0)  # FFT plans are cached, not counted against a sweep
+    baseline = _traced_peak(sweep)
+    cell = _traced_peak(lambda: sweep(0))
+    assert cell < baseline + 2 * stream, f"{(cell - baseline) / stream:.2f} streams"
+
+
 def _row_bits(rows):
     return [repr(astuple(r)) for r in rows]
 
@@ -753,14 +773,16 @@ def test_sweep_guard_and_baseline_rows_do_not_depend_on_the_other_groups():
 @given(longest=st.integers(1, 5_000), data=st.data())
 def test_noise_prefix_is_the_shorter_draw_of_the_same_label(longest, data):
     # A baseline's noise is cut from the longer noise of its modulation's
-    # guard groups, drawn from the same label.
+    # guard groups, drawn from the same label, and added in place.
     length = data.draw(st.integers(1, longest))
     seed, label = data.draw(st.integers(0, 2**32 - 1)), f"noise/baseline/qpsk/{length}"
     variance = data.draw(st.floats(1e-6, 10.0))
     noise = subband._sweep_noise(longest, variance, seeded_rng(seed, label))
     fresh = subband._sweep_noise(length, variance, seeded_rng(seed, label))
-    got = subband._noise_prefix(noise, length)
-    assert np.array_equal(got.view(np.uint64), fresh.view(np.uint64))
+    comp = subband._sweep_noise(length, 1.0, seeded_rng(seed, "composite"))
+    want = comp + fresh
+    subband._add_noise_prefix(comp, noise)
+    assert np.array_equal(comp.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("guards, offsets, modulations, repeated", [
