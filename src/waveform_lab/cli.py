@@ -26,7 +26,6 @@ from .core import (
     MODULATIONS,
     ConfigError,
     ScenarioConfig,
-    SignalBuffer,
     _field,
     _take,
     load_scenario,
@@ -42,7 +41,8 @@ from .filters import (
     direct_convolve,
 )
 from .impairments import complex_noise, pa_rapp
-from .metrics import ThroughputInput, normalized_throughput, oobe, psd_welch
+from .metrics import (ThroughputInput, normalized_throughput, oobe, oobe_windows, psd_welch,
+                      welch_freqs)
 from .modem import evm_db, ofdm_demodulate, ofdm_modulate
 from .subband import (
     assemble,
@@ -225,7 +225,7 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
             carrier = upconversion_carrier(chunk, fs, policy, first * n)
             bits = payload_bits(chunk, rng)
             sig = (tx_subband(chunk, fs, bits, policy, fir, carrier)[0] if filtered
-                   else tx_subband_unfiltered(chunk, fs, bits, policy, carrier))
+                   else tx_subband_unfiltered(chunk, bits, policy, carrier))
             assemble([sig], [sb.timing_offset_samples + first * n], out)
     return out
 
@@ -245,20 +245,20 @@ def cmd_psd(args) -> int:
         hi = max(sb.occupied_high_hz for sb in cfg.subbands)
 
         # One chain at a time: each composite is dropped after its Welch. Both
-        # take the segment size of the plain composite, the shorter one.
+        # take the segment size of the plain composite, the shorter one; it
+        # fixes the bins, so the OOBE windows are checked before any transform.
         shorter = _psd_length(cfg, args.ttis, designs, filtered=False)
         segment = min(4096, 1 << (shorter // 2).bit_length() - 1)
+        offsets_hz = [mhz * 1e6 * (fs / FULL_SCALE_RATE_HZ) for mhz in (0.5, 1.0, 2.0)]
+        oobe_windows(welch_freqs(segment, fs), (lo, hi), offsets_hz)
         estimates = {}
         for name, filtered in (("fofdm", True), ("ofdm", False)):
-            samples = _psd_composite(cfg, args.ttis, designs, filtered)
-            composite = SignalBuffer(samples, fs)
+            composite = _psd_composite(cfg, args.ttis, designs, filtered)
             if args.pa_on:  # in place: the PA output is the composite's buffer
-                composite = pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS, out=samples)
-            estimates[name] = psd_welch(composite, segment_size=segment, in_band_hz=(lo, hi))
-            del samples, composite
+                pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS, out=composite)
+            estimates[name] = psd_welch(composite, fs, segment_size=segment, in_band_hz=(lo, hi))
+            del composite
 
-        scale = fs / FULL_SCALE_RATE_HZ
-        offsets_hz = [mhz * 1e6 * scale for mhz in (0.5, 1.0, 2.0)]
         summary = ["waveform,offset_hz,oobe_dbr"]
         for name in ("ofdm", "fofdm"):
             for off, val in zip(offsets_hz, oobe(estimates[name], (lo, hi), offsets_hz)):
@@ -372,7 +372,7 @@ def cmd_throughput(args) -> int:
 
 def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
     """Oracle suite; returns (name, passed, detail) per check."""
-    from .core import Numerology, ResourceGrid, SubbandSpec
+    from .core import Numerology, SubbandSpec
     from .modem import BITS_PER_SYMBOL, ber as _ber, qam_demap, qam_map
 
     results = []
@@ -386,14 +386,14 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
         order = int(rng.integers(8, 256)) * 2
         spec = FilterSpec(order=order, passband_width_hz=float(rng.uniform(0.02, 0.4)) * fs)
         fir = design_windowed_sinc(spec, fs)
-        x = SignalBuffer(rng.standard_normal(n) + 1j * rng.standard_normal(n), fs)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = direct_convolve(x, fir)
         # The smallest legal block, and the block and cached spectrum a run uses.
         smallest = 1 << (2 * len(fir.taps) - 1).bit_length()
         production = default_block_size(len(fir.taps), n)
-        for got in (_overlap_save(x.samples, fir.taps, smallest),
-                    _overlap_save(x.samples, fir.taps, production, fir.spectrum(production))):
-            err = np.linalg.norm(got - ref.samples) / np.linalg.norm(ref.samples)
+        for got in (_overlap_save(x, fir.taps, smallest),
+                    _overlap_save(x, fir.taps, production, fir.spectrum(production))):
+            err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
             worst = max(worst, err)
     results.append(("overlap_save_vs_direct", worst < 1e-9, f"max rel L2 {worst:.3e}"))
 
@@ -402,11 +402,11 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
     ok, detail = True, []
     for mod in BITS_PER_SYMBOL:
         bits = rng.integers(0, 2, 48 * 14 * BITS_PER_SYMBOL[mod])
-        grid = ResourceGrid(qam_map(bits, mod).reshape(14, 48).T)
+        grid = qam_map(bits, mod).reshape(14, 48).T
         sig = ofdm_modulate(grid, n)
         back = ofdm_demodulate(sig, n, 0, 48)
         evm = evm_db(grid, back)
-        bits_hat = qam_demap(back.cells.T.ravel(), mod)
+        bits_hat = qam_demap(back.T.ravel(), mod)
         r = _ber(bits, bits_hat)
         ok = ok and r.errors == 0 and evm <= -90.0
         detail.append(f"{mod}: ber {r.ratio:.0e} evm {evm:.0f} dB")
@@ -428,10 +428,10 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
                     f"ber {r.ratio:.0e} evm {res.evm_db:.1f} dB"))
 
     # Parseval through the modulator (CP excluded).
-    grid = ResourceGrid(qam_map(rng.integers(0, 2, 48 * 14 * 2), "qpsk").reshape(14, 48).T)
+    grid = qam_map(rng.integers(0, 2, 48 * 14 * 2), "qpsk").reshape(14, 48).T
     sig = ofdm_modulate(grid, replace(n, cp_samples=0))
     e_time = float(np.sum(np.abs(sig) ** 2))
-    e_grid = float(np.sum(np.abs(grid.cells) ** 2))
+    e_grid = float(np.sum(np.abs(grid) ** 2))
     results.append(("parseval", abs(e_time - e_grid) < 1e-12 * e_grid,
                     f"|dE| {abs(e_time - e_grid):.2e}"))
 
@@ -442,14 +442,12 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
                     f"variance error {error:+.3f} dB"))
 
     # Assembly linearity.
-    a = SignalBuffer(rng.standard_normal(2048) + 1j * rng.standard_normal(2048), fs)
-    b = SignalBuffer(rng.standard_normal(1024) + 1j * rng.standard_normal(1024), fs)
-    both = assemble([a, b], [0, 100])
-    only_a = assemble([a], [0])
-    diff = both.samples.copy()
-    diff[:len(only_a)] -= only_a.samples
+    a = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    b = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    diff = assemble([a, b], [0, 100])
+    diff[:len(a)] -= assemble([a], [0])
     expected = assemble([b], [100])
-    err = np.linalg.norm(diff[:len(expected)] - expected.samples)
+    err = np.linalg.norm(diff[:len(expected)] - expected)
     results.append(("assembly_linearity", err < 1e-9, f"residual {err:.2e}"))
 
     # Guard-count EVM monotonicity and deterministic rerun (tiny sweep).

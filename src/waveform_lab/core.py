@@ -1,4 +1,5 @@
-"""Scenario configuration, numerology arithmetic, and common signal containers.
+"""Scenario configuration and its JSON I/O, numerology arithmetic, validation
+and seeded randomness.
 
 All spectral placement is accounted on a fixed 15 kHz reference lattice:
 tone index ``i`` denotes the frequency interval ``[i*15e3, (i+1)*15e3)`` Hz,
@@ -21,6 +22,14 @@ REFERENCE_TONE_HZ = 15_000.0
 TONES_PER_RB = 12
 
 MODULATIONS = ("qpsk", "16qam", "64qam")
+
+# Passband pulled in by one reference tone per edge for subbands that share
+# the band with neighbors: the outermost tones ride the filter transition
+# (the equalizer boosts them back at a noise cost), and in exchange the
+# skirts cut into neighboring allocations far more steeply. Every subband of
+# a scenario with more than one takes it (`subband.scenario_filter_profile`),
+# so the validator rejects one that it leaves no passband.
+PACKED_EDGE_BACKOFF_TONES = 1.0
 
 
 class ConfigError(ValueError):
@@ -121,70 +130,6 @@ class ScenarioConfig:
         object.__setattr__(self, "subbands", tuple(self.subbands))
 
 
-class ResourceGrid:
-    """Immutable tones x symbols matrix of constellation points (or zeros)."""
-
-    def __init__(self, cells: np.ndarray):
-        cells = np.asarray(cells, dtype=np.complex128)
-        if cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] < 1:
-            raise ConfigError("resource grid must be a 2-D tones x symbols array")
-        cells = cells.copy()
-        cells.flags.writeable = False
-        self._cells = cells
-
-    @property
-    def cells(self) -> np.ndarray:
-        return self._cells
-
-    @property
-    def tones(self) -> int:
-        return self._cells.shape[0]
-
-    @property
-    def symbols(self) -> int:
-        return self._cells.shape[1]
-
-    def __eq__(self, other):
-        return isinstance(other, ResourceGrid) and np.array_equal(self._cells, other._cells)
-
-
-# `SignalBuffer.power` sums over slices this long, bounding its temporaries.
-_POWER_SLICE_SAMPLES = 1 << 15
-
-
-@dataclass(frozen=True)
-class SignalBuffer:
-    """Complex baseband sample stream tagged with its sample rate."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.samples, dtype=np.complex128).view()
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def power(self) -> float:
-        """Mean |x|^2, summed over slices of _POWER_SLICE_SAMPLES to bound
-        the temporaries."""
-        if not len(self.samples):
-            return 0.0
-        total = 0.0
-        for start in range(0, len(self.samples), _POWER_SLICE_SAMPLES):
-            total += float(np.sum(np.abs(self.samples[start:start + _POWER_SLICE_SAMPLES]) ** 2))
-        return total / len(self.samples)
-
-
-def require_matching_rates(*buffers: SignalBuffer) -> float:
-    rates = {b.sample_rate_hz for b in buffers}
-    if len(rates) != 1:
-        raise ConfigError(f"sample rate mismatch: {sorted(rates)}")
-    return rates.pop()
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -239,10 +184,14 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
         bad(None, "scenario has no subbands")
 
     half_bw = cfg.total_bandwidth_hz / 2.0 if cfg.total_bandwidth_hz > 0 else None
+    packed = len(cfg.subbands) > 1
     for i, sb in enumerate(cfg.subbands):
         if sb.width_tones <= 0:
             bad(i, "width_tones must be positive")
             continue
+        if packed and sb.width_tones <= 2 * PACKED_EDGE_BACKOFF_TONES:
+            bad(i, f"width_tones {sb.width_tones} leaves no filter passband inside the "
+                   f"{PACKED_EDGE_BACKOFF_TONES:g}-tone edge backoff of a multi-subband scenario")
         if sb.guard_tones_left < 0 or sb.guard_tones_right < 0:
             bad(i, "guard tone counts must be nonnegative")
         if sb.modulation not in MODULATIONS:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ConfigError, SignalBuffer
+from .core import ConfigError
 
 MAX_TAPS = 4097
 
@@ -117,9 +117,9 @@ def response_at(f: FirFilter, freqs_hz) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(freqs, n) / f.sample_rate_hz) @ f.taps
 
 
-def direct_convolve(x: SignalBuffer, f: FirFilter) -> SignalBuffer:
+def direct_convolve(x: np.ndarray, f: FirFilter) -> np.ndarray:
     """Reference linear convolution; output length len(x) + taps - 1."""
-    return SignalBuffer(np.convolve(x.samples, f.taps), x.sample_rate_hz)
+    return np.convolve(x, f.taps)
 
 
 def _overlap_save(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SignalBuffer
+from .core import ConfigError
 
 THROUGHPUT_CAVEAT = (
     "Overhead arithmetic only: coded link adaptation is not modeled, so the "
@@ -25,10 +25,6 @@ THROUGHPUT_CAVEAT = (
 class PsdEstimate:
     freqs_hz: np.ndarray     # strictly increasing, [-fs/2, fs/2)
     power_dbr: np.ndarray    # normalized: in-band mean == 0 dBr
-
-    @property
-    def resolution_hz(self) -> float:
-        return float(self.freqs_hz[1] - self.freqs_hz[0])
 
 
 # Segments are transformed in batches of about this many samples, bounding the
@@ -60,16 +56,23 @@ def _welch_density(x: np.ndarray, fs: float, n: int) -> tuple[np.ndarray, np.nda
         for periodogram in spectra.real ** 2 + spectra.imag ** 2:
             total += periodogram
     density = total / len(segments)
-    return np.fft.fftshift(np.fft.fftfreq(n, 1.0 / fs)), np.fft.fftshift(density)
+    return welch_freqs(n, fs), np.fft.fftshift(density)
+
+
+def welch_freqs(segment_size: int, sample_rate_hz: float) -> np.ndarray:
+    """Bin frequencies of a `psd_welch` estimate, in Hz, DC-centered; known
+    before any transform."""
+    return np.fft.fftshift(np.fft.fftfreq(segment_size, 1.0 / sample_rate_hz))
 
 
 def psd_welch(
-    sig: SignalBuffer,
+    samples: np.ndarray,
+    sample_rate_hz: float,
     segment_size: int = 4096,
     in_band_hz: tuple[float, float] | None = None,
 ) -> PsdEstimate:
-    """Averaged Hann-windowed periodograms of a complex baseband stream,
-    overlapping by half a segment.
+    """Averaged Hann-windowed periodograms of a complex baseband stream
+    sampled at `sample_rate_hz`, overlapping by half a segment.
 
     `in_band_hz` selects the bins whose mean defines 0 dBr; when omitted the
     whole band is used. Raises on signals shorter than two segments or with
@@ -77,11 +80,11 @@ def psd_welch(
     """
     if segment_size < 2:
         raise ConfigError("segment size must be at least 2")
-    if len(sig) < 2 * segment_size:
+    if len(samples) < 2 * segment_size:
         raise ConfigError(
-            f"signal of {len(sig)} samples is too short for segments of {segment_size}"
+            f"signal of {len(samples)} samples is too short for segments of {segment_size}"
         )
-    freqs, density = _welch_density(sig.samples, sig.sample_rate_hz, segment_size)
+    freqs, density = _welch_density(samples, sample_rate_hz, segment_size)
     if in_band_hz is None:
         band_mask = np.ones(len(freqs), dtype=bool)
     else:
@@ -99,26 +102,37 @@ def psd_welch(
 OOBE_WINDOW_HZ = 15_000.0
 
 
+def oobe_windows(
+    freqs_hz: np.ndarray, band_edges_hz: tuple[float, float], offsets_hz
+) -> list[tuple[float, float]]:
+    """Centers of the (upper, lower) 15 kHz windows at each offset beyond the
+    band edges. Raises if a window leaves the bins `freqs_hz`, which
+    `welch_freqs` gives before any transform."""
+    lo_edge, hi_edge = band_edges_hz
+    nyquist = freqs_hz[-1] + (freqs_hz[1] - freqs_hz[0])
+    windows = []
+    for off in offsets_hz:
+        if off <= 0:
+            raise ConfigError(f"offset {off} must be positive (outside the band)")
+        centers = (hi_edge + off, lo_edge - off)
+        for c in centers:
+            if c + OOBE_WINDOW_HZ / 2 > nyquist or c - OOBE_WINDOW_HZ / 2 < freqs_hz[0]:
+                raise ConfigError(f"measurement window at {c} Hz exceeds Nyquist")
+        windows.append(centers)
+    return windows
+
+
 def oobe(psd: PsdEstimate, band_edges_hz: tuple[float, float], offsets_hz) -> list[float]:
     """Mean emission over a 15 kHz window at each offset beyond both edges.
 
     For each offset the windows centered at `upper_edge + offset` and
     `lower_edge - offset` are averaged (linear mean) and returned in dBr.
     """
-    lo_edge, hi_edge = band_edges_hz
-    nyquist = psd.freqs_hz[-1] + psd.resolution_hz
-    out = []
     lin = np.power(10.0, psd.power_dbr / 10.0)
-    for off in offsets_hz:
-        if off <= 0:
-            raise ConfigError(f"offset {off} must be positive (outside the band)")
-        centers = (hi_edge + off, lo_edge - off)
-        values = []
-        for c in centers:
-            if c + OOBE_WINDOW_HZ / 2 > nyquist or c - OOBE_WINDOW_HZ / 2 < psd.freqs_hz[0]:
-                raise ConfigError(f"measurement window at {c} Hz exceeds Nyquist")
-            mask = np.abs(psd.freqs_hz - c) <= OOBE_WINDOW_HZ / 2
-            values.append(float(np.mean(lin[mask])))
+    out = []
+    for centers in oobe_windows(psd.freqs_hz, band_edges_hz, offsets_hz):
+        values = [float(np.mean(lin[np.abs(psd.freqs_hz - c) <= OOBE_WINDOW_HZ / 2]))
+                  for c in centers]
         out.append(10.0 * math.log10(max(np.mean(values), 1e-300)))
     return out
 

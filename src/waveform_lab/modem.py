@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ConfigError, Numerology, ResourceGrid
+from .core import ConfigError, Numerology
 
 BITS_PER_SYMBOL = {"qpsk": 2, "16qam": 4, "64qam": 6}
 
@@ -106,16 +106,18 @@ def _tone_bins(tones: int, fft_size: int) -> np.ndarray:
     return (np.arange(tones) - tones // 2) % fft_size
 
 
-def ofdm_modulate(grid: ResourceGrid, n: Numerology) -> np.ndarray:
-    """Centered tone mapping, unitary IFFT, cyclic prefix; symbols concatenated.
+def ofdm_modulate(grid: np.ndarray, n: Numerology) -> np.ndarray:
+    """Centered tone mapping of a (tones, symbols) grid, unitary IFFT, cyclic
+    prefix; symbols concatenated.
 
     Built in its output, a writeable array the caller owns: each symbol's
     body holds its spectrum, is transformed in place, and lends its tail to
     the cyclic prefix."""
-    bins = _tone_bins(grid.tones, n.fft_size)
-    symbols = np.zeros((grid.symbols, n.samples_per_symbol), dtype=np.complex128)
+    tones, n_sym = grid.shape
+    bins = _tone_bins(tones, n.fft_size)
+    symbols = np.zeros((n_sym, n.samples_per_symbol), dtype=np.complex128)
     body = symbols[:, n.cp_samples:]
-    body[:, bins] = grid.cells.T
+    body[:, bins] = grid.T
     np.fft.ifft(body, axis=1, norm="ortho", out=body)
     symbols[:, :n.cp_samples] = body[:, n.fft_size - n.cp_samples:]
     return symbols.reshape(-1)
@@ -123,8 +125,9 @@ def ofdm_modulate(grid: ResourceGrid, n: Numerology) -> np.ndarray:
 
 def ofdm_demodulate(
     samples: np.ndarray, n: Numerology, window_advance_samples: int, tones: int
-) -> ResourceGrid:
-    """Unitary FFT per symbol with the window advanced into the cyclic prefix.
+) -> np.ndarray:
+    """Unitary FFT per symbol with the window advanced into the cyclic prefix;
+    returns the (tones, symbols) grid, a transposed view of the spectra.
 
     The advance-induced per-tone phase ramp is left in place for the
     equalizer to absorb.
@@ -145,33 +148,31 @@ def ofdm_demodulate(
     step = x.strides[0]
     windows = as_strided(x, (n_sym, n.fft_size), (sps * step, step), writeable=False)
     spectrum = np.fft.fft(windows, axis=1, norm="ortho")
-    return ResourceGrid(spectrum[:, _tone_bins(tones, n.fft_size)].T)
+    return spectrum[:, _tone_bins(tones, n.fft_size)].T
 
 
-def equalize(grid: ResourceGrid, estimates: np.ndarray) -> ResourceGrid:
+def equalize(grid: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """One-tap division by per-tone genie channel estimates (shape (tones,)).
 
     Tones whose estimate has zero magnitude are left undivided at zero.
     """
     est = np.asarray(estimates, dtype=np.complex128)
-    if est.shape != (grid.tones,):
-        raise ConfigError(
-            f"estimate shape {est.shape} does not match grid {grid.cells.shape}"
-        )
+    if est.shape != grid.shape[:1]:
+        raise ConfigError(f"estimate shape {est.shape} does not match grid {grid.shape}")
     erased = np.abs(est) == 0.0
     safe = np.where(erased, 1.0, est)[:, None]
-    return ResourceGrid(np.where(erased[:, None], 0.0, grid.cells / safe))
+    return np.where(erased[:, None], 0.0, grid / safe)
 
 
-def evm_db(reference: ResourceGrid, received: ResourceGrid) -> float:
+def evm_db(reference: np.ndarray, received: np.ndarray) -> float:
     """10*log10(error power / reference power) over nonzero reference cells."""
-    if reference.cells.shape != received.cells.shape:
+    if reference.shape != received.shape:
         raise ConfigError("reference and received grids differ in shape")
-    mask = reference.cells != 0
-    ref_power = np.sum(np.abs(reference.cells[mask]) ** 2)
+    mask = reference != 0
+    ref_power = np.sum(np.abs(reference[mask]) ** 2)
     if ref_power == 0.0:
         raise ConfigError("reference grid has no nonzero cells")
-    err_power = np.sum(np.abs(received.cells[mask] - reference.cells[mask]) ** 2)
+    err_power = np.sum(np.abs(received[mask] - reference[mask]) ** 2)
     return error_ratio_db(err_power, ref_power)
 
 

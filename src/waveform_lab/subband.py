@@ -19,14 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    PACKED_EDGE_BACKOFF_TONES,
     REFERENCE_TONE_HZ,
     TONES_PER_RB,
     ConfigError,
-    ResourceGrid,
     ScenarioConfig,
-    SignalBuffer,
     SubbandSpec,
-    require_matching_rates,
     seeded_rng,
     validate_scenario,
 )
@@ -56,12 +54,6 @@ from .modem import (
 # the filter transition. Leakage confinement comes from the filter skirts and,
 # where needed, from guard tones between subbands.
 DEFAULT_EDGE_BACKOFF_TONES = 0.0
-
-# Passband pulled in by one reference tone per edge for subbands that share
-# the band with neighbors: the outermost tones ride the filter transition
-# (the equalizer boosts them back at a noise cost), and in exchange the
-# skirts cut into neighboring allocations far more steeply.
-PACKED_EDGE_BACKOFF_TONES = 1.0
 
 # Mainlobe-to-CP ratio above which the receiver window is advanced (and the
 # CP extended once the mainlobe outgrows it). The engine applies the advance
@@ -161,8 +153,9 @@ def _extended_numerology(spec: SubbandSpec, policy: TailPolicy):
     return replace(n, cp_samples=n.cp_samples + policy.extra_cp_samples)
 
 
-def build_grid(spec: SubbandSpec, bits) -> ResourceGrid:
-    """Symbol-major fill of the subband grid."""
+def build_grid(spec: SubbandSpec, bits) -> np.ndarray:
+    """Symbol-major fill of the subband's (tones, symbols) grid: a transposed
+    view of the mapped symbols."""
     d = spec.data_tones
     s = spec.numerology.symbols_per_tti
     bps = BITS_PER_SYMBOL[spec.modulation]
@@ -171,8 +164,7 @@ def build_grid(spec: SubbandSpec, bits) -> ResourceGrid:
             f"payload of {len(bits)} bits does not fill {d} tones x {s} symbols "
             f"at {bps} bits/symbol"
         )
-    symbols = qam_map(bits, spec.modulation)
-    return ResourceGrid(symbols.reshape(s, d).T)
+    return qam_map(bits, spec.modulation).reshape(s, d).T
 
 
 def payload_bits(spec: SubbandSpec, rng: np.random.Generator) -> np.ndarray:
@@ -282,7 +274,7 @@ def _mixed(samples: np.ndarray, carrier: Carrier, out: np.ndarray | None = None)
 
 def _upconverted(
     spec: SubbandSpec, bits, policy: TailPolicy, carrier: Carrier
-) -> tuple[ResourceGrid, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Grid and its OFDM signal (CP extended per policy) shifted to the
     subband by `carrier`, before any filter or power offset: the plain-OFDM
     chain. The shift is made in the modulator's output."""
@@ -294,23 +286,25 @@ def _upconverted(
 def tx_subband(
     spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter,
     carrier: Carrier,
-) -> tuple[SignalBuffer, ResourceGrid]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
-    subband; also returns the grid."""
+    subband; returns its stream and its grid. `sample_rate_hz` is not read:
+    it stays at position 1 because `perfbench/spans.py` reads `policy` at
+    position 3."""
     grid, up = _upconverted(spec, bits, policy, carrier)
     block = default_block_size(len(fir.taps), len(up))
     filtered = _overlap_save(up, fir.taps, block, fir.spectrum(block))
     np.multiply(spec.amplitude, filtered, out=filtered)  # operand order of `amplitude * filtered`
-    return SignalBuffer(filtered, sample_rate_hz), grid
+    return filtered, grid
 
 
 def tx_subband_unfiltered(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, carrier: Carrier
-) -> SignalBuffer:
+    spec: SubbandSpec, bits, policy: TailPolicy, carrier: Carrier
+) -> np.ndarray:
     """Plain-OFDM reference: the `tx_subband` chain with the filter left out."""
     _, up = _upconverted(spec, bits, policy, carrier)
     np.multiply(spec.amplitude, up, out=up)  # operand order of `amplitude * up`
-    return SignalBuffer(up, sample_rate_hz)
+    return up
 
 
 def genie_estimates(spec: SubbandSpec, fir: FirFilter, policy: TailPolicy) -> np.ndarray:
@@ -330,16 +324,16 @@ def genie_estimates(spec: SubbandSpec, fir: FirFilter, policy: TailPolicy) -> np
 
 @dataclass(frozen=True)
 class SubbandRxResult:
-    grid: ResourceGrid
+    grid: np.ndarray  # equalized (tones, symbols)
     bits: np.ndarray
     evm_db: float
 
 
 def rx_subband(
-    composite: SignalBuffer,
+    composite: np.ndarray,
     spec: SubbandSpec,
     fir: FirFilter,
-    sent: ResourceGrid,
+    sent: np.ndarray,
     policy: TailPolicy,
     carrier: Carrier,
     estimates: np.ndarray,
@@ -355,33 +349,32 @@ def rx_subband(
     if start < 0 or start + seg_len > filtered_len:
         raise ConfigError("composite buffer too short for the subband frame")
     block = default_block_size(len(fir.taps), len(composite))
-    filtered = _overlap_save(composite.samples, fir.taps, block, fir.spectrum(block))
+    filtered = _overlap_save(composite, fir.taps, block, fir.spectrum(block))
     frame = filtered[start:start + seg_len]  # only the frame is downconverted, in place
     raw = ofdm_demodulate(_mixed(frame, carrier, out=frame), n_ext,
                           policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
-    bits_hat = qam_demap(eq.cells.T.ravel(), spec.modulation)
+    bits_hat = qam_demap(eq.T.ravel(), spec.modulation)
     return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm_db(sent, eq))
 
 
 def assemble(
-    signals: list[SignalBuffer], offsets: list[int], out: np.ndarray | None = None
-) -> SignalBuffer:
+    signals: list[np.ndarray], offsets: list[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """Shift each stream by its sample offset, zero-pad, and sum; or add them
     into `out`, when given, which is how chunks are overlap-added."""
     if len(signals) != len(offsets):
         raise ConfigError("one offset per signal is required")
     if not signals:
         raise ConfigError("nothing to assemble")
-    fs = require_matching_rates(*signals)
     if any(o < 0 for o in offsets):
         raise ConfigError("offsets must be nonnegative")
     length = max(o + len(s) for s, o in zip(signals, offsets))
     if out is None:
         out = np.zeros(length, dtype=np.complex128)
     for s, o in zip(signals, offsets):
-        out[o:o + len(s)] += s.samples
-    return SignalBuffer(out, fs)
+        out[o:o + len(s)] += s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +466,11 @@ class _ErrorAccumulator:
         self.bit_errors = 0
         self.bits_total = 0
 
-    def add(self, reference: ResourceGrid, received: ResourceGrid, tx_bits, rx_bits):
-        err = np.abs(received.cells - reference.cells) ** 2
-        ref = np.abs(reference.cells) ** 2
+    def add(self, reference: np.ndarray, received: np.ndarray, tx_bits, rx_bits):
+        # Summed in C order whatever the grids' memory order: a float sum's
+        # bits depend on the order it runs in.
+        err = np.abs(np.subtract(received, reference, order="C")) ** 2
+        ref = np.abs(reference, order="C") ** 2
         k = self.edge_count
         self.err_edge += float(err[-k:].sum())
         self.ref_edge += float(ref[-k:].sum())
@@ -623,8 +618,7 @@ def guardtone_sweep(
                         b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{trial}/s{i}"))
                         assemble([tx_subband(s, fs, b, *built[i])[0]], [offsets[i]], comp)
                     _add_noise_prefix(comp, noise)
-                    res = rx_subband(SignalBuffer(comp, fs), victim, fir, grid, policy,
-                                     *receiver(victim))
+                    res = rx_subband(comp, victim, fir, grid, policy, *receiver(victim))
                     acc.add(grid, res.grid, bits, res.bits)
             del sig, grid, noise  # before the next trial's are made
         return accs

@@ -141,6 +141,40 @@ def test_psd_segment_fits_the_shorter_composite(tmp_path):
         assert len((out / f"{name}_psd.csv").read_text().splitlines()) == 1 + 2048
 
 
+def test_psd_checks_oobe_windows_before_sending_any_subband(tmp_path, capsys, monkeypatch):
+    # A full-band desk copy whose third subband reaches 3.72 MHz validates,
+    # but its 1 MHz OOBE window lies beyond Nyquist. The PSD bins follow from
+    # the designs, so the run fails before a subband is sent.
+    def near_nyquist(cfg):
+        cfg["total_bandwidth_hz"] = 7.68e6
+        cfg["subbands"][2]["start_tone"] = 200
+    scn = _desk_file(tmp_path, near_nyquist)
+    sent = []
+    monkeypatch.setattr(cli, "tx_subband", lambda *a: sent.append(a))
+    monkeypatch.setattr(cli, "tx_subband_unfiltered", lambda *a: sent.append(a))
+    out = tmp_path / "psd"
+    rc = main(["psd", "--scenario", scn, "--out", str(out), "--ttis", "1"])
+    assert rc == 2
+    msg = "measurement window at 3845000.0 Hz exceeds Nyquist"
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    assert sent == []
+    manifest = _read_manifest(out)
+    assert manifest["status"] == "failed" and manifest["error"] == f"ConfigError: {msg}"
+
+
+def test_subband_too_narrow_for_its_filter_is_rejected_up_front(tmp_path, capsys):
+    scn = _desk_file(tmp_path, lambda c: c["subbands"][2].update(width_tones=2))
+    out = tmp_path / "x"
+    rc = main(["psd", "--scenario", scn, "--out", str(out), "--ttis", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid scenario: subband 2: width_tones 2 leaves no filter passband")
+    assert not out.exists()
+    scn = _desk_file(tmp_path, lambda c: c["subbands"][2].update(width_tones=3))
+    for argv in (["psd", "--ttis", "1"], ["guardtone", "--trials", "1"]):
+        assert main([*argv, "--scenario", scn, "--out", str(tmp_path / argv[0])]) == 0
+
+
 def _desk_designs():
     cfg = load_scenario(resolve_scenario_path("three-subband-desk")[0])
     order, backoff = scenario_filter_profile(cfg)
@@ -162,7 +196,7 @@ def _whole_stream_composites(cfg, ttis):
         policy = derive_tail_policy(fir, sb.numerology)
         carrier = upconversion_carrier(sb, fs, policy)
         filtered.append(tx_subband(sb, fs, bits, policy, fir, carrier)[0])
-        plain.append(tx_subband_unfiltered(sb, fs, bits, policy, carrier))
+        plain.append(tx_subband_unfiltered(sb, bits, policy, carrier))
     offsets = [sb.timing_offset_samples for sb in long_subbands]
     return assemble(filtered, offsets), assemble(plain, offsets)
 
@@ -172,10 +206,10 @@ def test_chunked_psd_composites_match_whole_streams():
     ttis = 2 * cli.PSD_CHUNK_TTIS + 1  # three chunks, the last one TTI long
     whole_f, whole_p = _whole_stream_composites(cfg, ttis)
     chunked_p = cli._psd_composite(cfg, ttis, designs, filtered=False)
-    assert np.array_equal(chunked_p, whole_p.samples)
+    assert np.array_equal(chunked_p, whole_p)
     chunked_f = cli._psd_composite(cfg, ttis, designs, filtered=True)
     assert len(chunked_f) == len(whole_f)
-    err = np.linalg.norm(chunked_f - whole_f.samples) / np.linalg.norm(whole_f.samples)
+    err = np.linalg.norm(chunked_f - whole_f) / np.linalg.norm(whole_f)
     assert err < 1e-12
 
 

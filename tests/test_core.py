@@ -4,7 +4,6 @@ scenario (de)serialization, and seeded randomness."""
 import json
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -15,9 +14,7 @@ from hypothesis import given, settings, strategies as st
 from waveform_lab.core import (
     ConfigError,
     Numerology,
-    ResourceGrid,
     ScenarioConfig,
-    SignalBuffer,
     SubbandSpec,
     load_scenario,
     scenario_from_dict,
@@ -209,6 +206,22 @@ def test_validate_rejects_bandwidth_above_the_sample_rate(bandwidth_hz):
         (None, f"total_bandwidth_hz {bandwidth_hz} exceeds sample_rate_hz 7680000.0")]
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_validate_rejects_a_subband_too_narrow_for_the_packed_filter(width):
+    # A scenario with more than one subband pulls every filter passband in
+    # by one tone per edge, which leaves a 1- or 2-tone subband none.
+    subs = list(DESK_PRESET.subbands)
+    subs[2] = replace(subs[2], width_tones=width)
+    report = validate_scenario(replace(DESK_PRESET, subbands=tuple(subs)))
+    assert [(v.subband, v.message) for v in report.violations] == [
+        (2, f"width_tones {width} leaves no filter passband inside the 1-tone edge "
+            "backoff of a multi-subband scenario")]
+    subs[2] = replace(subs[2], width_tones=3)
+    assert validate_scenario(replace(DESK_PRESET, subbands=tuple(subs))).ok
+    # Alone in its scenario, a subband's filter keeps every tone.
+    assert validate_scenario(_scenario([_subband(0, width)])).ok
+
+
 @settings(max_examples=50, deadline=None)
 @given(field=st.sampled_from(sorted(_FLOAT_FIELDS)),
        value=st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -228,46 +241,6 @@ def test_validate_reports_subband_index():
     report = validate_scenario(cfg)
     assert not report.ok
     assert report.violations[0].subband == 1
-
-
-# ---------------------------------------------------------------------------
-# Buffers and grids
-# ---------------------------------------------------------------------------
-
-def test_resource_grid_immutable():
-    g = ResourceGrid(np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        g.cells[0, 0] = 1.0
-
-
-def test_signal_buffer_power():
-    s = SignalBuffer(np.array([3.0 + 4.0j, 0.0]), FS)
-    assert s.power() == pytest.approx(12.5)
-
-
-@pytest.mark.parametrize("length", [1, 1000, (1 << 15) + 1, 200_003])
-def test_signal_buffer_power_is_the_mean_of_squares(length):
-    rng = seeded_rng(3, f"core/power/{length}")
-    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    want = np.mean(np.abs(x) ** 2)
-    assert SignalBuffer(x, FS).power() == pytest.approx(want, rel=1e-14, abs=0)
-
-
-def test_signal_buffer_power_holds_no_whole_stream_temporary():
-    s = SignalBuffer(np.ones(10**6, dtype=complex), FS)
-    tracemalloc.start()
-    try:
-        s.power()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, f"power() peaked at {peak} bytes"
-
-
-def test_signal_buffer_immutable():
-    s = SignalBuffer(np.ones(4, dtype=complex), FS)
-    with pytest.raises(ValueError):
-        s.samples[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from waveform_lab import metrics
-from waveform_lab.core import ConfigError, SignalBuffer, seeded_rng
+from waveform_lab.core import ConfigError, seeded_rng
 from waveform_lab.metrics import (
     THROUGHPUT_CAVEAT,
     ThroughputInput,
@@ -14,6 +14,7 @@ from waveform_lab.metrics import (
     normalized_throughput,
     oobe,
     psd_welch,
+    welch_freqs,
 )
 
 FS = 7.68e6
@@ -21,7 +22,7 @@ FS = 7.68e6
 
 def _tone(freq_hz, n=1 << 15, fs=FS):
     t = np.arange(n) / fs
-    return SignalBuffer(np.exp(2j * np.pi * freq_hz * t), fs)
+    return np.exp(2j * np.pi * freq_hz * t)
 
 
 def _bandlimited(rng, half_hz, n=1 << 15, fs=FS):
@@ -29,7 +30,7 @@ def _bandlimited(rng, half_hz, n=1 << 15, fs=FS):
     half = int(half_hz / fs * n)
     occupied = np.arange(-half, half) % n
     spectrum[occupied] = np.exp(2j * np.pi * rng.uniform(size=2 * half))
-    return SignalBuffer(np.fft.ifft(spectrum) * np.sqrt(n), fs)
+    return np.fft.ifft(spectrum) * np.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ def _bandlimited(rng, half_hz, n=1 << 15, fs=FS):
 # ---------------------------------------------------------------------------
 
 def test_psd_tone_peak_location():
-    est = psd_welch(_tone(1.0e6), segment_size=4096)
+    est = psd_welch(_tone(1.0e6), FS, segment_size=4096)
     peak = est.freqs_hz[int(np.argmax(est.power_dbr))]
     assert peak == pytest.approx(1.0e6, abs=FS / 4096)
 
@@ -45,14 +46,14 @@ def test_psd_tone_peak_location():
 def test_psd_in_band_reference_is_0dbr():
     rng = seeded_rng(9, "metrics/ref")
     sig = _bandlimited(rng, 1.0e6)
-    est = psd_welch(sig, segment_size=4096, in_band_hz=(-1.0e6, 1.0e6))
+    est = psd_welch(sig, FS, segment_size=4096, in_band_hz=(-1.0e6, 1.0e6))
     mask = (est.freqs_hz >= -1.0e6) & (est.freqs_hz <= 1.0e6)
     lin = 10.0 ** (est.power_dbr[mask] / 10.0)
     assert 10 * np.log10(np.mean(lin)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_psd_axis_covers_complex_band():
-    est = psd_welch(_tone(-2.0e6), segment_size=1024)
+    est = psd_welch(_tone(-2.0e6), FS, segment_size=1024)
     assert est.freqs_hz[0] < -3.5e6 and est.freqs_hz[-1] > 3.5e6
     assert np.all(np.diff(est.freqs_hz) > 0)
     peak = est.freqs_hz[int(np.argmax(est.power_dbr))]
@@ -84,7 +85,7 @@ def test_welch_density_matches_per_segment_oracle(n, length, strided):
     want_freqs, want_density = _welch_oracle(x, FS, n)
     np.testing.assert_allclose(freqs, want_freqs, rtol=1e-15, atol=1e-9)
     np.testing.assert_allclose(density, want_density, rtol=1e-12, atol=0)
-    est = psd_welch(SignalBuffer(x, FS), segment_size=n)
+    est = psd_welch(x, FS, segment_size=n)
     want_dbr = 10.0 * np.log10(want_density / np.mean(want_density))
     np.testing.assert_allclose(est.power_dbr, want_dbr, rtol=0, atol=1e-9)
 
@@ -119,18 +120,24 @@ def test_psd_unchanged_for_a_view_of_the_input():
         got = _welch_density(view, FS, 1000)
         want = _welch_density(view.copy(), FS, 1000)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert np.array_equal(psd_welch(SignalBuffer(view, FS), 1000).power_dbr,
-                              psd_welch(SignalBuffer(view.copy(), FS), 1000).power_dbr)
+        assert np.array_equal(psd_welch(view, FS, 1000).power_dbr,
+                              psd_welch(view.copy(), FS, 1000).power_dbr)
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 257])
+def test_welch_freqs_are_the_estimate_bins(n):
+    est = psd_welch(_tone(1.0e6), FS, segment_size=n)
+    assert np.array_equal(welch_freqs(n, FS), est.freqs_hz)
 
 
 def test_psd_short_signal_rejected():
     with pytest.raises(ConfigError):
-        psd_welch(SignalBuffer(np.ones(1000, dtype=complex), FS), segment_size=1024)
+        psd_welch(np.ones(1000, dtype=complex), FS, segment_size=1024)
 
 
 def test_psd_zero_power_rejected():
     with pytest.raises(ConfigError):
-        psd_welch(SignalBuffer(np.zeros(1 << 13, dtype=complex), FS))
+        psd_welch(np.zeros(1 << 13, dtype=complex), FS)
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +147,20 @@ def test_psd_zero_power_rejected():
 def test_oobe_monotone_for_bandlimited_signal():
     rng = seeded_rng(9, "metrics/oobe")
     sig = _bandlimited(rng, 0.5e6)
-    est = psd_welch(sig, segment_size=4096, in_band_hz=(-0.5e6, 0.5e6))
+    est = psd_welch(sig, FS, segment_size=4096, in_band_hz=(-0.5e6, 0.5e6))
     vals = oobe(est, (-0.5e6, 0.5e6), [0.2e6, 0.6e6, 1.5e6])
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < -40.0
 
 
 def test_oobe_offset_must_be_positive():
-    est = psd_welch(_tone(0.0), segment_size=1024)
+    est = psd_welch(_tone(0.0), FS, segment_size=1024)
     with pytest.raises(ConfigError):
         oobe(est, (-1e6, 1e6), [0.0])
 
 
 def test_oobe_window_beyond_nyquist_rejected():
-    est = psd_welch(_tone(0.0), segment_size=1024)
+    est = psd_welch(_tone(0.0), FS, segment_size=1024)
     with pytest.raises(ConfigError):
         oobe(est, (-1e6, 1e6), [3.5e6])
 
