@@ -41,8 +41,8 @@ from .filters import (
     direct_convolve,
 )
 from .impairments import complex_noise, pa_rapp
-from .metrics import (ThroughputInput, normalized_throughput, oobe, oobe_windows, psd_welch,
-                      welch_freqs)
+from .metrics import (THROUGHPUT_CAVEAT, ThroughputInput, normalized_throughput, oobe,
+                      oobe_windows, psd_welch, welch_freqs)
 from .modem import evm_db, ofdm_demodulate, ofdm_modulate
 from .subband import (
     assemble,
@@ -318,9 +318,8 @@ def load_throughput_preset(path: Path) -> tuple[list[ThroughputInput], Throughpu
             raise ConfigError(f"throughput preset {path} is not valid JSON: {e}") from e
     _take(raw, {"baseline", "subbands"}, "throughput")
 
-    def entry(d, ctx: str) -> ThroughputInput:
-        _take(d, {"name", "symbol_duration_us", "cp_duration_us", "data_tone_fraction",
-                  "bandwidth_weight"}, ctx)
+    def entry(d, ctx: str, keys: set[str]) -> ThroughputInput:
+        _take(d, keys, ctx)
         name = _field(d, "name", str, ctx)
         if any(c in name for c in ',"\r\n'):
             # The name is written unquoted as the first throughput.csv column.
@@ -328,16 +327,19 @@ def load_throughput_preset(path: Path) -> tuple[list[ThroughputInput], Throughpu
                               "a double quote, CR or LF")
         return ThroughputInput(
             name=name,
-            symbol_duration_s=_field(d, "symbol_duration_us", float, ctx) * 1e-6,
-            cp_duration_s=_field(d, "cp_duration_us", float, ctx) * 1e-6,
+            fft_size=_field(d, "fft_size", int, ctx),
+            cp_samples=_field(d, "cp_samples", int, ctx),
             data_tone_fraction=_field(d, "data_tone_fraction", float, ctx),
             bandwidth_weight=_field(d, "bandwidth_weight", float, ctx,
                                     ThroughputInput.bandwidth_weight),
         )
 
+    # The baseline is the whole band, so it takes no bandwidth weight.
+    keys = {"name", "fft_size", "cp_samples", "data_tone_fraction"}
     subbands = _field(raw, "subbands", list, "throughput")
-    return ([entry(d, f"throughput.subbands[{i}]") for i, d in enumerate(subbands)],
-            entry(_field(raw, "baseline", dict, "throughput"), "throughput.baseline"))
+    return ([entry(d, f"throughput.subbands[{i}]", keys | {"bandwidth_weight"})
+             for i, d in enumerate(subbands)],
+            entry(_field(raw, "baseline", dict, "throughput"), "throughput.baseline", keys))
 
 
 def cmd_throughput(args) -> int:
@@ -362,7 +364,7 @@ def cmd_throughput(args) -> int:
         manifest.finalize({"throughput": out_path})
     print(f"throughput: OFDM {report.ofdm_total:.4f}, f-OFDM {report.fofdm_total:.4f}, "
           f"gain {report.gain_percent:.1f}%")
-    print(f"note: {report.caveat}")
+    print(f"note: {THROUGHPUT_CAVEAT}")
     return 0
 
 

@@ -31,6 +31,13 @@ MODULATIONS = ("qpsk", "16qam", "64qam")
 # so the validator rejects one that it leaves no passband.
 PACKED_EDGE_BACKOFF_TONES = 1.0
 
+# Most samples one subband's TTI, with its timing offset, may span. 2**22 is
+# 64 MiB as complex128 and about 136 LTE-20 TTIs (14 x 2,192 = 30,688
+# samples), so every shipped preset and test sits far below it, while a
+# scenario that would ask for gigabytes per stream is rejected before any
+# buffer is allocated.
+MAX_TTI_SAMPLES = 1 << 22
+
 
 class ConfigError(ValueError):
     """Raised for parameter combinations that cannot be built or run."""
@@ -192,6 +199,10 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
         if packed and sb.width_tones <= 2 * PACKED_EDGE_BACKOFF_TONES:
             bad(i, f"width_tones {sb.width_tones} leaves no filter passband inside the "
                    f"{PACKED_EDGE_BACKOFF_TONES:g}-tone edge backoff of a multi-subband scenario")
+        if not packed and sb.width_tones * REFERENCE_TONE_HZ >= cfg.sample_rate_hz:
+            bad(i, f"width_tones {sb.width_tones} x 15 kHz reaches sample_rate_hz "
+                   f"{cfg.sample_rate_hz:.0f}: the filter of a lone subband passes every "
+                   "tone, so it would have no stopband")
         if sb.guard_tones_left < 0 or sb.guard_tones_right < 0:
             bad(i, "guard tone counts must be nonnegative")
         if sb.modulation not in MODULATIONS:
@@ -208,6 +219,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
             bad(i, "symbols_per_tti must be positive")
         if not 0 <= n.cp_samples < n.fft_size:
             bad(i, f"cp_samples {n.cp_samples} must lie in [0, fft_size)")
+        span = sb.timing_offset_samples + n.symbols_per_tti * n.samples_per_symbol
+        if span > MAX_TTI_SAMPLES:
+            bad(i, f"timing_offset_samples {sb.timing_offset_samples} + symbols_per_tti "
+                   f"{n.symbols_per_tti} x {n.samples_per_symbol} samples = {span} exceeds "
+                   f"the {MAX_TTI_SAMPLES} samples one TTI may span")
         if cfg.sample_rate_hz > 0 and not _rates_consistent(n, cfg.sample_rate_hz):
             bad(i, f"scs x fft != sample rate ({n.scs_hz} x {n.fft_size} != {cfg.sample_rate_hz})")
         width_hz = _frac(REFERENCE_TONE_HZ) * sb.width_tones

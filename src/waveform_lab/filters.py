@@ -32,7 +32,6 @@ class FilterSpec:
 @dataclass(frozen=True)
 class FirFilter:
     taps: np.ndarray
-    spec: FilterSpec
     sample_rate_hz: float
     mainlobe_samples: int           # span between the first minima around the peak tap
     # Taps spectra by block size. Not an init field, so `dataclasses.replace`
@@ -86,7 +85,7 @@ def design_windowed_sinc(spec: FilterSpec, sample_rate_hz: float) -> FirFilter:
     if spec.center_offset_hz == 0.0:
         taps = taps.real  # conjugate-symmetric prototype
 
-    return FirFilter(taps=taps, spec=spec, sample_rate_hz=sample_rate_hz,
+    return FirFilter(taps=taps, sample_rate_hz=sample_rate_hz,
                      mainlobe_samples=_mainlobe(np.abs(taps)))
 
 

@@ -17,7 +17,10 @@ from .core import ConfigError
 
 THROUGHPUT_CAVEAT = (
     "Overhead arithmetic only: coded link adaptation is not modeled, so the "
-    "upper end of the reported range is not reachable by this calculator."
+    "upper end of the reported range is not reachable by this calculator. "
+    "The f-OFDM rows assume a data-tone fraction of 1.0, that is no guard "
+    "tones, while 64QAM may need up to two guard tones per edge next to an "
+    "asynchronous neighbour."
 )
 
 
@@ -143,48 +146,39 @@ def oobe(psd: PsdEstimate, band_edges_hz: tuple[float, float], offsets_hz) -> li
 
 @dataclass(frozen=True)
 class ThroughputInput:
+    """One numerology in samples; its CP overhead needs no sample rate."""
     name: str
-    symbol_duration_s: float
-    cp_duration_s: float
+    fft_size: int
+    cp_samples: int
     data_tone_fraction: float
     bandwidth_weight: float = 1.0
 
+    @property
+    def cp_overhead_fraction(self) -> float:
+        return self.cp_samples / (self.fft_size + self.cp_samples)
 
-@dataclass(frozen=True)
-class SubbandThroughput:
-    name: str
-    data_tone_fraction: float
-    cp_overhead_fraction: float
-    normalized_throughput: float
-    bandwidth_weight: float
+    @property
+    def normalized_throughput(self) -> float:
+        return self.data_tone_fraction * (1.0 - self.cp_overhead_fraction)
 
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    subbands: tuple[SubbandThroughput, ...]
+    subbands: tuple[ThroughputInput, ...]
     fofdm_total: float
     ofdm_total: float
     gain_percent: float
-    caveat: str = THROUGHPUT_CAVEAT
 
 
-def _efficiency(entry: ThroughputInput) -> SubbandThroughput:
-    for name in ("symbol_duration_s", "cp_duration_s", "data_tone_fraction",
-                 "bandwidth_weight"):
+def _check(entry: ThroughputInput) -> None:
+    for name in ("data_tone_fraction", "bandwidth_weight"):
         if not math.isfinite(getattr(entry, name)):
             raise ConfigError(f"{name} for {entry.name!r} must be finite")
-    if entry.symbol_duration_s <= 0 or entry.cp_duration_s < 0:
-        raise ConfigError(f"invalid durations for {entry.name!r}")
+    if not 0 <= entry.cp_samples < entry.fft_size:
+        raise ConfigError(f"cp_samples {entry.cp_samples} for {entry.name!r} "
+                          "must lie in [0, fft_size)")
     if not 0.0 <= entry.data_tone_fraction <= 1.0:
         raise ConfigError(f"data tone fraction for {entry.name!r} must lie in [0, 1]")
-    overhead = entry.cp_duration_s / (entry.symbol_duration_s + entry.cp_duration_s)
-    return SubbandThroughput(
-        name=entry.name,
-        data_tone_fraction=entry.data_tone_fraction,
-        cp_overhead_fraction=overhead,
-        normalized_throughput=entry.data_tone_fraction * (1.0 - overhead),
-        bandwidth_weight=entry.bandwidth_weight,
-    )
 
 
 def normalized_throughput(
@@ -193,18 +187,19 @@ def normalized_throughput(
     """Bandwidth-weighted overhead efficiency of the split waveform vs one baseline."""
     if not subbands:
         raise ConfigError("at least one subband is required")
-    per = tuple(_efficiency(e) for e in subbands)
-    base = _efficiency(baseline)
-    total_weight = sum(s.bandwidth_weight for s in per)
+    for entry in (*subbands, baseline):
+        _check(entry)
+    total_weight = sum(s.bandwidth_weight for s in subbands)
     if total_weight <= 0:
         raise ConfigError("bandwidth weights must sum to a positive value")
-    fofdm_total = sum(s.normalized_throughput * s.bandwidth_weight for s in per) / total_weight
-    ofdm_total = base.normalized_throughput
+    fofdm_total = (sum(s.normalized_throughput * s.bandwidth_weight for s in subbands)
+                   / total_weight)
+    ofdm_total = baseline.normalized_throughput
     if ofdm_total <= 0:
         raise ConfigError("baseline throughput is zero; gain undefined")
     gain = (fofdm_total - ofdm_total) / ofdm_total * 100.0
     return ThroughputReport(
-        subbands=per,
+        subbands=tuple(subbands),
         fofdm_total=fofdm_total,
         ofdm_total=ofdm_total,
         gain_percent=gain,

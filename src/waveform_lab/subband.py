@@ -417,6 +417,8 @@ def _sweep_geometry(base: ScenarioConfig, guard: int, power_db: float, modulatio
 
     The second subband (interferer) stays put and carries the power offset and
     a half-symbol delay; the first (victim) and optional third move outward.
+    "Half a symbol" is the interferer's own: its `samples_per_symbol // 2`
+    at the common sample rate, whatever the victim's numerology.
     """
     subs = list(base.subbands)
     interferer = subs[1]

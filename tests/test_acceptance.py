@@ -223,6 +223,10 @@ def test_throughput_gain_range(tmp_path, capsys):
     from waveform_lab.cli import load_throughput_preset
     subbands, baseline = load_throughput_preset(
         preset_dir() / "throughput-table.json")
+    # Four services and an extended-CP baseline, as 30.72 MHz sample counts:
+    # 3.75 kHz twice, 30 kHz and 60 kHz against 15 kHz.
+    assert [(s.fft_size, s.cp_samples) for s in (*subbands, baseline)] == [
+        (8192, 80), (8192, 230), (1024, 90), (512, 60), (2048, 512)]
     rep = normalized_throughput(subbands, baseline)
     assert rep.ofdm_total == pytest.approx(0.720, abs=1e-3)
     assert 25.0 <= rep.gain_percent <= 46.0

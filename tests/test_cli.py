@@ -13,7 +13,15 @@ import pytest
 
 from waveform_lab import cli
 from waveform_lab.cli import main, preset_dir, resolve_scenario_path
-from waveform_lab.core import ConfigError, load_scenario, seeded_rng
+from waveform_lab.core import (
+    ConfigError,
+    Numerology,
+    ScenarioConfig,
+    SubbandSpec,
+    load_scenario,
+    seeded_rng,
+    validate_scenario,
+)
 from waveform_lab.filters import FirFilter
 from waveform_lab.subband import (
     assemble,
@@ -382,14 +390,20 @@ def _throughput_file(tmp_path, edit) -> str:
 
 @pytest.mark.parametrize("edit, message", [
     (lambda t: t["subbands"][0].pop("name"), "throughput.subbands[0].name is missing"),
-    (lambda t: t["subbands"][1].update(symbol_duration_us="abc"),
-     "throughput.subbands[1].symbol_duration_us must be of type float"),
-    (lambda t: t["baseline"].update(bandwidth_weight=True),
-     "throughput.baseline.bandwidth_weight must be of type float"),
+    (lambda t: t["subbands"][1].update(fft_size="8192"),
+     "throughput.subbands[1].fft_size must be of type int"),
+    (lambda t: t["subbands"][1].update(symbol_duration_us=266.67),
+     "unknown keys in throughput.subbands[1]: ['symbol_duration_us']"),
+    (lambda t: t["subbands"][2].update(bandwidth_weight=True),
+     "throughput.subbands[2].bandwidth_weight must be of type float"),
+    (lambda t: t["baseline"].update(bandwidth_weight=1.0),
+     "unknown keys in throughput.baseline: ['bandwidth_weight']"),
+    (lambda t: t["subbands"][3].update(cp_samples=512),
+     "cp_samples 512 for 'v2v' must lie in [0, fft_size)"),
     (lambda t: t["subbands"].append(3), "throughput.subbands[4] must be a JSON object"),
     (lambda t: t.pop("baseline"), "throughput.baseline is missing"),
-], ids=["missing-name", "string-duration", "bool-weight", "non-object-entry",
-        "missing-baseline"])
+], ids=["missing-name", "string-fft-size", "leftover-duration-key", "bool-weight",
+        "baseline-weight", "cp-not-below-fft", "non-object-entry", "missing-baseline"])
 def test_malformed_throughput_preset_exit_code(tmp_path, capsys, edit, message):
     rc = main(["throughput", "--scenario", _throughput_file(tmp_path, edit),
                "--out", str(tmp_path / "x")])
@@ -407,6 +421,24 @@ def test_throughput_name_that_would_break_the_csv_is_rejected(tmp_path, capsys, 
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: throughput.subbands[0].name {name!r}")
     assert not out.exists()
+
+
+def test_throughput_rows_are_numerologies_the_simulator_builds():
+    # Each row, and the baseline, is an FFT and a CP at the full-scale rate:
+    # as a lone 12-tone subband at scs = fs / fft_size it passes the scenario
+    # validator, so the table describes waveforms a scenario can hold.
+    subbands, baseline = cli.load_throughput_preset(resolve_scenario_path("throughput-table")[0])
+    spacings = []
+    for row in (*subbands, baseline):
+        scs_hz = cli.FULL_SCALE_RATE_HZ / row.fft_size
+        spec = SubbandSpec(start_tone=-6, width_tones=12, guard_tones_left=0,
+                           guard_tones_right=0, modulation="qpsk",
+                           numerology=Numerology(scs_hz=scs_hz, fft_size=row.fft_size,
+                                                 cp_samples=row.cp_samples, symbols_per_tti=14))
+        cfg = ScenarioConfig(cli.FULL_SCALE_RATE_HZ, 20e6, (spec,))
+        assert validate_scenario(cfg).ok, row.name
+        spacings.append(scs_hz)
+    assert spacings == [3.75e3, 3.75e3, 30e3, 60e3, 15e3]
 
 
 def test_non_object_throughput_preset_exit_code(tmp_path, capsys):
@@ -473,6 +505,15 @@ def _desk_file(tmp_path, edit) -> str:
     (lambda c: c["subbands"][0]["numerology"].update(fft_size=float("nan")), "fft_size"),
     (lambda c: c["subbands"][1].pop("modulation"), "modulation"),
     (lambda c: c.update(subbands=[]), "scenario has no subbands"),
+    # A lone subband filling the band, whose filter design would fail.
+    (lambda c: c.update(total_bandwidth_hz=7.68e6, subbands=[
+        {**c["subbands"][1], "start_tone": -256, "width_tones": 512}]),
+     "subband 0: width_tones 512 x 15 kHz reaches sample_rate_hz 7680000"),
+    # One TTI that would need gigabytes: rejected before any buffer is allocated.
+    (lambda c: c["subbands"][1].update(timing_offset_samples=10**9),
+     "subband 1: timing_offset_samples 1000000000"),
+    (lambda c: c["subbands"][0]["numerology"].update(symbols_per_tti=10**7),
+     "subband 0: timing_offset_samples 0 + symbols_per_tti 10000000"),
 ])
 def test_malformed_scenario_field_exit_code(tmp_path, capsys, edit, field):
     scn = _desk_file(tmp_path, edit)
@@ -557,5 +598,4 @@ def test_invalid_scenario_exit_code(tmp_path, capsys):
 def test_shipped_presets_validate():
     for name in ("three-subband-desk", "three-subband-lte20"):
         cfg = load_scenario(resolve_scenario_path(name)[0])
-        from waveform_lab.core import validate_scenario
         assert validate_scenario(cfg).ok

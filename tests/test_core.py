@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from waveform_lab.core import (
+    MAX_TTI_SAMPLES,
     ConfigError,
     Numerology,
     ScenarioConfig,
@@ -220,6 +221,36 @@ def test_validate_rejects_a_subband_too_narrow_for_the_packed_filter(width):
     assert validate_scenario(replace(DESK_PRESET, subbands=tuple(subs))).ok
     # Alone in its scenario, a subband's filter keeps every tone.
     assert validate_scenario(_scenario([_subband(0, width)])).ok
+
+
+def test_validate_rejects_a_lone_subband_that_fills_the_band():
+    # Alone, a subband's filter passes all its tones; at the full band that
+    # passband reaches the sample rate and the design has no stopband.
+    fill = _scenario([_subband(-256, 512)], bw=FS)
+    assert [(v.subband, v.message) for v in validate_scenario(fill).violations] == [
+        (0, "width_tones 512 x 15 kHz reaches sample_rate_hz 7680000: the filter of a "
+            "lone subband passes every tone, so it would have no stopband")]
+    assert validate_scenario(_scenario([_subband(-256, 511)], bw=FS)).ok
+    # Packed, the same tones are split between subbands and pulled in at the edges.
+    assert validate_scenario(_scenario([_subband(-256, 256), _subband(0, 256)], bw=FS)).ok
+
+
+def test_validate_bounds_the_samples_of_one_tti():
+    def first_subband(offset, symbols):
+        sb = DESK_PRESET.subbands[0]
+        sb = replace(sb, timing_offset_samples=offset,
+                     numerology=replace(sb.numerology, symbols_per_tti=symbols))
+        return replace(DESK_PRESET, subbands=(sb, *DESK_PRESET.subbands[1:]))
+
+    # Desk subband 0 sends 548-sample symbols.
+    assert validate_scenario(first_subband(MAX_TTI_SAMPLES - 14 * 548, 14)).ok
+    for offset, symbols in ((MAX_TTI_SAMPLES - 14 * 548 + 1, 14),
+                            (0, MAX_TTI_SAMPLES // 548 + 1)):
+        report = validate_scenario(first_subband(offset, symbols))
+        assert [(v.subband, v.message) for v in report.violations] == [
+            (0, f"timing_offset_samples {offset} + symbols_per_tti {symbols} x 548 samples "
+                f"= {offset + symbols * 548} exceeds the {MAX_TTI_SAMPLES} samples one TTI "
+                "may span")]
 
 
 @settings(max_examples=50, deadline=None)

@@ -170,10 +170,9 @@ def test_oobe_window_beyond_nyquist_rejected():
 # ---------------------------------------------------------------------------
 
 def _baseline():
-    # Worst-case reference: extended CP and 10% reserved tones.
-    return ThroughputInput(name="baseline", symbol_duration_s=66.6667e-6,
-                           cp_duration_s=16.6667e-6, data_tone_fraction=0.9,
-                           bandwidth_weight=1.0)
+    # Worst-case reference: extended CP (15 kHz at 30.72 MHz) and 10% reserved tones.
+    return ThroughputInput(name="baseline", fft_size=2048, cp_samples=512,
+                           data_tone_fraction=0.9)
 
 
 def test_baseline_efficiency():
@@ -182,19 +181,21 @@ def test_baseline_efficiency():
 
 
 def test_long_symbol_short_cp_efficiency():
-    entry = ThroughputInput(name="pedestrian", symbol_duration_s=266.67e-6,
-                            cp_duration_s=2.6e-6, data_tone_fraction=1.0,
-                            bandwidth_weight=1.0)
+    entry = ThroughputInput(name="pedestrian", fft_size=8192, cp_samples=80,
+                            data_tone_fraction=1.0, bandwidth_weight=1.0)
     rep = normalized_throughput([entry], _baseline())
-    assert rep.subbands[0].normalized_throughput == pytest.approx(0.99035, abs=1e-4)
+    # The report holds its inputs; the overhead is a ratio of sample counts.
+    assert rep.subbands == (entry,)
+    assert entry.cp_overhead_fraction == 80 / 8272
+    assert rep.subbands[0].normalized_throughput == pytest.approx(0.99033, abs=1e-5)
 
 
 def test_bandwidth_weighted_total():
-    a = ThroughputInput("a", 266.67e-6, 2.6e-6, 1.0, bandwidth_weight=3.0)
-    b = ThroughputInput("b", 16.67e-6, 1.95e-6, 1.0, bandwidth_weight=1.0)
+    a = ThroughputInput("a", 8192, 80, 1.0, bandwidth_weight=3.0)
+    b = ThroughputInput("b", 512, 60, 1.0, bandwidth_weight=1.0)
     rep = normalized_throughput([a, b], _baseline())
-    ea = 1 - 2.6 / (266.67 + 2.6)
-    eb = 1 - 1.95 / (16.67 + 1.95)
+    ea = 1 - 80 / (8192 + 80)
+    eb = 1 - 60 / (512 + 60)
     assert rep.fofdm_total == pytest.approx((3 * ea + eb) / 4, rel=1e-9)
     assert rep.gain_percent == pytest.approx(
         (rep.fofdm_total / rep.ofdm_total - 1) * 100, rel=1e-9)
@@ -203,17 +204,22 @@ def test_bandwidth_weighted_total():
 def test_throughput_validation():
     with pytest.raises(ConfigError):
         normalized_throughput([], _baseline())
-    bad = ThroughputInput("bad", 0.0, 1e-6, 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        normalized_throughput([bad], _baseline())
-    over = ThroughputInput("over", 1e-6, 1e-6, 1.5, 1.0)
+    # The scenario validator's CP rule: 0 <= cp_samples < fft_size.
+    for fft_size, cp_samples in ((64, 64), (64, -1), (0, 0)):
+        bad = ThroughputInput("bad", fft_size, cp_samples, 1.0, 1.0)
+        with pytest.raises(ConfigError, match=f"cp_samples {cp_samples} for 'bad'"):
+            normalized_throughput([bad], _baseline())
+        with pytest.raises(ConfigError, match="cp_samples"):
+            normalized_throughput([_baseline()], bad)
+    assert normalized_throughput([ThroughputInput("no-cp", 64, 0, 1.0)],
+                                 _baseline()).fofdm_total == 1.0
+    over = ThroughputInput("over", 64, 4, 1.5, 1.0)
     with pytest.raises(ConfigError):
         normalized_throughput([over], _baseline())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("field", ["symbol_duration_s", "cp_duration_s",
-                                   "data_tone_fraction", "bandwidth_weight"])
+@pytest.mark.parametrize("field", ["data_tone_fraction", "bandwidth_weight"])
 def test_throughput_rejects_non_finite(field, value):
     entry = replace(_baseline(), **{field: value})
     with pytest.raises(ConfigError, match=field):
@@ -224,3 +230,6 @@ def test_throughput_rejects_non_finite(field, value):
 
 def test_caveat_mentions_link_adaptation():
     assert "link adaptation" in THROUGHPUT_CAVEAT
+    # ... and the guard tones the rows leave out.
+    assert "data-tone fraction of 1.0" in THROUGHPUT_CAVEAT
+    assert "two guard tones per edge" in THROUGHPUT_CAVEAT

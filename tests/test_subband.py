@@ -22,7 +22,7 @@ from waveform_lab.core import (
     seeded_rng,
     validate_scenario,
 )
-from waveform_lab.filters import FilterSpec, FirFilter
+from waveform_lab.filters import FirFilter
 from waveform_lab.impairments import mean_power
 from waveform_lab.metrics import psd_welch
 from waveform_lab.modem import BITS_PER_SYMBOL, ber, qam_map
@@ -249,8 +249,7 @@ def test_unit_filter_tx_matches_unfiltered_chain():
     spec = _subband(mod="16qam", power_offset_db=-3.0)
     bits = payload_bits(spec, seeded_rng(1, "unit"))
     policy = TailPolicy(extra_cp_samples=10, rx_advance_samples=5)
-    unit = FirFilter(taps=np.ones(1), spec=FilterSpec(order=0, passband_width_hz=FS / 2),
-                     sample_rate_hz=FS, mainlobe_samples=1)
+    unit = FirFilter(taps=np.ones(1), sample_rate_hz=FS, mainlobe_samples=1)
     carrier = upconversion_carrier(spec, FS, policy)
     filt, _ = tx_subband(spec, FS, bits, policy, unit, carrier)
     plain = tx_subband_unfiltered(spec, bits, policy, carrier)
