@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    MAX_PSD_SAMPLES,
     MODULATIONS,
     ConfigError,
     ScenarioConfig,
@@ -226,7 +227,7 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
             bits = payload_bits(chunk, rng)
             sig = (tx_subband(chunk, fs, bits, policy, fir, carrier)[0] if filtered
                    else tx_subband_unfiltered(chunk, bits, policy, carrier))
-            assemble([sig], [sb.timing_offset_samples + first * n], out)
+            assemble(out, sig, sb.timing_offset_samples + first * n)
     return out
 
 
@@ -244,6 +245,10 @@ def cmd_psd(args) -> int:
         lo = min(sb.occupied_low_hz for sb in cfg.subbands)
         hi = max(sb.occupied_high_hz for sb in cfg.subbands)
 
+        longer = _psd_length(cfg, args.ttis, designs, filtered=True)
+        if longer > MAX_PSD_SAMPLES:
+            raise ConfigError(f"--ttis {args.ttis} asks for a {longer}-sample composite, "
+                              f"above the {MAX_PSD_SAMPLES} samples one may hold")
         # One chain at a time: each composite is dropped after its Welch. Both
         # take the segment size of the plain composite, the shorter one; it
         # fixes the bins, so the OOBE windows are checked before any transform.
@@ -255,7 +260,7 @@ def cmd_psd(args) -> int:
         for name, filtered in (("fofdm", True), ("ofdm", False)):
             composite = _psd_composite(cfg, args.ttis, designs, filtered)
             if args.pa_on:  # in place: the PA output is the composite's buffer
-                pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS, out=composite)
+                pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS)
             estimates[name] = psd_welch(composite, fs, segment_size=segment, in_band_hz=(lo, hi))
             del composite
 
@@ -295,12 +300,8 @@ def cmd_guardtone(args) -> int:
                                  modulations=mods)
         sweep_path = out_dir / "guardtone_sweep.csv"
         _write_csv(sweep_path, result.csv_lines())
-        base_lines = ["modulation,snr_db,evm_db_edge,evm_db_inner,ber"] + [
-            f"{b.modulation},{b.snr_db:.6g},{b.evm_db_edge:.6f},{b.evm_db_inner:.6f},{b.ber:.8g}"
-            for b in result.baselines.values()
-        ]
         base_path = out_dir / "guardtone_baseline.csv"
-        _write_csv(base_path, base_lines)
+        _write_csv(base_path, result.baseline_csv_lines())
         manifest.finalize({"sweep": sweep_path, "baseline": base_path})
     print(f"guardtone: {len(result.rows)} rows -> {sweep_path}")
     return 0
@@ -446,10 +447,11 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
     # Assembly linearity.
     a = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
     b = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    diff = assemble([a, b], [0, 100])
-    diff[:len(a)] -= assemble([a], [0])
-    expected = assemble([b], [100])
-    err = np.linalg.norm(diff[:len(expected)] - expected)
+    both, lone_a, lone_b = (np.zeros(n, dtype=np.complex128) for n in (2048, 2048, 1124))
+    for out, sig, offset in ((both, a, 0), (both, b, 100), (lone_a, a, 0), (lone_b, b, 100)):
+        assemble(out, sig, offset)
+    both -= lone_a
+    err = np.linalg.norm(both[:len(lone_b)] - lone_b)
     results.append(("assembly_linearity", err < 1e-9, f"residual {err:.2e}"))
 
     # Guard-count EVM monotonicity and deterministic rerun (tiny sweep).

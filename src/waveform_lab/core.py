@@ -38,6 +38,11 @@ PACKED_EDGE_BACKOFF_TONES = 1.0
 # buffer is allocated.
 MAX_TTI_SAMPLES = 1 << 22
 
+# Most samples a `psd` composite may hold. 2**26 is 1 GiB as complex128, about
+# 1,979 LTE-20 or 7,917 desk TTIs; the longest one a test or the benchmark
+# builds, LTE-20 at 400 TTIs, is 12,278,416 samples (5.5x below).
+MAX_PSD_SAMPLES = 1 << 26
+
 
 class ConfigError(ValueError):
     """Raised for parameter combinations that cannot be built or run."""

@@ -35,28 +35,21 @@ def mean_power(samples: np.ndarray) -> float:
     return total / len(samples)
 
 
-def pa_rapp(samples: np.ndarray, input_backoff_db: float, smoothness: float,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Rapp AM/AM solid-state PA; phase-transparent saturation.
+def pa_rapp(samples: np.ndarray, input_backoff_db: float, smoothness: float) -> np.ndarray:
+    """Rapp AM/AM solid-state PA; phase-transparent saturation. Works in
+    place and returns `samples`.
 
     The saturation amplitude is set so the measured mean input power of the
-    whole stream sits `input_backoff_db` below the saturation power. Like a
-    numpy ufunc, it writes into `out` when given, which may be `samples`
-    itself: the curve is elementwise, so the bits do not change.
+    whole stream sits `input_backoff_db` below the saturation power.
     """
     if smoothness <= 0:
         raise ConfigError("Rapp smoothness must be positive")
-    if out is None:
-        out = np.empty(len(samples), dtype=np.complex128)
-    elif out.shape != samples.shape or out.dtype != np.complex128:
-        raise ValueError(f"out must be complex128 of shape {samples.shape}")
     power = mean_power(samples)
     if power == 0.0:
-        out[:] = samples
-        return out
+        return samples
     a_sat = math.sqrt(power * 10.0 ** (input_backoff_db / 10.0))
     for start in range(0, len(samples), _PA_SLICE_SAMPLES):
         x = samples[start:start + _PA_SLICE_SAMPLES]
-        out[start:start + len(x)] = x / np.power(
-            1.0 + np.power(np.abs(x) / a_sat, 2.0 * smoothness), 1.0 / (2.0 * smoothness))
-    return out
+        x /= np.power(1.0 + np.power(np.abs(x) / a_sat, 2.0 * smoothness),
+                      1.0 / (2.0 * smoothness))
+    return samples

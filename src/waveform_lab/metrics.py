@@ -110,8 +110,11 @@ def oobe_windows(
 ) -> list[tuple[float, float]]:
     """Centers of the (upper, lower) 15 kHz windows at each offset beyond the
     band edges. Raises if a window leaves the bins `freqs_hz`, which
-    `welch_freqs` gives before any transform."""
+    `welch_freqs` gives before any transform, or holds none of them, or if
+    the band itself holds none."""
     lo_edge, hi_edge = band_edges_hz
+    if not ((freqs_hz >= lo_edge) & (freqs_hz < hi_edge)).any():
+        raise ConfigError(f"in-band interval {band_edges_hz} selects no PSD bins")
     nyquist = freqs_hz[-1] + (freqs_hz[1] - freqs_hz[0])
     windows = []
     for off in offsets_hz:
@@ -121,6 +124,8 @@ def oobe_windows(
         for c in centers:
             if c + OOBE_WINDOW_HZ / 2 > nyquist or c - OOBE_WINDOW_HZ / 2 < freqs_hz[0]:
                 raise ConfigError(f"measurement window at {c} Hz exceeds Nyquist")
+            if not (np.abs(freqs_hz - c) <= OOBE_WINDOW_HZ / 2).any():
+                raise ConfigError(f"measurement window at {c} Hz holds no PSD bin")
         windows.append(centers)
     return windows
 

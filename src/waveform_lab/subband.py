@@ -252,24 +252,21 @@ def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _mixed(samples: np.ndarray, carrier: Carrier, out: np.ndarray | None = None) -> np.ndarray:
-    """`samples` shifted by `carrier`: bitwise
+def _mixed(samples: np.ndarray, carrier: Carrier) -> np.ndarray:
+    """`samples` shifted by `carrier`, in place; returns `samples`. Bitwise
     `np.multiply(carrier.materialize(), samples)`, computed against the
     carrier's one stored period as period-long rows, then a tail. An
     elementwise product does not depend on the row, so the bits are the same
-    whether a carrier is built per call, once per sweep, or per chunk.
-    Written into `out` when given, which may be `samples` itself."""
+    whether a carrier is built per call, once per sweep, or per chunk."""
     if len(carrier) != len(samples):
         raise ConfigError(f"carrier of {len(carrier)} samples does not match a "
                           f"{len(samples)}-sample stream")
     head, n, period = carrier.head, len(samples), len(carrier.head)
     whole = n // period * period
-    if out is None:
-        out = np.empty(n, dtype=np.complex128)
-    np.multiply(head, samples[:whole].reshape(-1, period),
-                out=out[:whole].reshape(-1, period))
-    np.multiply(head[:n - whole], samples[whole:], out=out[whole:])
-    return out
+    rows = samples[:whole].reshape(-1, period)
+    np.multiply(head, rows, out=rows)
+    np.multiply(head[:n - whole], samples[whole:], out=samples[whole:])
+    return samples
 
 
 def _upconverted(
@@ -280,7 +277,7 @@ def _upconverted(
     chain. The shift is made in the modulator's output."""
     grid = build_grid(spec, bits)
     baseband = ofdm_modulate(grid, _extended_numerology(spec, policy))
-    return grid, _mixed(baseband, carrier, out=baseband)
+    return grid, _mixed(baseband, carrier)
 
 
 def tx_subband(
@@ -351,30 +348,20 @@ def rx_subband(
     block = default_block_size(len(fir.taps), len(composite))
     filtered = _overlap_save(composite, fir.taps, block, fir.spectrum(block))
     frame = filtered[start:start + seg_len]  # only the frame is downconverted, in place
-    raw = ofdm_demodulate(_mixed(frame, carrier, out=frame), n_ext,
+    raw = ofdm_demodulate(_mixed(frame, carrier), n_ext,
                           policy.rx_advance_samples, spec.data_tones)
     eq = equalize(raw, estimates)
     bits_hat = qam_demap(eq.T.ravel(), spec.modulation)
     return SubbandRxResult(grid=eq, bits=bits_hat, evm_db=evm_db(sent, eq))
 
 
-def assemble(
-    signals: list[np.ndarray], offsets: list[int], out: np.ndarray | None = None
-) -> np.ndarray:
-    """Shift each stream by its sample offset, zero-pad, and sum; or add them
-    into `out`, when given, which is how chunks are overlap-added."""
-    if len(signals) != len(offsets):
-        raise ConfigError("one offset per signal is required")
-    if not signals:
-        raise ConfigError("nothing to assemble")
-    if any(o < 0 for o in offsets):
-        raise ConfigError("offsets must be nonnegative")
-    length = max(o + len(s) for s, o in zip(signals, offsets))
-    if out is None:
-        out = np.zeros(length, dtype=np.complex128)
-    for s, o in zip(signals, offsets):
-        out[o:o + len(s)] += s
-    return out
+def assemble(out: np.ndarray, samples: np.ndarray, offset: int) -> None:
+    """Add `samples`, shifted by `offset` samples, into `out` in place: how a
+    composite gathers its subbands' streams, and a stream its chunks."""
+    if offset < 0 or offset + len(samples) > len(out):
+        raise ConfigError(f"a {len(samples)}-sample stream at offset {offset} does not fit "
+                          f"a {len(out)}-sample buffer")
+    out[offset:offset + len(samples)] += samples
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +379,23 @@ class SweepRow:
     ber: float
 
 
+def _measured_fields(r: SweepRow) -> str:  # the columns both sweep CSVs end with
+    return f"{r.snr_db:.6g},{r.evm_db_edge:.6f},{r.evm_db_inner:.6f},{r.ber:.8g}"
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
     baselines: dict  # modulation -> SweepRow (guard_tones == -1 marker unused in CSV)
 
     def csv_lines(self) -> list[str]:
-        lines = ["guard_tones,power_offset_db,modulation,snr_db,evm_db_edge,evm_db_inner,ber"]
-        for r in self.rows:
-            lines.append(
-                f"{r.guard_tones},{r.power_offset_db:.6g},{r.modulation},{r.snr_db:.6g},"
-                f"{r.evm_db_edge:.6f},{r.evm_db_inner:.6f},{r.ber:.8g}"
-            )
-        return lines
+        return ["guard_tones,power_offset_db,modulation,snr_db,evm_db_edge,evm_db_inner,ber"] + [
+            f"{r.guard_tones},{r.power_offset_db:.6g},{r.modulation},{_measured_fields(r)}"
+            for r in self.rows]
+
+    def baseline_csv_lines(self) -> list[str]:
+        return ["modulation,snr_db,evm_db_edge,evm_db_inner,ber"] + [
+            f"{b.modulation},{_measured_fields(b)}" for b in self.baselines.values()]
 
 
 def _edge_tone_count(spec: SubbandSpec) -> int:
@@ -591,34 +582,34 @@ def guardtone_sweep(
                     genie_estimates(victim, fir, policy))
 
         accs = [_ErrorAccumulator(edge_count) for _ in cells]
-        plans = []
+        # victim -> its cells (label, other subbands with their designs,
+        # composite length, accumulator), victims in order of first appearance.
+        groups = {}
         for (label, subs), acc in zip(cells, accs):
             built = [design(replace(s, power_offset_db=0.0)) for s in subs]
-            offsets = [s.timing_offset_samples for s in subs]
-            comp_len = max(o + len(up) + len(fir.taps) - 1
-                           for o, (_, fir, up) in zip(offsets, built))
-            plans.append((subs[0], label, subs, built, offsets, comp_len, acc))
-        victims = list(dict.fromkeys(plan[0] for plan in plans))
-        plans.sort(key=lambda plan: victims.index(plan[0]))
+            comp_len = max(s.timing_offset_samples + len(up) + len(fir.taps) - 1
+                           for s, (_, fir, up) in zip(subs, built))
+            groups.setdefault(subs[0], []).append(
+                (label, list(zip(subs[1:], built[1:])), comp_len, acc))
         baseline = cells[0][1][0]  # every victim carries the baseline's payload
-        longest = max(plan[5] for plan in plans)
+        longest = max(cell[2] for group in groups.values() for cell in group)
         buffer = np.empty(longest, dtype=np.complex128)
         for trial in range(trials):
             bits = payload_bits(baseline, seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
             noise = _sweep_noise(longest, sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
-            for victim, group in itertools.groupby(plans, key=lambda plan: plan[0]):
+            for victim, group in groups.items():
                 policy, fir, up = design(replace(victim, power_offset_db=0.0))
                 sig, grid = tx_subband(victim, fs, bits, policy, fir, up)
-                for _, label, subs, built, offsets, comp_len, acc in group:
+                for label, others, comp_len, acc in group:
                     # Each other subband is added as it is sent, then dropped;
                     # noise last, as `((victim + s1) + s2) + noise`.
                     comp = buffer[:comp_len]
                     comp.fill(0)
-                    assemble([sig], offsets[:1], comp)
-                    for i, s in enumerate(subs[1:], start=1):
+                    assemble(comp, sig, victim.timing_offset_samples)
+                    for i, (s, built) in enumerate(others, start=1):
                         b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{trial}/s{i}"))
-                        assemble([tx_subband(s, fs, b, *built[i])[0]], [offsets[i]], comp)
+                        assemble(comp, tx_subband(s, fs, b, *built)[0], s.timing_offset_samples)
                     _add_noise_prefix(comp, noise)
                     res = rx_subband(comp, victim, fir, grid, policy, *receiver(victim))
                     acc.add(grid, res.grid, bits, res.bits)

@@ -5,20 +5,25 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from waveform_lab import cli
+from waveform_lab import cli, subband
 from waveform_lab.cli import main, preset_dir, resolve_scenario_path
 from waveform_lab.core import (
+    MAX_TTI_SAMPLES,
     ConfigError,
     Numerology,
     ScenarioConfig,
     SubbandSpec,
     load_scenario,
+    scenario_to_dict,
     seeded_rng,
     validate_scenario,
 )
@@ -170,6 +175,45 @@ def test_psd_checks_oobe_windows_before_sending_any_subband(tmp_path, capsys, mo
     assert manifest["status"] == "failed" and manifest["error"] == f"ConfigError: {msg}"
 
 
+def test_psd_refuses_windows_between_its_bins_before_sending_any_subband(tmp_path, capsys):
+    # One 128-sample TTI at 1.92 MHz gives 64-point segments, bins 30 kHz
+    # apart: the 15 kHz window 31.25 kHz above a 45 kHz band holds none, and
+    # its OOBE would be the mean of no bins, NaN.
+    n = Numerology(scs_hz=15e3, fft_size=128, cp_samples=0, symbols_per_tti=1)
+    cfg = ScenarioConfig(sample_rate_hz=1.92e6, total_bandwidth_hz=1.92e6, subbands=(
+        SubbandSpec(start_tone=0, width_tones=3, guard_tones_left=0, guard_tones_right=0,
+                    numerology=n, modulation="qpsk"),))
+    scn = tmp_path / "coarse.json"
+    scn.write_text(json.dumps(scenario_to_dict(cfg)))
+    out = tmp_path / "psd"
+    with mock.patch.object(cli, "_psd_composite") as built:
+        rc = main(["psd", "--scenario", str(scn), "--out", str(out), "--ttis", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: measurement window at 76250.0 Hz holds no PSD bin\n"
+    assert not built.called
+    assert _read_manifest(out)["status"] == "failed"
+
+
+def test_psd_bounds_its_composite_before_building_one(tmp_path, capsys):
+    # 10^9 desk TTIs would make a 7.7e12-sample composite (112 TiB). The
+    # bound is checked from the designs, so no composite is started.
+    out = tmp_path / "psd"
+    with mock.patch.object(cli, "_psd_composite") as built:
+        rc = main(["psd", "--scenario", "three-subband-desk", "--out", str(out),
+                   "--ttis", str(10**9)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ttis 1000000000 asks for a 7672000000804-sample composite")
+    assert not built.called
+    assert _read_manifest(out)["status"] == "failed"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    # The longest composite a test or benchmark builds, LTE-20 at 400 TTIs,
+    # sits 5.5x below the bound.
+    cfg, designs = _preset_designs("three-subband-lte20")
+    assert cli._psd_length(cfg, 400, designs, filtered=True) == 12_278_416
+    assert 5 * 12_278_416 < cli.MAX_PSD_SAMPLES
+
+
 def test_subband_too_narrow_for_its_filter_is_rejected_up_front(tmp_path, capsys):
     scn = _desk_file(tmp_path, lambda c: c["subbands"][2].update(width_tones=2))
     out = tmp_path / "x"
@@ -183,8 +227,8 @@ def test_subband_too_narrow_for_its_filter_is_rejected_up_front(tmp_path, capsys
         assert main([*argv, "--scenario", scn, "--out", str(tmp_path / argv[0])]) == 0
 
 
-def _desk_designs():
-    cfg = load_scenario(resolve_scenario_path("three-subband-desk")[0])
+def _preset_designs(preset="three-subband-desk"):
+    cfg = load_scenario(resolve_scenario_path(preset)[0])
     order, backoff = scenario_filter_profile(cfg)
     firs = [design_subband_filter(sb, cfg.sample_rate_hz, order=order, edge_backoff_tones=backoff)
             for sb in cfg.subbands]
@@ -205,12 +249,18 @@ def _whole_stream_composites(cfg, ttis):
         carrier = upconversion_carrier(sb, fs, policy)
         filtered.append(tx_subband(sb, fs, bits, policy, fir, carrier)[0])
         plain.append(tx_subband_unfiltered(sb, bits, policy, carrier))
-    offsets = [sb.timing_offset_samples for sb in long_subbands]
-    return assemble(filtered, offsets), assemble(plain, offsets)
+    composites = []
+    for streams in (filtered, plain):
+        out = np.zeros(max(sb.timing_offset_samples + len(s)
+                           for sb, s in zip(long_subbands, streams)), dtype=complex)
+        for sb, s in zip(long_subbands, streams):
+            assemble(out, s, sb.timing_offset_samples)
+        composites.append(out)
+    return composites
 
 
 def test_chunked_psd_composites_match_whole_streams():
-    cfg, designs = _desk_designs()
+    cfg, designs = _preset_designs()
     ttis = 2 * cli.PSD_CHUNK_TTIS + 1  # three chunks, the last one TTI long
     whole_f, whole_p = _whole_stream_composites(cfg, ttis)
     chunked_p = cli._psd_composite(cfg, ttis, designs, filtered=False)
@@ -232,7 +282,7 @@ def test_psd_transforms_each_filter_once_not_once_per_chunk(tmp_path, monkeypatc
     ttis = 2 * cli.PSD_CHUNK_TTIS + 5  # three chunks, all at the same block size
     assert main(["psd", "--scenario", "three-subband-desk", "--ttis", str(ttis),
                  "--out", str(tmp_path / "psd")]) == 0
-    cfg, _ = _desk_designs()
+    cfg, _ = _preset_designs()
     chunks = -(-ttis // cli.PSD_CHUNK_TTIS)
     assert len(spectra) == chunks * len(cfg.subbands)  # one per f-OFDM chunk
     assert len({id(f) for f, _, _ in spectra}) == len(cfg.subbands)
@@ -253,7 +303,7 @@ def _psd_peak_bytes(tmp_path, ttis: int) -> int:
 
 def test_psd_memory_stays_within_a_few_composites(tmp_path):
     ttis = 60
-    cfg, designs = _desk_designs()
+    cfg, designs = _preset_designs()
     composite_bytes = cli._psd_composite(cfg, ttis, designs, filtered=True).nbytes
     peak = _psd_peak_bytes(tmp_path, ttis)
     assert peak <= 1.9 * composite_bytes, f"peak is {peak / composite_bytes:.2f} composites"
@@ -262,7 +312,7 @@ def test_psd_memory_stays_within_a_few_composites(tmp_path):
 def test_psd_memory_grows_only_by_the_composite(tmp_path):
     # The composite is the only whole-stream array: payload bits, PA output
     # and Welch periodograms stay one chunk or batch long.
-    cfg, designs = _desk_designs()
+    cfg, designs = _preset_designs()
     composite = {t: cli._psd_composite(cfg, t, designs, filtered=True).nbytes for t in (60, 120)}
     peak = {t: _psd_peak_bytes(tmp_path, t) for t in (60, 120)}
     growth = (peak[120] - peak[60]) / (composite[120] - composite[60])
@@ -599,3 +649,62 @@ def test_shipped_presets_validate():
     for name in ("three-subband-desk", "three-subband-lte20"):
         cfg = load_scenario(resolve_scenario_path(name)[0])
         assert validate_scenario(cfg).ok
+
+
+@st.composite
+def _edge_scenarios(draw):
+    """Small scenarios at the validator's edges: 1- to 3-tone subbands, lone
+    or packed side by side at either edge or the middle of a band from two
+    tones below to one tone above the sample rate, CPs of 0 or fft_size - 1, and a
+    timing offset that puts the last subband's TTI at or one sample past
+    MAX_TTI_SAMPLES."""
+    fs = draw(st.sampled_from([1.92e6, 3.84e6]))
+    fft = int(fs / 15e3)
+    band_tones = fft + draw(st.sampled_from([0, 0, -1, -2, 1]))
+    count = draw(st.integers(1, 3))
+    widths = [3] * count
+    if count == 1 or draw(st.booleans()):
+        widths[draw(st.integers(0, count - 1))] = draw(st.integers(1, 3))
+    guards = [draw(st.integers(0, 1)) for _ in widths]
+    used = sum(widths) + sum(guards)
+    half = band_tones // 2
+    start = draw(st.sampled_from([-(used // 2)] * 3 + [-half, -half - 1, half - used,
+                                                      half - used + 1]))
+    subbands = []
+    for i, (width, guard) in enumerate(zip(widths, guards)):
+        n = Numerology(scs_hz=15e3, fft_size=fft,
+                       cp_samples=draw(st.sampled_from([0, 0, fft // 8, fft - 1])),
+                       symbols_per_tti=draw(st.sampled_from([1, 2, 14])))
+        edge = MAX_TTI_SAMPLES - n.symbols_per_tti * n.samples_per_symbol
+        offsets = [0, 1, fft // 2] + ([edge, edge + 1] if i == count - 1 else [])
+        subbands.append(SubbandSpec(
+            start_tone=start, width_tones=width, guard_tones_left=0, guard_tones_right=guard,
+            numerology=n, modulation=draw(st.sampled_from(["qpsk", "16qam", "64qam"])),
+            timing_offset_samples=draw(st.sampled_from(offsets))))
+        start += width + guard
+    return ScenarioConfig(sample_rate_hz=fs, total_bandwidth_hz=15e3 * band_tones,
+                          subbands=tuple(subbands), seed=draw(st.integers(0, 9)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_edge_scenarios(), ttis=st.integers(1, 3))
+def test_a_scenario_at_the_validators_edges_runs_or_is_rejected(cfg, ttis):
+    # A verb may still refuse a valid scenario on its own terms (a PSD too
+    # coarse for the band or its OOBE windows, sweep cells pushed out of the
+    # band), but only up front: exit 2 before any subband is sent.
+    report = validate_scenario(cfg)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_psd_composite", wraps=cli._psd_composite) as psd, \
+            mock.patch.object(subband, "tx_subband", wraps=subband.tx_subband) as sweep:
+        scn = Path(tmp) / "edge.json"
+        scn.write_text(json.dumps(scenario_to_dict(cfg)))
+        for argv, sent in ((["psd", "--ttis", str(ttis)], psd),
+                           (["guardtone", "--trials", "1"], sweep)):
+            out = Path(tmp) / argv[0]
+            rc = main([*argv, "--scenario", str(scn), "--out", str(out)])
+            if not report.ok:
+                assert rc == 2 and not out.exists()
+            elif rc != 0:
+                assert rc == 2 and not sent.called
+                assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+            event(f"{argv[0]}: {'rejected' if not report.ok else rc}")

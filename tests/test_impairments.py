@@ -66,7 +66,7 @@ def test_mean_power_holds_no_whole_stream_temporary():
 
 def test_rapp_linear_region():
     x = 0.001 * np.exp(2j * np.pi * np.arange(512) / 64)
-    y = pa_rapp(x, 40.0, 2.0)
+    y = pa_rapp(x.copy(), 40.0, 2.0)
     gain_db = 20 * np.log10(np.abs(y) / np.abs(x))
     assert np.max(np.abs(gain_db)) < 0.01
 
@@ -82,7 +82,7 @@ def test_rapp_saturation_limit():
 def test_rapp_phase_transparent():
     rng = seeded_rng(7, "imp/rapp")
     x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    y = pa_rapp(x, 3.0, 2.0)
+    y = pa_rapp(x.copy(), 3.0, 2.0)
     assert np.allclose(np.angle(y), np.angle(x), atol=1e-12)
 
 
@@ -96,9 +96,25 @@ def test_rapp_compression_monotone():
 def test_rapp_slices_change_no_output_bit(monkeypatch):
     rng = seeded_rng(7, "imp/rapp/slices")
     x = rng.standard_normal(5500) + 1j * rng.standard_normal(5500)
-    whole = pa_rapp(x, 3.0, 2.0)
+    whole = pa_rapp(x.copy(), 3.0, 2.0)
     monkeypatch.setattr(impairments, "_PA_SLICE_SAMPLES", 1000)
-    assert np.array_equal(pa_rapp(x, 3.0, 2.0), whole)
+    assert np.array_equal(pa_rapp(x.copy(), 3.0, 2.0), whole)
+
+
+def _rapp_fresh(samples, input_backoff_db, smoothness):
+    """The Rapp curve written to a new array, one slice at a time."""
+    out = np.empty(len(samples), dtype=np.complex128)
+    power = mean_power(samples)
+    if power == 0.0:
+        out[:] = samples
+        return out
+    a_sat = math.sqrt(power * 10.0 ** (input_backoff_db / 10.0))
+    step = impairments._PA_SLICE_SAMPLES
+    for start in range(0, len(samples), step):
+        x = samples[start:start + step]
+        out[start:start + len(x)] = x / np.power(
+            1.0 + np.power(np.abs(x) / a_sat, 2.0 * smoothness), 1.0 / (2.0 * smoothness))
+    return out
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.0])
@@ -106,16 +122,10 @@ def test_rapp_in_place_is_bitwise_the_fresh_output(monkeypatch, scale):
     monkeypatch.setattr(impairments, "_PA_SLICE_SAMPLES", 1000)
     rng = seeded_rng(7, "imp/rapp/in-place")
     buf = scale * (rng.standard_normal(5500) + 1j * rng.standard_normal(5500))
-    fresh = pa_rapp(buf, 3.0, 2.0)
-    y = pa_rapp(buf, 3.0, 2.0, out=buf)
-    assert np.shares_memory(y, buf)
+    fresh = _rapp_fresh(buf.copy(), 3.0, 2.0)
+    y = pa_rapp(buf, 3.0, 2.0)
+    assert y is buf
     assert np.array_equal(y.view(np.uint64), fresh.view(np.uint64))
-
-
-def test_rapp_rejects_a_mismatched_out():
-    x = np.ones(8, dtype=complex)
-    with pytest.raises(ValueError):
-        pa_rapp(x, 3.0, 2.0, out=np.empty(7, dtype=complex))
 
 
 def test_rapp_smoothness_validation():
@@ -135,7 +145,7 @@ def test_rapp_spectral_regrowth():
     occupied = np.arange(-half, half) % n
     spectrum[occupied] = np.exp(2j * np.pi * rng.uniform(size=2 * half))
     x = np.fft.ifft(spectrum) * np.sqrt(n)
-    y = pa_rapp(x, 9.6, 2.0)
+    y = pa_rapp(x.copy(), 9.6, 2.0)
     psd_x = psd_welch(x, FS, segment_size=4096)
     psd_y = psd_welch(y, FS, segment_size=4096)
     far = np.abs(psd_x.freqs_hz) > 2.0e6  # outside the band, inside 3rd-order reach

@@ -13,6 +13,7 @@ from waveform_lab.metrics import (
     _welch_density,
     normalized_throughput,
     oobe,
+    oobe_windows,
     psd_welch,
     welch_freqs,
 )
@@ -163,6 +164,17 @@ def test_oobe_window_beyond_nyquist_rejected():
     est = psd_welch(_tone(0.0), FS, segment_size=1024)
     with pytest.raises(ConfigError):
         oobe(est, (-1e6, 1e6), [3.5e6])
+
+
+def test_oobe_windows_and_the_band_must_each_hold_a_bin():
+    # 64-point segments at 1.92 MHz put the bins 30 kHz apart: a 15 kHz band
+    # or window between two bins would average nothing and read NaN.
+    freqs = welch_freqs(64, 1.92e6)
+    with pytest.raises(ConfigError, match=r"in-band interval \(15000.0, 30000.0\) selects no"):
+        oobe_windows(freqs, (15e3, 30e3), [200e3])
+    with pytest.raises(ConfigError, match="window at 315000.0 Hz holds no PSD bin"):
+        oobe_windows(freqs, (0.0, 300e3), [15e3])
+    assert oobe_windows(freqs, (0.0, 300e3), [30e3]) == [(330e3, -30e3)]
 
 
 # ---------------------------------------------------------------------------

@@ -410,11 +410,13 @@ def test_assembled_composite_is_the_sum_of_its_shifted_subbands(data):
         bits = payload_bits(spec, seeded_rng(data.draw(st.integers(0, 99)), f"asm/{i}"))
         signals.append(_tx(spec, bits, TAIL_NONE, fir)[0])
         offsets.append(data.draw(st.integers(0, 3_000)))
-    out = assemble(signals, offsets)
-    expect = np.zeros(max(o + len(s) for s, o in zip(signals, offsets)), dtype=complex)
+    length = max(o + len(s) for s, o in zip(signals, offsets))
+    out = np.zeros(length, dtype=complex)
+    for s, o in zip(signals, offsets):
+        assemble(out, s, o)
+    expect = np.zeros(length, dtype=complex)
     for s, o in zip(signals, offsets):
         expect[o:o + len(s)] += s
-    assert len(out) == len(expect)
     assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -530,11 +532,9 @@ def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data)
         carrier = downconversion_carrier(spec, fir, policy, fs)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal(len(carrier)) + 1j * rng.standard_normal(len(carrier))
-    expect = np.multiply(carrier.materialize(), x)
-    got = subband._mixed(x, carrier)
-    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
-    in_place = subband._mixed(x, carrier, out=x)  # as the receiver mixes its frame
-    assert in_place is x
+    expect = np.multiply(carrier.materialize(), x.copy())
+    got = subband._mixed(x, carrier)  # in place, as the receiver mixes its frame
+    assert got is x
     assert np.array_equal(x.view(np.uint64), expect.view(np.uint64))
 
 
@@ -598,8 +598,9 @@ def test_assemble_superposition():
     rng = seeded_rng(1, "asm")
     a = rng.standard_normal(100) + 0j
     b = rng.standard_normal(60) + 0j
-    out = assemble([a, b], [0, 50])
-    assert len(out) == 110
+    out = np.zeros(110, dtype=complex)
+    assert assemble(out, a, 0) is None  # in place
+    assemble(out, b, 50)
     expect = np.zeros(110, dtype=complex)
     expect[:100] += a
     expect[50:110] += b
@@ -607,13 +608,30 @@ def test_assemble_superposition():
 
 
 def test_assemble_rejects_negative_offset():
+    out = np.zeros(16, dtype=complex)
     with pytest.raises(ConfigError):
-        assemble([np.ones(8, dtype=complex)], [-1])
+        assemble(out, np.ones(8, dtype=complex), -1)
+    assert not out.any()
+
+
+@pytest.mark.parametrize("offset, length", [(9, 8), (0, 17)])
+def test_assemble_rejects_a_stream_past_the_buffer(offset, length):
+    out = np.zeros(16, dtype=complex)
+    with pytest.raises(ConfigError, match="does not fit a 16-sample buffer"):
+        assemble(out, np.ones(length, dtype=complex), offset)
+    assert not out.any()
+    assemble(out, np.ones(8, dtype=complex), 8)  # ends exactly at the buffer's end
+    assert out[8:].sum() == 8
 
 
 def test_assemble_rejects_empty():
+    # There is no list left to be empty: an empty buffer takes no sample,
+    # and an empty stream, which fits anywhere up to the end, adds nothing.
     with pytest.raises(ConfigError):
-        assemble([], [])
+        assemble(np.zeros(0, dtype=complex), np.ones(1, dtype=complex), 0)
+    out = np.ones(4, dtype=complex)
+    assemble(out, np.empty(0, dtype=complex), 4)
+    assert np.array_equal(out, np.ones(4))
 
 
 # ---------------------------------------------------------------------------
