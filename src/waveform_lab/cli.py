@@ -30,17 +30,12 @@ from .core import (
     _field,
     _take,
     load_scenario,
+    read_json,
     scenario_hash,
     seeded_rng,
     validate_scenario,
 )
-from .filters import (
-    FilterSpec,
-    _overlap_save,
-    default_block_size,
-    design_windowed_sinc,
-    direct_convolve,
-)
+from .filters import _overlap_save, default_block_size, design_windowed_sinc, direct_convolve
 from .impairments import complex_noise, pa_rapp
 from .metrics import (THROUGHPUT_CAVEAT, ThroughputInput, normalized_throughput, oobe,
                       oobe_windows, psd_welch, welch_freqs)
@@ -157,11 +152,7 @@ def _load_and_check(args) -> tuple[ScenarioConfig, Path, str]:
         cfg = replace(cfg, seed=args.seed)
     report = validate_scenario(cfg)
     if not report.ok:
-        msgs = "; ".join(
-            f"subband {v.subband}: {v.message}" if v.subband is not None else v.message
-            for v in report.violations
-        )
-        raise ConfigError(f"invalid scenario: {msgs}")
+        raise ConfigError(f"invalid scenario: {report.describe()}")
     return cfg, path, preset
 
 
@@ -225,7 +216,7 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
             chunk = (full if ttis - first > PSD_CHUNK_TTIS else last)[i]
             carrier = upconversion_carrier(chunk, fs, policy, first * n)
             bits = payload_bits(chunk, rng)
-            sig = (tx_subband(chunk, fs, bits, policy, fir, carrier)[0] if filtered
+            sig = (tx_subband(chunk, bits, fir, policy, carrier)[0] if filtered
                    else tx_subband_unfiltered(chunk, bits, policy, carrier))
             assemble(out, sig, sb.timing_offset_samples + first * n)
     return out
@@ -312,11 +303,7 @@ def cmd_guardtone(args) -> int:
 # ---------------------------------------------------------------------------
 
 def load_throughput_preset(path: Path) -> tuple[list[ThroughputInput], ThroughputInput]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"throughput preset {path} is not valid JSON: {e}") from e
+    raw = read_json(path, "throughput preset")
     _take(raw, {"baseline", "subbands"}, "throughput")
 
     def entry(d, ctx: str, keys: set[str]) -> ThroughputInput:
@@ -352,7 +339,7 @@ def cmd_throughput(args) -> int:
         report = normalized_throughput(subbands, baseline)
         lines = ["name,data_tone_fraction,cp_overhead_fraction,normalized_throughput,"
                  "bandwidth_weight"]
-        for s in report.subbands:
+        for s in subbands:
             lines.append(
                 f"{s.name},{s.data_tone_fraction:.9f},{s.cp_overhead_fraction:.9f},"
                 f"{s.normalized_throughput:.9f},{s.bandwidth_weight:.6g}"
@@ -387,8 +374,7 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
     for k in range(20):
         n = int(rng.integers(256, 4097))
         order = int(rng.integers(8, 256)) * 2
-        spec = FilterSpec(order=order, passband_width_hz=float(rng.uniform(0.02, 0.4)) * fs)
-        fir = design_windowed_sinc(spec, fs)
+        fir = design_windowed_sinc(order, float(rng.uniform(0.02, 0.4)) * fs, fs)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = direct_convolve(x, fir)
         # The smallest legal block, and the block and cached spectrum a run uses.
@@ -421,7 +407,7 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
     bits = rng.integers(0, 2, 48 * 14 * 4)
     fir = design_subband_filter(spec, fs)
     policy = derive_tail_policy(fir, n)
-    sig, grid = tx_subband(spec, fs, bits, policy, fir, upconversion_carrier(spec, fs, policy))
+    sig, grid = tx_subband(spec, bits, fir, policy, upconversion_carrier(spec, fs, policy))
     res = rx_subband(sig, spec, fir, grid, policy,
                      downconversion_carrier(spec, fir, policy, fs),
                      genie_estimates(spec, fir, policy))

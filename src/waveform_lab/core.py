@@ -160,6 +160,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def describe(self) -> str:
+        """The violations joined by "; ", each of one subband prefixed `subband i: `."""
+        return "; ".join(v.message if v.subband is None else f"subband {v.subband}: {v.message}"
+                         for v in self.violations)
+
 
 def _frac(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10**9)
@@ -335,13 +340,18 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {**asdict(cfg), "subbands": [asdict(s) for s in cfg.subbands]}
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at `path`; text that is not UTF-8, not
+    JSON or nested too deeply to parse is a ConfigError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from e
+
+
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"scenario file {path} is not valid JSON: {e}") from e
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_json(path, "scenario file"))
 
 
 def scenario_hash(cfg: ScenarioConfig) -> str:

@@ -23,13 +23,6 @@ MAX_BLOCK = 4096
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    order: int                      # tap count = order + 1
-    passband_width_hz: float        # two-sided width around the center
-    center_offset_hz: float = 0.0
-
-
-@dataclass(frozen=True)
 class FirFilter:
     taps: np.ndarray
     sample_rate_hz: float
@@ -55,34 +48,37 @@ class FirFilter:
         return spectrum
 
 
-def design_windowed_sinc(spec: FilterSpec, sample_rate_hz: float) -> FirFilter:
-    """Hann-windowed sinc lowpass, modulated to `center_offset_hz`, unit gain at center.
+def design_windowed_sinc(
+    order: int, passband_width_hz: float, sample_rate_hz: float, center_offset_hz: float = 0.0
+) -> FirFilter:
+    """Hann-windowed sinc lowpass of `order + 1` taps, modulated to `center_offset_hz`.
 
     taps[n] = sinc(fc*(n-M)) * w[n] * exp(j*2*pi*fo*(n-M)/fs), fc = passband/fs,
-    then divided by the complex response at the passband center.
+    then divided by the complex response at the passband center (unit gain there);
+    `passband_width_hz` is two-sided around the center.
     """
     if sample_rate_hz <= 0:
         raise ConfigError("sample rate must be positive")
-    if spec.order <= 0 or spec.order % 2 != 0:
-        raise ConfigError(f"filter order must be even and positive, got {spec.order}")
-    if spec.order + 1 > MAX_TAPS:
-        raise ConfigError(f"tap count {spec.order + 1} exceeds maximum {MAX_TAPS}")
-    if spec.passband_width_hz <= 0:
+    if order <= 0 or order % 2 != 0:
+        raise ConfigError(f"filter order must be even and positive, got {order}")
+    if order + 1 > MAX_TAPS:
+        raise ConfigError(f"tap count {order + 1} exceeds maximum {MAX_TAPS}")
+    if passband_width_hz <= 0:
         raise ConfigError("passband width must be positive")
-    if spec.passband_width_hz >= sample_rate_hz:
+    if passband_width_hz >= sample_rate_hz:
         raise ConfigError("passband cutoff reaches Nyquist; filter is degenerate")
 
-    n = np.arange(spec.order + 1)
-    m = n - spec.order / 2.0
-    fc = spec.passband_width_hz / sample_rate_hz
-    taps = np.sinc(fc * m) * np.hanning(spec.order + 1)
-    if spec.center_offset_hz != 0.0:
-        taps = taps * np.exp(2j * np.pi * spec.center_offset_hz * m / sample_rate_hz)
-    gain = np.sum(taps * np.exp(-2j * np.pi * spec.center_offset_hz * n / sample_rate_hz))
+    n = np.arange(order + 1)
+    m = n - order / 2.0
+    fc = passband_width_hz / sample_rate_hz
+    taps = np.sinc(fc * m) * np.hanning(order + 1)
+    if center_offset_hz != 0.0:
+        taps = taps * np.exp(2j * np.pi * center_offset_hz * m / sample_rate_hz)
+    gain = np.sum(taps * np.exp(-2j * np.pi * center_offset_hz * n / sample_rate_hz))
     if abs(gain) == 0.0:
         raise ConfigError("degenerate design: zero gain at passband center")
     taps = taps / gain
-    if spec.center_offset_hz == 0.0:
+    if center_offset_hz == 0.0:
         taps = taps.real  # conjugate-symmetric prototype
 
     return FirFilter(taps=taps, sample_rate_hz=sample_rate_hz,

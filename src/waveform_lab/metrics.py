@@ -169,7 +169,6 @@ class ThroughputInput:
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    subbands: tuple[ThroughputInput, ...]
     fofdm_total: float
     ofdm_total: float
     gain_percent: float
@@ -184,6 +183,9 @@ def _check(entry: ThroughputInput) -> None:
                           "must lie in [0, fft_size)")
     if not 0.0 <= entry.data_tone_fraction <= 1.0:
         raise ConfigError(f"data tone fraction for {entry.name!r} must lie in [0, 1]")
+    if entry.bandwidth_weight < 0:
+        raise ConfigError(f"bandwidth_weight {entry.bandwidth_weight:g} for {entry.name!r} "
+                          "must be nonnegative")
 
 
 def normalized_throughput(
@@ -203,9 +205,4 @@ def normalized_throughput(
     if ofdm_total <= 0:
         raise ConfigError("baseline throughput is zero; gain undefined")
     gain = (fofdm_total - ofdm_total) / ofdm_total * 100.0
-    return ThroughputReport(
-        subbands=tuple(subbands),
-        fofdm_total=fofdm_total,
-        ofdm_total=ofdm_total,
-        gain_percent=gain,
-    )
+    return ThroughputReport(fofdm_total=fofdm_total, ofdm_total=ofdm_total, gain_percent=gain)

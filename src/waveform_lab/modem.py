@@ -12,7 +12,7 @@ so, and `qam_map` reads any integer 0/1 vector as bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided

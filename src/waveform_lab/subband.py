@@ -29,7 +29,6 @@ from .core import (
     validate_scenario,
 )
 from .filters import (
-    FilterSpec,
     FirFilter,
     _overlap_save,
     default_block_size,
@@ -129,10 +128,7 @@ def design_subband_filter(
         )
     if order is None:
         order = default_filter_order(sample_rate_hz, passband)
-    return design_windowed_sinc(
-        FilterSpec(order=order, passband_width_hz=passband, center_offset_hz=spec.center_hz),
-        sample_rate_hz,
-    )
+    return design_windowed_sinc(order, passband, sample_rate_hz, spec.center_hz)
 
 
 def derive_tail_policy(f: FirFilter, n, threshold: float = DEFAULT_TAIL_THRESHOLD) -> TailPolicy:
@@ -281,13 +277,11 @@ def _upconverted(
 
 
 def tx_subband(
-    spec: SubbandSpec, sample_rate_hz: float, bits, policy: TailPolicy, fir: FirFilter,
-    carrier: Carrier,
+    spec: SubbandSpec, bits, fir: FirFilter, policy: TailPolicy, carrier: Carrier
 ) -> tuple[np.ndarray, np.ndarray]:
     """Modulate, upconvert by `upconversion_carrier`, filter, and scale one
-    subband; returns its stream and its grid. `sample_rate_hz` is not read:
-    it stays at position 1 because `perfbench/spans.py` reads `policy` at
-    position 3."""
+    subband; returns its stream and its grid. `spec` stays at position 0 and
+    `policy` at position 3: `perfbench/spans.py` reads them there."""
     grid, up = _upconverted(spec, bits, policy, carrier)
     block = default_block_size(len(fir.taps), len(up))
     filtered = _overlap_save(up, fir.taps, block, fir.spectrum(block))
@@ -474,17 +468,14 @@ class _ErrorAccumulator:
         self.bits_total += r.total
 
     def row(self, guard: int, power_db: float, modulation: str, snr_db: float) -> SweepRow:
-        def _db(err, ref):
-            return float("nan") if ref == 0.0 else error_ratio_db(err, ref)
-
         return SweepRow(
             guard_tones=guard,
             power_offset_db=power_db,
             modulation=modulation,
             snr_db=snr_db,
-            evm_db_edge=_db(self.err_edge, self.ref_edge),
-            evm_db_inner=_db(self.err_inner, self.ref_inner),
-            ber=self.bit_errors / self.bits_total if self.bits_total else float("nan"),
+            evm_db_edge=error_ratio_db(self.err_edge, self.ref_edge),
+            evm_db_inner=error_ratio_db(self.err_inner, self.ref_inner),
+            ber=self.bit_errors / self.bits_total,
         )
 
 
@@ -527,7 +518,9 @@ def guardtone_sweep(
     edge measurement. Noise is calibrated so the victim's per-tone SNR equals
     `snr_db` (per-sample variance 10^(-snr/10) under the unit-power
     constellation and unitary FFT scaling), identically in the isolated
-    baselines, so baseline deltas isolate inter-subband interference.
+    baselines, so baseline deltas isolate inter-subband interference. A
+    scenario of more than three subbands, or a victim with no tone beyond its
+    edge RB, is refused before any subband is sent.
     """
     if trials < 1:
         raise ConfigError("at least one trial is required")
@@ -541,15 +534,22 @@ def guardtone_sweep(
     _reject_duplicates("modulation", modulations)
     report = validate_scenario(base)
     if not report.ok:
-        raise ConfigError(f"base scenario invalid: {report.violations[0].message}")
+        raise ConfigError(f"invalid scenario: {report.describe()}")
+    if len(base.subbands) > 3:
+        raise ConfigError(f"the scenario has {len(base.subbands)} subbands; the sweep sends "
+                          "three at most: a victim, an interferer and one more neighbor")
+    victim_template = base.subbands[0]
+    edge_count = _edge_tone_count(victim_template)
+    if victim_template.data_tones <= edge_count:
+        raise ConfigError(
+            f"subbands[0].width_tones {victim_template.width_tones} gives the victim "
+            f"{victim_template.data_tones} data tones, none beyond its {edge_count}-tone "
+            "edge RB: no inner tone is left to measure")
     fs = base.sample_rate_hz
     sigma2 = 10.0 ** (-snr_db / 10.0)
     single = len(base.subbands) == 1
 
     filter_order, edge_backoff = scenario_filter_profile(base)
-
-    victim_template = base.subbands[0]
-    edge_count = _edge_tone_count(victim_template)
 
     def run_pass(mod: str, cells: list[tuple[str, list[SubbandSpec]]]):
         """All trials of `mod`'s cells (label, subbands): the isolated
@@ -569,15 +569,15 @@ def guardtone_sweep(
         most one other stream in flight. Returns one accumulator per cell."""
         @functools.cache
         def design(s: SubbandSpec):
-            """(tail policy, filter, upconversion carrier) of a subband."""
+            """(filter, tail policy, upconversion carrier) of a subband."""
             fir = design_subband_filter(s, fs, order=filter_order, edge_backoff_tones=edge_backoff)
             policy = derive_tail_policy(fir, s.numerology)
-            return policy, fir, upconversion_carrier(s, fs, policy)
+            return fir, policy, upconversion_carrier(s, fs, policy)
 
         @functools.cache
         def receiver(victim: SubbandSpec):
             """(downconversion carrier, genie estimate) of a victim."""
-            policy, fir, _ = design(replace(victim, power_offset_db=0.0))
+            fir, policy, _ = design(victim)
             return (downconversion_carrier(victim, fir, policy, fs),
                     genie_estimates(victim, fir, policy))
 
@@ -588,7 +588,7 @@ def guardtone_sweep(
         for (label, subs), acc in zip(cells, accs):
             built = [design(replace(s, power_offset_db=0.0)) for s in subs]
             comp_len = max(s.timing_offset_samples + len(up) + len(fir.taps) - 1
-                           for s, (_, fir, up) in zip(subs, built))
+                           for s, (fir, _, up) in zip(subs, built))
             groups.setdefault(subs[0], []).append(
                 (label, list(zip(subs[1:], built[1:])), comp_len, acc))
         baseline = cells[0][1][0]  # every victim carries the baseline's payload
@@ -599,8 +599,8 @@ def guardtone_sweep(
             noise = _sweep_noise(longest, sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
             for victim, group in groups.items():
-                policy, fir, up = design(replace(victim, power_offset_db=0.0))
-                sig, grid = tx_subband(victim, fs, bits, policy, fir, up)
+                fir, policy, up = design(victim)
+                sig, grid = tx_subband(victim, bits, fir, policy, up)
                 for label, others, comp_len, acc in group:
                     # Each other subband is added as it is sent, then dropped;
                     # noise last, as `((victim + s1) + s2) + noise`.
@@ -609,7 +609,7 @@ def guardtone_sweep(
                     assemble(comp, sig, victim.timing_offset_samples)
                     for i, (s, built) in enumerate(others, start=1):
                         b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{trial}/s{i}"))
-                        assemble(comp, tx_subband(s, fs, b, *built)[0], s.timing_offset_samples)
+                        assemble(comp, tx_subband(s, b, *built)[0], s.timing_offset_samples)
                     _add_noise_prefix(comp, noise)
                     res = rx_subband(comp, victim, fir, grid, policy, *receiver(victim))
                     acc.add(grid, res.grid, bits, res.bits)
@@ -626,9 +626,8 @@ def guardtone_sweep(
             subs = _sweep_geometry(base, guard, power_db, mod)
             rep = validate_scenario(replace(base, subbands=tuple(subs)))
             if not rep.ok:
-                raise ConfigError(
-                    f"sweep cell guard={guard} invalid: {rep.violations[0].message}"
-                )
+                raise ConfigError(f"--guards {guard} at --offsets-db {power_db:g} makes an "
+                                  f"invalid scenario: {rep.describe()}")
             cells.append((f"g{guard}/p{power_db:g}/{mod}", subs))
         isolated, *guarded = run_pass(mod, cells)
         baselines[mod] = isolated.row(-1, 0.0, mod, snr_db)

@@ -23,7 +23,6 @@ from waveform_lab.core import (
     seeded_rng,
 )
 from waveform_lab.filters import (
-    FilterSpec,
     _overlap_save,
     default_block_size,
     design_windowed_sinc,
@@ -75,10 +74,8 @@ def test_overlap_save_equivalence_100_cases():
     n = 4096
     for _ in range(100):
         order = int(rng.integers(4, 513)) * 2  # up to 1025 taps
-        spec = FilterSpec(order=order,
-                          passband_width_hz=float(rng.uniform(0.02, 0.4)) * FS,
-                          center_offset_hz=float(rng.uniform(-0.2, 0.2)) * FS)
-        fir = design_windowed_sinc(spec, FS)
+        fir = design_windowed_sinc(order, float(rng.uniform(0.02, 0.4)) * FS, FS,
+                                   float(rng.uniform(-0.2, 0.2)) * FS)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = direct_convolve(x, fir)
         # The smallest legal block, and the production route: the block a run
@@ -128,7 +125,7 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
     policy = derive_tail_policy(fir, n, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(7, f"acc/{width}/{mod}"))
     assert len(bits) >= 100_000
-    sig, grid = tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
+    sig, grid = tx_subband(spec, bits, fir, policy, upconversion_carrier(spec, FS, policy))
     res = rx_subband(sig, spec, fir, grid, policy,
                      downconversion_carrier(spec, fir, policy, FS),
                      genie_estimates(spec, fir, policy))

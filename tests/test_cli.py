@@ -2,6 +2,7 @@
 rerun determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from waveform_lab import cli, subband
 from waveform_lab.cli import main, preset_dir, resolve_scenario_path
 from waveform_lab.core import (
     MAX_TTI_SAMPLES,
+    MODULATIONS,
     ConfigError,
     Numerology,
     ScenarioConfig,
@@ -247,7 +249,7 @@ def _whole_stream_composites(cfg, ttis):
         fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
         policy = derive_tail_policy(fir, sb.numerology)
         carrier = upconversion_carrier(sb, fs, policy)
-        filtered.append(tx_subband(sb, fs, bits, policy, fir, carrier)[0])
+        filtered.append(tx_subband(sb, bits, fir, policy, carrier)[0])
         plain.append(tx_subband_unfiltered(sb, bits, policy, carrier))
     composites = []
     for streams in (filtered, plain):
@@ -403,6 +405,54 @@ def test_guardtone_unknown_modulation(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def _fourth_subband(cfg):
+    cfg["subbands"].append({**cfg["subbands"][2], "start_tone": 196, "width_tones": 12,
+                            "guard_tones_left": 0, "power_offset_db": 30.0})
+
+
+def _one_rb_victim(cfg):
+    cfg["subbands"][0].update(start_tone=-158, width_tones=12)
+
+
+def _tight_band(cfg):
+    cfg["total_bandwidth_hz"] = 5.82e6
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    # The sweep sends a victim, an interferer and one more neighbor; a fourth
+    # subband would be dropped without a sign in any output.
+    (_fourth_subband, [], "the scenario has 4 subbands; the sweep sends three at most"),
+    # A one-RB victim is all edge RB: its inner EVM would have no tone to read.
+    (_one_rb_victim, [], "subbands[0].width_tones 12 gives the victim 12 data tones, none "
+                         "beyond its 12-tone edge RB"),
+    # Three guard tones push subbands 0 and 2 past a 5.82 MHz band.
+    (_tight_band, ["--guards", "0,1,2,3"],
+     "--guards 3 at --offsets-db 0 makes an invalid scenario: subband 0: subband "
+     "(including guard tones) exceeds total bandwidth; subband 2: subband (including guard "
+     "tones) exceeds total bandwidth"),
+], ids=["four-subbands", "one-rb-victim", "guards-past-the-band"])
+def test_guardtone_refuses_a_sweep_it_cannot_run_before_sending(
+        tmp_path, capsys, edit, argv, message):
+    out = tmp_path / "x"
+    with mock.patch.object(subband, "tx_subband", wraps=subband.tx_subband) as sent:
+        rc = main(["guardtone", "--scenario", _desk_file(tmp_path, edit), "--out", str(out),
+                   "--trials", "1", *argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not sent.called
+    doc = _read_manifest(out)
+    assert doc["status"] == "failed" and doc["error"].startswith(f"ConfigError: {message}")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_a_victim_one_tone_past_its_edge_rb_runs(tmp_path):
+    out = tmp_path / "x"
+    scn = _desk_file(tmp_path, lambda c: c["subbands"][0].update(start_tone=-159, width_tones=13))
+    assert main(["guardtone", "--scenario", scn, "--out", str(out), "--trials", "1",
+                 "--guards", "0", "--offsets-db", "0", "--modulations", "qpsk"]) == 0
+    assert _non_finite_fields(out) == []
+
+
 # ---------------------------------------------------------------------------
 # throughput
 # ---------------------------------------------------------------------------
@@ -452,8 +502,12 @@ def _throughput_file(tmp_path, edit) -> str:
      "cp_samples 512 for 'v2v' must lie in [0, fft_size)"),
     (lambda t: t["subbands"].append(3), "throughput.subbands[4] must be a JSON object"),
     (lambda t: t.pop("baseline"), "throughput.baseline is missing"),
+    # The weights still sum to a positive 1.5, so only the row check catches it.
+    (lambda t: t["subbands"][1].update(bandwidth_weight=-1.5),
+     "bandwidth_weight -1.5 for 'urban' must be nonnegative"),
 ], ids=["missing-name", "string-fft-size", "leftover-duration-key", "bool-weight",
-        "baseline-weight", "cp-not-below-fft", "non-object-entry", "missing-baseline"])
+        "baseline-weight", "cp-not-below-fft", "non-object-entry", "missing-baseline",
+        "negative-weight"])
 def test_malformed_throughput_preset_exit_code(tmp_path, capsys, edit, message):
     rc = main(["throughput", "--scenario", _throughput_file(tmp_path, edit),
                "--out", str(tmp_path / "x")])
@@ -489,6 +543,21 @@ def test_throughput_rows_are_numerologies_the_simulator_builds():
         assert validate_scenario(cfg).ok, row.name
         spacings.append(scs_hz)
     assert spacings == [3.75e3, 3.75e3, 30e3, 60e3, 15e3]
+
+
+@pytest.mark.parametrize("verb, scenario", [("psd", "scenario file"),
+                                             ("throughput", "throughput preset")])
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_unparsable_input_file_exit_code(tmp_path, capsys, verb, scenario, content, reason):
+    p = tmp_path / "input.json"
+    p.write_bytes(content)
+    assert main([verb, "--scenario", str(p), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scenario} {p} is not valid JSON: ")
+    assert reason in err and "Traceback" not in err
 
 
 def test_non_object_throughput_preset_exit_code(tmp_path, capsys):
@@ -653,18 +722,21 @@ def test_shipped_presets_validate():
 
 @st.composite
 def _edge_scenarios(draw):
-    """Small scenarios at the validator's edges: 1- to 3-tone subbands, lone
-    or packed side by side at either edge or the middle of a band from two
-    tones below to one tone above the sample rate, CPs of 0 or fft_size - 1, and a
-    timing offset that puts the last subband's TTI at or one sample past
+    """Small scenarios at the validator's edges: one to four 1- to 3-tone
+    subbands, the first one RB wide or one tone wider at times, lone or packed
+    side by side at either edge or the middle of a band from two tones below
+    to one tone above the sample rate, CPs of 0 or fft_size - 1, and a timing
+    offset that puts the last subband's TTI at or one sample past
     MAX_TTI_SAMPLES."""
     fs = draw(st.sampled_from([1.92e6, 3.84e6]))
     fft = int(fs / 15e3)
     band_tones = fft + draw(st.sampled_from([0, 0, -1, -2, 1]))
-    count = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
     widths = [3] * count
     if count == 1 or draw(st.booleans()):
         widths[draw(st.integers(0, count - 1))] = draw(st.integers(1, 3))
+    # `guardtone` measures a victim only past its 12-tone edge RB.
+    widths[0] = draw(st.sampled_from([widths[0], 12, 13]))
     guards = [draw(st.integers(0, 1)) for _ in widths]
     used = sum(widths) + sum(guards)
     half = band_tones // 2
@@ -686,12 +758,22 @@ def _edge_scenarios(draw):
                           subbands=tuple(subbands), seed=draw(st.integers(0, 9)))
 
 
+def _non_finite_fields(out_dir: Path) -> list[str]:
+    """Fields of `out_dir`'s CSVs that are neither a label nor a finite number."""
+    labels = {*MODULATIONS, "ofdm", "fofdm"}
+    return [f"{p.name}: {field}" for p in sorted(out_dir.glob("*.csv"))
+            for row in p.read_text().splitlines()[1:] for field in row.split(",")
+            if field not in labels and not math.isfinite(float(field))]
+
+
 @settings(max_examples=30, deadline=None)
 @given(cfg=_edge_scenarios(), ttis=st.integers(1, 3))
 def test_a_scenario_at_the_validators_edges_runs_or_is_rejected(cfg, ttis):
     # A verb may still refuse a valid scenario on its own terms (a PSD too
     # coarse for the band or its OOBE windows, sweep cells pushed out of the
-    # band), but only up front: exit 2 before any subband is sent.
+    # band, more than three subbands or a victim without inner tones to sweep),
+    # but only up front: exit 2 before any subband is sent. A completed run
+    # writes only labels and finite numbers.
     report = validate_scenario(cfg)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "_psd_composite", wraps=cli._psd_composite) as psd, \
@@ -707,4 +789,6 @@ def test_a_scenario_at_the_validators_edges_runs_or_is_rejected(cfg, ttis):
             elif rc != 0:
                 assert rc == 2 and not sent.called
                 assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+            else:
+                assert _non_finite_fields(out) == []
             event(f"{argv[0]}: {'rejected' if not report.ok else rc}")

@@ -10,7 +10,6 @@ from numpy.lib.stride_tricks import as_strided
 from waveform_lab.core import ConfigError, seeded_rng
 from waveform_lab.filters import (
     MAX_BLOCK,
-    FilterSpec,
     _overlap_save,
     default_block_size,
     design_windowed_sinc,
@@ -22,8 +21,7 @@ FS = 30.72e6
 
 
 def _design(order=1024, passband=720e3, center=0.0, fs=FS):
-    return design_windowed_sinc(
-        FilterSpec(order=order, passband_width_hz=passband, center_offset_hz=center), fs)
+    return design_windowed_sinc(order, passband, fs, center)
 
 
 def _dense_response_db(f, n_points):
@@ -82,10 +80,7 @@ def test_odd_order_rejected():
 
 def test_tap_budget_enforced():
     with pytest.raises(ConfigError):
-        design_windowed_sinc(
-            FilterSpec(order=4098, passband_width_hz=720e3, center_offset_hz=0.0),
-            FS,
-        )
+        design_windowed_sinc(4098, 720e3, FS)
 
 
 # ---------------------------------------------------------------------------

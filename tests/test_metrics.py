@@ -196,10 +196,10 @@ def test_long_symbol_short_cp_efficiency():
     entry = ThroughputInput(name="pedestrian", fft_size=8192, cp_samples=80,
                             data_tone_fraction=1.0, bandwidth_weight=1.0)
     rep = normalized_throughput([entry], _baseline())
-    # The report holds its inputs; the overhead is a ratio of sample counts.
-    assert rep.subbands == (entry,)
+    # The overhead is a ratio of sample counts; one subband's total is its own.
     assert entry.cp_overhead_fraction == 80 / 8272
-    assert rep.subbands[0].normalized_throughput == pytest.approx(0.99033, abs=1e-5)
+    assert rep.fofdm_total == entry.normalized_throughput
+    assert entry.normalized_throughput == pytest.approx(0.99033, abs=1e-5)
 
 
 def test_bandwidth_weighted_total():

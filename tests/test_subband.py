@@ -64,8 +64,8 @@ def _subband(start=-24, width=48, mod="qpsk", **kw):
     return SubbandSpec(**args)
 
 
-def _tx(spec, bits, policy, fir):
-    return tx_subband(spec, FS, bits, policy, fir, upconversion_carrier(spec, FS, policy))
+def _tx(spec, bits, fir, policy):
+    return tx_subband(spec, bits, fir, policy, upconversion_carrier(spec, FS, policy))
 
 
 def _rx(composite, spec, fir, grid, policy):
@@ -80,7 +80,7 @@ def _loopback(spec, policy=None, fir=None, label="loop"):
     if policy is None:
         policy = derive_tail_policy(fir, spec.numerology, DEFAULT_TAIL_THRESHOLD)
     bits = payload_bits(spec, seeded_rng(1, label))
-    sig, grid = _tx(spec, bits, policy, fir)
+    sig, grid = _tx(spec, bits, fir, policy)
     res = _rx(sig, spec, fir, grid, policy)
     return bits, res
 
@@ -201,7 +201,7 @@ def test_payload_bits_are_bytes_of_the_int64_draw(mod):
 def test_tx_length_includes_filter_transient():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
-    sig, _ = _tx(spec, payload_bits(spec, seeded_rng(1, "len")), TAIL_NONE, fir)
+    sig, _ = _tx(spec, payload_bits(spec, seeded_rng(1, "len")), fir, TAIL_NONE)
     assert len(sig) == 14 * 548 + len(fir.taps) - 1
 
 
@@ -209,8 +209,8 @@ def test_tx_power_offset_scales_amplitude():
     spec = _subband()
     bits = payload_bits(spec, seeded_rng(1, "pwr"))
     fir = design_subband_filter(spec, FS)
-    lo, _ = _tx(spec, bits, TAIL_NONE, fir)
-    hi, _ = _tx(replace(spec, power_offset_db=6.0), bits, TAIL_NONE, fir)
+    lo, _ = _tx(spec, bits, fir, TAIL_NONE)
+    hi, _ = _tx(replace(spec, power_offset_db=6.0), bits, fir, TAIL_NONE)
     assert mean_power(hi) / mean_power(lo) == pytest.approx(10 ** 0.6, rel=1e-9)
 
 
@@ -221,7 +221,7 @@ def test_tx_spectrum_confined():
     fir = design_subband_filter(spec, FS, order=order)
     n_long = replace(DESK, symbols_per_tti=28)
     long_spec = replace(spec, numerology=n_long)
-    sig, _ = _tx(long_spec, payload_bits(long_spec, seeded_rng(1, "psd")), TAIL_NONE, fir)
+    sig, _ = _tx(long_spec, payload_bits(long_spec, seeded_rng(1, "psd")), fir, TAIL_NONE)
     est = psd_welch(sig, FS, segment_size=2048,
                     in_band_hz=(spec.occupied_low_hz, spec.occupied_high_hz))
     transition = 4 * FS / (order + 1)
@@ -237,7 +237,7 @@ def test_unfiltered_tx_matches_filtered_in_band_power():
     assert len(plain) == 14 * 548
     # The short default filter rolls off edge tones, so the filtered signal
     # loses a little energy but stays within ~1.5 dB of the plain one.
-    filt, _ = _tx(spec, bits, TAIL_NONE, design_subband_filter(spec, FS))
+    filt, _ = _tx(spec, bits, design_subband_filter(spec, FS), TAIL_NONE)
     e_plain = np.sum(np.abs(plain) ** 2)
     e_filt = np.sum(np.abs(filt) ** 2)
     assert 10 * abs(np.log10(e_filt / e_plain)) < 1.5
@@ -251,7 +251,7 @@ def test_unit_filter_tx_matches_unfiltered_chain():
     policy = TailPolicy(extra_cp_samples=10, rx_advance_samples=5)
     unit = FirFilter(taps=np.ones(1), sample_rate_hz=FS, mainlobe_samples=1)
     carrier = upconversion_carrier(spec, FS, policy)
-    filt, _ = tx_subband(spec, FS, bits, policy, unit, carrier)
+    filt, _ = tx_subband(spec, bits, unit, policy, carrier)
     plain = tx_subband_unfiltered(spec, bits, policy, carrier)
     assert len(filt) == len(plain) == 14 * (548 + 10)
     err = np.linalg.norm(filt - plain) / np.linalg.norm(plain)
@@ -301,8 +301,8 @@ def test_filtered_chunk_is_convolved_in_one_buffer():
     filtered = subband._overlap_save(up, fir.taps, block, fir.spectrum(block))  # warm-up
     peak = _traced_peak(lambda: subband._overlap_save(up, fir.taps, block, fir.spectrum(block)))
     assert peak < 1.5 * filtered.nbytes, f"peak is {peak / filtered.nbytes:.2f}x the output"
-    out, _ = tx_subband(spec, fs, bits, policy, fir, carrier)
-    peak = _traced_peak(lambda: tx_subband(spec, fs, bits, policy, fir, carrier))
+    out, _ = tx_subband(spec, bits, fir, policy, carrier)
+    peak = _traced_peak(lambda: tx_subband(spec, bits, fir, policy, carrier))
     assert peak < 3.2 * out.nbytes, f"peak is {peak / out.nbytes:.2f}x the output"
 
 
@@ -344,7 +344,7 @@ def test_noiseless_fofdm_loopback_is_error_free(spec, seed):
     fir = design_subband_filter(spec, FS)
     policy = derive_tail_policy(fir, spec.numerology)
     bits = payload_bits(spec, seeded_rng(seed, "loop"))
-    sig, grid = _tx(spec, bits, policy, fir)
+    sig, grid = _tx(spec, bits, fir, policy)
     # The carrier repeats every `period` samples; the stream spans many periods.
     assert len(sig) > 7 * _period(spec.shift_hz, FS)
     res = _rx(sig, spec, fir, grid, policy)
@@ -376,7 +376,7 @@ def test_noiseless_fofdm_loopback_across_numerologies(spec, seed):
     fir = design_subband_filter(spec, FS)
     policy = derive_tail_policy(fir, spec.numerology)
     bits = payload_bits(spec, seeded_rng(seed, "numerologies"))
-    sig, grid = _tx(spec, bits, policy, fir)
+    sig, grid = _tx(spec, bits, fir, policy)
     res = _rx(sig, spec, fir, grid, policy)
     assert ber(bits, res.bits).errors == 0
     assert res.evm_db <= -20.0
@@ -391,7 +391,7 @@ def test_transmission_scales_with_amplitude(spec, power_db, seed):
     scaled = replace(spec, power_offset_db=power_db)
     carrier = upconversion_carrier(spec, FS, policy)
     for unit, got in (
-        (_tx(spec, bits, policy, fir)[0], _tx(scaled, bits, policy, fir)[0]),
+        (_tx(spec, bits, fir, policy)[0], _tx(scaled, bits, fir, policy)[0]),
         (tx_subband_unfiltered(spec, bits, policy, carrier),
          tx_subband_unfiltered(scaled, bits, policy, carrier)),
     ):
@@ -408,7 +408,7 @@ def test_assembled_composite_is_the_sum_of_its_shifted_subbands(data):
         spec = subs[i]
         fir = design_subband_filter(spec, FS)
         bits = payload_bits(spec, seeded_rng(data.draw(st.integers(0, 99)), f"asm/{i}"))
-        signals.append(_tx(spec, bits, TAIL_NONE, fir)[0])
+        signals.append(_tx(spec, bits, fir, TAIL_NONE)[0])
         offsets.append(data.draw(st.integers(0, 3_000)))
     length = max(o + len(s) for s, o in zip(signals, offsets))
     out = np.zeros(length, dtype=complex)
@@ -443,8 +443,8 @@ def test_carrier_length_must_match_the_stream():
     bits = payload_bits(spec, seeded_rng(1, "carrier"))
     longer = replace(spec, numerology=replace(DESK, symbols_per_tti=15))
     with pytest.raises(ConfigError, match="carrier of"):
-        tx_subband(spec, FS, bits, TAIL_NONE, fir, upconversion_carrier(longer, FS, TAIL_NONE))
-    sig, grid = _tx(spec, bits, TAIL_NONE, fir)
+        tx_subband(spec, bits, fir, TAIL_NONE, upconversion_carrier(longer, FS, TAIL_NONE))
+    sig, grid = _tx(spec, bits, fir, TAIL_NONE)
     with pytest.raises(ConfigError, match="carrier of"):
         rx_subband(sig, spec, fir, grid, TAIL_NONE,
                    downconversion_carrier(longer, fir, TAIL_NONE, FS),
@@ -584,7 +584,7 @@ def test_rx_buffer_too_short():
     spec = _subband()
     fir = design_subband_filter(spec, FS)
     bits = payload_bits(spec, seeded_rng(1, "short"))
-    sig, grid = _tx(spec, bits, TAIL_NONE, fir)
+    sig, grid = _tx(spec, bits, fir, TAIL_NONE)
     cut = sig[: len(sig) // 2]
     with pytest.raises(ConfigError):
         _rx(cut, spec, fir, grid, TAIL_NONE)
