@@ -41,6 +41,7 @@ from .metrics import (THROUGHPUT_CAVEAT, ThroughputInput, normalized_throughput,
                       oobe_windows, psd_welch, welch_freqs)
 from .modem import evm_db, ofdm_demodulate, ofdm_modulate
 from .subband import (
+    _extended_numerology,
     assemble,
     derive_tail_policy,
     design_subband_filter,
@@ -184,8 +185,7 @@ PSD_CHUNK_TTIS = 10
 
 def _tti_samples(cfg: ScenarioConfig, designs) -> list[int]:
     """Samples in one TTI of each subband, its CP extended per policy."""
-    return [sb.numerology.symbols_per_tti * (sb.numerology.samples_per_symbol
-                                             + policy.extra_cp_samples)
+    return [_extended_numerology(sb, policy).tti_samples
             for sb, (_, policy) in zip(cfg.subbands, designs)]
 
 

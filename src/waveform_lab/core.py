@@ -70,6 +70,10 @@ class Numerology:
     def samples_per_symbol(self) -> int:
         return self.fft_size + self.cp_samples
 
+    @property
+    def tti_samples(self) -> int:
+        return self.symbols_per_tti * self.samples_per_symbol
+
 
 @dataclass(frozen=True)
 class SubbandSpec:
@@ -229,7 +233,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
             bad(i, "symbols_per_tti must be positive")
         if not 0 <= n.cp_samples < n.fft_size:
             bad(i, f"cp_samples {n.cp_samples} must lie in [0, fft_size)")
-        span = sb.timing_offset_samples + n.symbols_per_tti * n.samples_per_symbol
+        span = sb.timing_offset_samples + n.tti_samples
         if span > MAX_TTI_SAMPLES:
             bad(i, f"timing_offset_samples {sb.timing_offset_samples} + symbols_per_tti "
                    f"{n.symbols_per_tti} x {n.samples_per_symbol} samples = {span} exceeds "

@@ -178,11 +178,8 @@ def upconversion_carrier(
     once for all its trials. Its samples depend only on their index, so from
     `first_sample` on it is bitwise that slice of the phasor of a longer
     stream."""
-    n = _extended_numerology(spec, policy)
-    coef = 2 * np.pi * spec.shift_hz
-    return _periodic_phasor(lambda r: coef * r * (1.0 / sample_rate_hz), first_sample,
-                            n.symbols_per_tti * n.samples_per_symbol,
-                            _carrier_period(spec.shift_hz, sample_rate_hz))
+    return _carrier(spec.shift_hz, sample_rate_hz, first_sample,
+                    _extended_numerology(spec, policy).tti_samples)
 
 
 def downconversion_carrier(
@@ -192,24 +189,10 @@ def downconversion_carrier(
     baseband from the matched-filter output, with t counted from the
     subband's timing offset: the frame starts at t = len(fir.taps) - 1, the
     delay of the two filter passes, so t is never negative."""
-    n = _extended_numerology(spec, policy)
-    coef = -2 * np.pi * spec.shift_hz
-
-    def phase_of(r):
-        phase = coef * r * (1.0 / sample_rate_hz)
-        phase += 0.0  # a zero phase is +0.0 in the complex expression, never -0.0
-        return phase
-
-    return _periodic_phasor(phase_of, len(fir.taps) - 1,
-                            n.symbols_per_tti * n.samples_per_symbol,
-                            _carrier_period(spec.shift_hz, sample_rate_hz))
-
-
-def _carrier_period(shift_hz: float, sample_rate_hz: float) -> int:
-    """Samples after which exp(2j * pi * shift * t / fs) repeats: the
-    denominator of shift / fs in lowest terms, exact for the floats given
-    (1,024 on the desk subbands, 4,096 on LTE-20)."""
-    return (Fraction(shift_hz) / Fraction(sample_rate_hz)).denominator
+    carrier = _carrier(-spec.shift_hz, sample_rate_hz, len(fir.taps) - 1,
+                       _extended_numerology(spec, policy).tti_samples)
+    carrier.head.imag += 0.0  # at a zero phase, +0.0 as in `np.exp(-2j * ...)`, never -0.0
+    return carrier
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,24 +211,20 @@ class Carrier:
         return np.resize(self.head, self.length)
 
 
-def _periodic_phasor(phase_of, first: int, count: int, period: int) -> Carrier:
-    """`exp(1j * phase_of(r))` at r = np.mod(t, period), the non-negative
-    remainder, for t = first, ..., first + count - 1. It repeats every
-    `period` samples, so only its first period is evaluated. For
-    0 <= t < period, r is t."""
-    modulus = min(period, 2**62)  # within int64; no stream spans 2**62 samples
-    r = np.mod(np.arange(first, first + min(count, modulus)), modulus)
-    return Carrier(count, _phasor(phase_of(r), np.empty(len(r), dtype=np.complex128)))
-
-
-def _phasor(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(1j * phase), built in `out`. Bitwise `np.exp(2j * np.pi * f * t / fs)`
-    for `phase = (2 * np.pi * f) * t * (1.0 / fs)`: on a zero real part, numpy's
-    complex product and its quotient by a real (a product with its reciprocal)
-    reduce to exactly these real operations."""
-    out.real = 0.0
-    out.imag = phase
-    return np.exp(out, out=out)
+def _carrier(shift_hz: float, sample_rate_hz: float, first: int, count: int) -> Carrier:
+    """Bitwise `np.exp(2j * np.pi * shift * r / fs)` at r = t mod P, the
+    non-negative remainder, for t = first, ..., first + count - 1. P is the
+    denominator of shift / fs in lowest terms, exact for the floats given
+    (1,024 on the desk subbands, 4,096 on LTE-20), so only the first P
+    samples are evaluated. On a zero real part, numpy's complex product and
+    its quotient by a real (a product with its reciprocal) reduce to exactly
+    the real operations below."""
+    # Within int64; no stream spans 2**62 samples.
+    period = min((Fraction(shift_hz) / Fraction(sample_rate_hz)).denominator, 2**62)
+    r = np.mod(np.arange(first, first + min(count, period)), period)
+    head = np.zeros(len(r), dtype=np.complex128)
+    head.imag = (2 * np.pi * shift_hz) * r * (1.0 / sample_rate_hz)
+    return Carrier(count, np.exp(head, out=head))
 
 
 def _mixed(samples: np.ndarray, carrier: Carrier) -> np.ndarray:
@@ -336,7 +315,7 @@ def rx_subband(
     filtered_len = len(composite) + total_delay
     n_ext = _extended_numerology(spec, policy)
     start = spec.timing_offset_samples + total_delay
-    seg_len = n_ext.symbols_per_tti * n_ext.samples_per_symbol
+    seg_len = n_ext.tti_samples
     if start < 0 or start + seg_len > filtered_len:
         raise ConfigError("composite buffer too short for the subband frame")
     block = default_block_size(len(fir.taps), len(composite))
@@ -487,9 +466,6 @@ def _add_noise_prefix(comp: np.ndarray, noise: np.ndarray) -> None:
     Q laid end to end. A complex sum adds its parts apart, so the bits are
     those of `comp + fresh_draw`."""
     length = len(comp)
-    if length == len(noise):  # one contiguous sum instead of three strided ones
-        comp += noise
-        return
     within = min(length, len(noise) - length)  # Q's normals that fall in `noise`'s I
     comp.real += noise.real[:length]
     comp.imag[:within] += noise.real[length:length + within]
@@ -526,6 +502,9 @@ def guardtone_sweep(
         raise ConfigError("at least one trial is required")
     if not math.isfinite(snr_db):
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    for p in power_offsets_db:  # a lone subband builds no cell whose validation would see it
+        if not math.isfinite(p):
+            raise ConfigError(f"power offsets must be finite, got {p}")
     for m in modulations:
         if m not in BITS_PER_SYMBOL:
             raise ConfigError(f"unknown modulation {m!r}")

@@ -40,6 +40,8 @@ from waveform_lab.modem import (
 )
 from waveform_lab.subband import (
     DEFAULT_TAIL_THRESHOLD,
+    _edge_tone_count,
+    _ErrorAccumulator,
     derive_tail_policy,
     design_subband_filter,
     downconversion_carrier,
@@ -47,6 +49,7 @@ from waveform_lab.subband import (
     guardtone_sweep,
     payload_bits,
     rx_subband,
+    scenario_filter_profile,
     tx_subband,
     upconversion_carrier,
 )
@@ -60,6 +63,22 @@ LOOPBACK_EVM_FLOOR_DB = {
     (48, "qpsk"): -37.93, (48, "16qam"): -38.06, (48, "64qam"): -37.69,
     (144, "qpsk"): -39.28, (144, "16qam"): -39.32, (144, "64qam"): -39.79,
     (288, "qpsk"): -38.32, (288, "16qam"): -37.94, (288, "64qam"): -37.92,
+}
+
+# Measured self-interference floors (edge dB, inner dB) of each preset's
+# victim under the packed profile, alone and noiseless, over three TTIs: the
+# floor that the guard-tone sweep's baselines and deltas stand on, set by the
+# filter rather than the 30 dB noise. Pinned with the bit error ratios the
+# floor costs.
+PACKED_EVM_FLOOR_DB = {
+    ("desk", "qpsk"): (-17.31, -22.72), ("desk", "16qam"): (-17.59, -22.11),
+    ("desk", "64qam"): (-18.39, -22.93),
+    ("lte20", "qpsk"): (-17.39, -22.79), ("lte20", "16qam"): (-17.61, -22.17),
+    ("lte20", "64qam"): (-18.51, -22.99),
+}
+PACKED_BER_FLOOR = {
+    ("desk", "qpsk"): 0.0, ("desk", "16qam"): 2.48e-3, ("desk", "64qam"): 8.35e-3,
+    ("lte20", "qpsk"): 0.0, ("lte20", "16qam"): 2.48e-3, ("lte20", "64qam"): 8.43e-3,
 }
 
 
@@ -132,6 +151,30 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
     assert ber(bits, res.bits).errors == 0
     assert res.evm_db <= -35.0
     assert res.evm_db == pytest.approx(LOOPBACK_EVM_FLOOR_DB[(width, mod)], abs=0.5)
+
+
+@pytest.mark.parametrize("preset,mod", sorted(PACKED_EVM_FLOOR_DB))
+def test_packed_profile_self_interference_floor(preset, mod):
+    cfg = load_scenario(preset_dir() / f"three-subband-{preset}.json")
+    fs = cfg.sample_rate_hz
+    order, backoff = scenario_filter_profile(cfg)
+    spec = replace(cfg.subbands[0], modulation=mod)
+    fir = design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff)
+    policy = derive_tail_policy(fir, spec.numerology)
+    up = upconversion_carrier(spec, fs, policy)
+    down = downconversion_carrier(spec, fir, policy, fs)
+    estimates = genie_estimates(spec, fir, policy)
+    acc = _ErrorAccumulator(_edge_tone_count(spec))  # the sweep's edge RB and inner tones
+    for trial in range(3):
+        bits = payload_bits(spec, seeded_rng(cfg.seed, f"accept/packed/{mod}/{trial}"))
+        sig, grid = tx_subband(spec, bits, fir, policy, up)
+        res = rx_subband(sig, spec, fir, grid, policy, down, estimates)
+        acc.add(grid, res.grid, bits, res.bits)
+    row = acc.row(0, 0.0, mod, math.inf)
+    edge, inner = PACKED_EVM_FLOOR_DB[(preset, mod)]
+    assert row.evm_db_edge == pytest.approx(edge, abs=0.5)
+    assert row.evm_db_inner == pytest.approx(inner, abs=0.5)
+    assert row.ber == pytest.approx(PACKED_BER_FLOOR[(preset, mod)], rel=0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,10 @@ def _tight_band(cfg):
     cfg["total_bandwidth_hz"] = 5.82e6
 
 
+def _lone_interferer(cfg):
+    cfg["subbands"] = cfg["subbands"][1:2]
+
+
 @pytest.mark.parametrize("edit, argv, message", [
     # The sweep sends a victim, an interferer and one more neighbor; a fourth
     # subband would be dropped without a sign in any output.
@@ -430,7 +434,11 @@ def _tight_band(cfg):
      "--guards 3 at --offsets-db 0 makes an invalid scenario: subband 0: subband "
      "(including guard tones) exceeds total bandwidth; subband 2: subband (including guard "
      "tones) exceeds total bandwidth"),
-], ids=["four-subbands", "one-rb-victim", "guards-past-the-band"])
+    # A lone subband builds no sweep cell, so no cell validation would see
+    # the offset: every row would copy the baseline with `nan` as its offset.
+    (_lone_interferer, ["--offsets-db", "nan", "--modulations", "qpsk"],
+     "power offsets must be finite, got nan"),
+], ids=["four-subbands", "one-rb-victim", "guards-past-the-band", "non-finite-lone-offset"])
 def test_guardtone_refuses_a_sweep_it_cannot_run_before_sending(
         tmp_path, capsys, edit, argv, message):
     out = tmp_path / "x"

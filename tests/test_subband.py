@@ -839,15 +839,16 @@ def test_sweep_error_sums_do_not_depend_on_the_grids_memory_order(monkeypatch):
 def test_noise_prefix_is_the_shorter_draw_of_the_same_label(longest, data):
     # A baseline's noise is cut from the longer noise of its modulation's
     # guard groups, drawn from the same label, and added in place.
-    length = data.draw(st.integers(1, longest))
-    seed, label = data.draw(st.integers(0, 2**32 - 1)), f"noise/baseline/qpsk/{length}"
-    variance = data.draw(st.floats(1e-6, 10.0))
-    noise = subband._sweep_noise(longest, variance, seeded_rng(seed, label))
-    fresh = subband._sweep_noise(length, variance, seeded_rng(seed, label))
-    comp = subband._sweep_noise(length, 1.0, seeded_rng(seed, "composite"))
-    want = comp + fresh
-    subband._add_noise_prefix(comp, noise)
-    assert np.array_equal(comp.view(np.uint64), want.view(np.uint64))
+    # The longest cell adds the whole noise.
+    for length in (data.draw(st.integers(1, longest)), longest):
+        seed, label = data.draw(st.integers(0, 2**32 - 1)), f"noise/baseline/qpsk/{length}"
+        variance = data.draw(st.floats(1e-6, 10.0))
+        noise = subband._sweep_noise(longest, variance, seeded_rng(seed, label))
+        fresh = subband._sweep_noise(length, variance, seeded_rng(seed, label))
+        comp = subband._sweep_noise(length, 1.0, seeded_rng(seed, "composite"))
+        want = comp + fresh
+        subband._add_noise_prefix(comp, noise)
+        assert np.array_equal(comp.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("guards, offsets, modulations, repeated", [
