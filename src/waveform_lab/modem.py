@@ -1,12 +1,12 @@
 """Per-subband OFDM baseband: QAM mapping, IFFT/CP modulation, equalization.
 
-Constellations follow the LTE Gray convention: bits are interleaved onto the
-I and Q axes (even-index bits to I, odd to Q) and each axis is Gray-coded
-over levels {+/-1}, {+/-1, +/-3}, or {+/-1 .. +/-7}, scaled to unit average
-power by sqrt(2), sqrt(10), sqrt(42).
+Constellations are the tables of 3GPP TS 36.211 §7.1: bits are interleaved
+onto the I and Q axes (even-index bits to I, odd to Q) and each axis is
+Gray-coded over levels {+/-1}, {+/-1, +/-3}, or {+/-1 .. +/-7}, scaled to unit
+average power by sqrt(2), sqrt(10), sqrt(42). Both axes read one table.
 
 Bit vectors are `np.uint8`, one 0/1 byte per bit: `qam_demap` returns them
-so, and `qam_map` reads any integer 0/1 vector as bytes.
+so, and `qam_map` reads any integer or bool vector of 0s and 1s as bytes.
 """
 
 from __future__ import annotations
@@ -23,56 +23,42 @@ BITS_PER_SYMBOL = {"qpsk": 2, "16qam": 4, "64qam": 6}
 
 EVM_FLOOR_DB = -100.0
 
-
-def _axis_level(bits: np.ndarray) -> np.ndarray:
-    """LTE per-axis Gray mapping; `bits` has shape (n, bits_per_axis)."""
-    k = bits.shape[1]
-    sign = 1 - 2 * bits[:, 0]
-    if k == 1:
-        return sign.astype(float)
-    if k == 2:
-        return sign * (2 - (1 - 2 * bits[:, 1]))
-    if k == 3:
-        return sign * (4 - (1 - 2 * bits[:, 1]) * (2 - (1 - 2 * bits[:, 2])))
-    raise ConfigError(f"unsupported bits per axis: {k}")
+# One axis' Gray levels, indexed by that axis' bits read MSB first, scaled to
+# unit power as a product with 1/sqrt(norm): a division moves some 64QAM bits.
+_AXIS_LEVELS = {
+    mod: np.array(levels, dtype=float) * (1.0 / math.sqrt(norm))
+    for mod, levels, norm in (
+        ("qpsk", (1, -1), 2),
+        ("16qam", (1, 3, -1, -3), 10),
+        ("64qam", (3, 1, 5, 7, -3, -1, -5, -7), 42),
+    )
+}
 
 
-def _build_constellation(modulation: str) -> np.ndarray:
-    bps = BITS_PER_SYMBOL[modulation]
-    labels = np.arange(2 ** bps)
-    bits = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int64)
-    i_level = _axis_level(bits[:, 0::2])
-    q_level = _axis_level(bits[:, 1::2])
-    norm = {"qpsk": 2.0, "16qam": 10.0, "64qam": 42.0}[modulation]
-    return (i_level + 1j * q_level) / math.sqrt(norm)
+def _constellation(levels: np.ndarray) -> np.ndarray:
+    """Point `label`: the I level of its even bits + j * the Q level of its odd bits."""
+    k = len(levels).bit_length() - 1
+    bits = (np.arange(4 ** k)[:, None] >> np.arange(2 * k - 1, -1, -1)) & 1
+    weights = 1 << np.arange(k - 1, -1, -1)
+    return levels[bits[:, 0::2] @ weights] + 1j * levels[bits[:, 1::2] @ weights]
 
 
-CONSTELLATIONS = {mod: _build_constellation(mod) for mod in BITS_PER_SYMBOL}
-
-
-def _per_axis_levels(modulation: str) -> tuple[np.ndarray, np.ndarray]:
-    """(I, Q) amplitudes of the constellation indexed by axis label: a label's
-    I bits (or its Q bits) read MSB first, the other axis' bits zero."""
-    k = BITS_PER_SYMBOL[modulation] // 2
-    axis = np.arange(2 ** k)
-    # The axis bit of weight 2^r sits at label weight 4^r on Q, 2 * 4^r on I.
-    spread = sum(((axis >> r) & 1) << (2 * r) for r in range(k))
-    points = CONSTELLATIONS[modulation]
-    return points[2 * spread].real, points[spread].imag
-
-
-_AXIS_LEVELS = {mod: _per_axis_levels(mod) for mod in BITS_PER_SYMBOL}
+CONSTELLATIONS = {mod: _constellation(levels) for mod, levels in _AXIS_LEVELS.items()}
 
 
 def qam_map(bits, modulation: str) -> np.ndarray:
     """Map a 0/1 bit vector to Gray-labeled unit-average-power symbols."""
     if modulation not in BITS_PER_SYMBOL:
         raise ConfigError(f"unknown modulation {modulation!r}")
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
     bps = BITS_PER_SYMBOL[modulation]
+    if bits.dtype.kind not in "biu":
+        raise ConfigError(f"bits must be integers or bools, got dtype {bits.dtype}")
     if bits.ndim != 1 or len(bits) % bps != 0:
         raise ConfigError(f"bit count {bits.size} is not a multiple of {bps}")
-    groups = bits.reshape(-1, bps)
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ConfigError(f"bits must be 0 or 1, got values in [{bits.min()}, {bits.max()}]")
+    groups = bits.astype(np.uint8, copy=False).reshape(-1, bps)
     labels = groups[:, 0].copy()  # MSB first; a label of at most 6 bits fits a byte
     for col in range(1, bps):
         labels <<= 1
@@ -93,8 +79,9 @@ def qam_demap(symbols, modulation: str) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
     k = BITS_PER_SYMBOL[modulation] // 2
     shifts = np.arange(k - 1, -1, -1)
+    levels = _AXIS_LEVELS[modulation]
     bits = np.empty((len(symbols), 2 * k), dtype=np.uint8)
-    for col, x, levels in zip((0, 1), (symbols.real, symbols.imag), _AXIS_LEVELS[modulation]):
+    for col, x in ((0, symbols.real), (1, symbols.imag)):
         labels = np.argmin(np.abs(x[:, None] - levels), axis=1)  # first == lowest label
         bits[:, col::2] = (labels[:, None] >> shifts) & 1
     return bits.ravel()

@@ -595,13 +595,13 @@ def guardtone_sweep(
             del sig, grid, noise  # before the next trial's are made
         return accs
 
-    guards = guard_counts if not single and power_offsets_db else []
+    keys = [] if single else list(itertools.product(guard_counts, power_offsets_db))
     baselines, rows = {}, []
     for mod in modulations:
         spec = replace(victim_template, modulation=mod, power_offset_db=0.0,
                        timing_offset_samples=0)
         cells = [(f"baseline/{mod}", [spec])]
-        for guard, power_db in itertools.product(guards, power_offsets_db):
+        for guard, power_db in keys:
             subs = _sweep_geometry(base, guard, power_db, mod)
             rep = validate_scenario(replace(base, subbands=tuple(subs)))
             if not rep.ok:
@@ -610,8 +610,8 @@ def guardtone_sweep(
             cells.append((f"g{guard}/p{power_db:g}/{mod}", subs))
         isolated, *guarded = run_pass(mod, cells)
         baselines[mod] = isolated.row(-1, 0.0, mod, snr_db)
-        rows += [acc.row(guard, power_db, mod, snr_db) for (guard, power_db), acc
-                 in zip(itertools.product(guards, power_offsets_db), guarded)]
+        rows += [acc.row(guard, power_db, mod, snr_db)
+                 for (guard, power_db), acc in zip(keys, guarded)]
         if single:
             # No interferer: every guard count reads the baseline.
             rows += [replace(baselines[mod], guard_tones=guard, power_offset_db=power_db)

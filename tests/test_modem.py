@@ -39,6 +39,28 @@ def test_qpsk_gray_axes():
     assert qam_map(np.array([0, 1]), "qpsk")[0] == pytest.approx((1 - 1j) / np.sqrt(2))
 
 
+# TS 36.211 §7.1 spot values: label (MSB first) -> (I, Q) before normalization.
+TS36211_POINTS = [
+    ("qpsk", 2, "00", 1, 1), ("qpsk", 2, "01", 1, -1),
+    ("qpsk", 2, "10", -1, 1), ("qpsk", 2, "11", -1, -1),
+    ("16qam", 10, "0000", 1, 1), ("16qam", 10, "0001", 1, 3), ("16qam", 10, "0010", 3, 1),
+    ("16qam", 10, "0011", 3, 3), ("16qam", 10, "0100", 1, -1), ("16qam", 10, "1000", -1, 1),
+    ("16qam", 10, "1111", -3, -3),
+    ("64qam", 42, "000000", 3, 3), ("64qam", 42, "000001", 3, 1), ("64qam", 42, "000010", 1, 3),
+    ("64qam", 42, "000100", 3, 5), ("64qam", 42, "000101", 3, 7), ("64qam", 42, "001000", 5, 3),
+    ("64qam", 42, "001111", 7, 7), ("64qam", 42, "010000", 3, -3), ("64qam", 42, "100000", -3, 3),
+    ("64qam", 42, "111111", -7, -7),
+]
+
+
+@pytest.mark.parametrize("mod, norm, label, i, q", TS36211_POINTS)
+def test_constellation_matches_ts36211(mod, norm, label, i, q):
+    bits = np.array([int(b) for b in label])
+    point = qam_map(bits, mod)[0]
+    assert point == CONSTELLATIONS[mod][int(label, 2)]
+    assert point * np.sqrt(norm) == pytest.approx(complex(i, q), abs=1e-12)
+
+
 @pytest.mark.parametrize("mod", list(BITS_PER_SYMBOL))
 def test_constellation_unit_power(mod):
     pts = CONSTELLATIONS[mod]
@@ -76,6 +98,7 @@ def test_bits_are_bytes_read_msb_first(mod):
     bits = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8).ravel()
     points = CONSTELLATIONS[mod]
     assert np.array_equal(qam_map(bits, mod).view(np.uint64), points.view(np.uint64))
+    assert np.array_equal(qam_map(bits.astype(bool), mod).view(np.uint64), points.view(np.uint64))
     demapped = qam_demap(points, mod)
     assert demapped.dtype == np.uint8
     assert np.array_equal(demapped, bits)
@@ -134,6 +157,18 @@ def test_demap_ties_resolve_to_lowest_label(mod):
     # label takes the positive inner level on both axes.
     assert qam_demap([0j], mod).tolist() == {
         "qpsk": [0, 0], "16qam": [0, 0, 0, 0], "64qam": [0, 0, 0, 0, 1, 1]}[mod]
+
+
+@pytest.mark.parametrize("bits, mod", [
+    ([0, 0, 0, 2], "16qam"),
+    ([0.9, 1.0], "qpsk"),
+    ([-1, 0], "qpsk"),
+    ([2, 0], "qpsk"),
+    ([0, 256], "qpsk"),  # wraps to 0 as a byte
+])
+def test_map_rejects_bits_other_than_0_or_1(bits, mod):
+    with pytest.raises(ConfigError, match="bits must be"):
+        qam_map(np.array(bits), mod)
 
 
 def test_map_rejects_ragged_bits():
