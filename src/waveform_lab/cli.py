@@ -27,8 +27,7 @@ from .core import (
     MODULATIONS,
     ConfigError,
     ScenarioConfig,
-    _field,
-    _take,
+    _fields,
     load_scenario,
     read_json,
     scenario_hash,
@@ -146,7 +145,7 @@ class ManifestWriter:
         self._flush()
 
 
-def _load_and_check(args) -> tuple[ScenarioConfig, Path, str]:
+def _load_and_check(args) -> tuple[ScenarioConfig, str]:
     path, preset = resolve_scenario_path(args.scenario)
     cfg = load_scenario(path)
     if args.seed is not None:
@@ -154,7 +153,7 @@ def _load_and_check(args) -> tuple[ScenarioConfig, Path, str]:
     report = validate_scenario(cfg)
     if not report.ok:
         raise ConfigError(f"invalid scenario: {report.describe()}")
-    return cfg, path, preset
+    return cfg, preset
 
 
 def _parse_list(text: str, kind: type, flag: str) -> list:
@@ -223,7 +222,7 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
 
 
 def cmd_psd(args) -> int:
-    cfg, _, preset = _load_and_check(args)
+    cfg, preset = _load_and_check(args)
     out_dir = _out_dir(args.out)
     with ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset) as manifest:
         if args.ttis < 1:
@@ -281,7 +280,7 @@ def cmd_psd(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_guardtone(args) -> int:
-    cfg, _, preset = _load_and_check(args)
+    cfg, preset = _load_and_check(args)
     out_dir = _out_dir(args.out)
     with ManifestWriter(out_dir, "guardtone", scenario_hash(cfg), cfg.seed, preset) as manifest:
         guards = _parse_list(args.guards, int, "--guards")
@@ -302,32 +301,28 @@ def cmd_guardtone(args) -> int:
 # throughput
 # ---------------------------------------------------------------------------
 
+# The baseline is the whole band, so it takes no bandwidth weight.
+_THROUGHPUT_BASELINE_FIELDS = {"name": str, "fft_size": int, "cp_samples": int,
+                               "data_tone_fraction": float}
+_THROUGHPUT_ROW_FIELDS = {**_THROUGHPUT_BASELINE_FIELDS,
+                          "bandwidth_weight": (float, ThroughputInput.bandwidth_weight)}
+
+
 def load_throughput_preset(path: Path) -> tuple[list[ThroughputInput], ThroughputInput]:
-    raw = read_json(path, "throughput preset")
-    _take(raw, {"baseline", "subbands"}, "throughput")
+    raw = _fields(read_json(path, "throughput preset"), "throughput",
+                  {"subbands": list, "baseline": dict})
 
-    def entry(d, ctx: str, keys: set[str]) -> ThroughputInput:
-        _take(d, keys, ctx)
-        name = _field(d, "name", str, ctx)
-        if any(c in name for c in ',"\r\n'):
+    def entry(d, ctx: str, kinds: dict) -> ThroughputInput:
+        f = _fields(d, ctx, kinds)
+        if any(c in f["name"] for c in ',"\r\n'):
             # The name is written unquoted as the first throughput.csv column.
-            raise ConfigError(f"{ctx}.name {name!r} must not contain a comma, "
+            raise ConfigError(f"{ctx}.name {f['name']!r} must not contain a comma, "
                               "a double quote, CR or LF")
-        return ThroughputInput(
-            name=name,
-            fft_size=_field(d, "fft_size", int, ctx),
-            cp_samples=_field(d, "cp_samples", int, ctx),
-            data_tone_fraction=_field(d, "data_tone_fraction", float, ctx),
-            bandwidth_weight=_field(d, "bandwidth_weight", float, ctx,
-                                    ThroughputInput.bandwidth_weight),
-        )
+        return ThroughputInput(**f)
 
-    # The baseline is the whole band, so it takes no bandwidth weight.
-    keys = {"name", "fft_size", "cp_samples", "data_tone_fraction"}
-    subbands = _field(raw, "subbands", list, "throughput")
-    return ([entry(d, f"throughput.subbands[{i}]", keys | {"bandwidth_weight"})
-             for i, d in enumerate(subbands)],
-            entry(_field(raw, "baseline", dict, "throughput"), "throughput.baseline", keys))
+    return ([entry(d, f"throughput.subbands[{i}]", _THROUGHPUT_ROW_FIELDS)
+             for i, d in enumerate(raw["subbands"])],
+            entry(raw["baseline"], "throughput.baseline", _THROUGHPUT_BASELINE_FIELDS))
 
 
 def cmd_throughput(args) -> int:

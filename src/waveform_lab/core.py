@@ -43,6 +43,12 @@ MAX_TTI_SAMPLES = 1 << 22
 # builds, LTE-20 at 400 TTIs, is 12,278,416 samples (5.5x below).
 MAX_PSD_SAMPLES = 1 << 26
 
+# Largest magnitude of a level in dB: a subband's power offset, and the
+# sweep's SNR and interferer offsets. 300 dB is a power ratio of 1e30, whose
+# products and sums stay far inside the float range; a finite level of a few
+# thousand dB would overflow into inf samples or an OverflowError.
+MAX_ABS_DB = 300.0
+
 
 class ConfigError(ValueError):
     """Raised for parameter combinations that cannot be built or run."""
@@ -223,6 +229,9 @@ def validate_scenario(cfg: ScenarioConfig) -> ValidationReport:
             bad(i, f"unknown modulation {sb.modulation!r}")
         if not _finite(sb.power_offset_db):
             bad(i, "power_offset_db must be finite")
+        elif abs(sb.power_offset_db) > MAX_ABS_DB:
+            bad(i, f"power_offset_db {sb.power_offset_db:g} must lie in "
+                   f"[-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB")
         if sb.timing_offset_samples < 0:
             bad(i, "timing_offset_samples must be nonnegative")
         n = sb.numerology
@@ -275,17 +284,11 @@ def seeded_rng(seed: int, stream_label: str) -> np.random.Generator:
 # Scenario file I/O (strict JSON schema, unknown keys rejected)
 # ---------------------------------------------------------------------------
 
-def _take(d, allowed: set[str], ctx: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{ctx} must be a JSON object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {ctx}: {sorted(unknown)}")
-
-
-def _field(d: dict, key: str, kind: type, ctx: str, default=None):
-    """`d[key]` as `kind`, or `default` when the key is absent. A missing key
-    without a default, or a wrongly typed value, raises ConfigError naming it."""
+def _field(d: dict, key: str, kind, ctx: str):
+    """`d[key]` as `kind`, a type or `(type, default)`; the default when the
+    key is absent. A missing key without a default, or a wrongly typed value,
+    raises ConfigError naming it."""
+    kind, default = kind if isinstance(kind, tuple) else (kind, None)
     if key not in d:
         if default is None:
             raise ConfigError(f"{ctx}.{key} is missing")
@@ -299,45 +302,38 @@ def _field(d: dict, key: str, kind: type, ctx: str, default=None):
     raise ConfigError(f"{ctx}.{key} must be of type {kind.__name__}, got {v!r}")
 
 
-def _numerology_from_dict(d: dict, ctx: str) -> Numerology:
-    _take(d, {"scs_hz", "fft_size", "cp_samples", "symbols_per_tti"}, ctx)
-    return Numerology(
-        scs_hz=_field(d, "scs_hz", float, ctx),
-        fft_size=_field(d, "fft_size", int, ctx),
-        cp_samples=_field(d, "cp_samples", int, ctx),
-        symbols_per_tti=_field(d, "symbols_per_tti", int, ctx),
-    )
+def _fields(d, ctx: str, kinds: dict) -> dict:
+    """The JSON object `d` read by its field table, each key with `_field` as
+    `kinds[key]`; a non-object `d`, or a key not in `kinds`, is a ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx} must be a JSON object")
+    unknown = d.keys() - kinds.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys in {ctx}: {sorted(unknown)}")
+    return {key: _field(d, key, kind, ctx) for key, kind in kinds.items()}
+
+
+_NUMEROLOGY_FIELDS = {"scs_hz": float, "fft_size": int, "cp_samples": int, "symbols_per_tti": int}
+_SUBBAND_FIELDS = {
+    "start_tone": int, "width_tones": int, "guard_tones_left": (int, 0),
+    "guard_tones_right": (int, 0), "numerology": dict, "modulation": str,
+    "power_offset_db": (float, SubbandSpec.power_offset_db),
+    "timing_offset_samples": (int, SubbandSpec.timing_offset_samples)}
+_SCENARIO_FIELDS = {"sample_rate_hz": float, "total_bandwidth_hz": float, "subbands": list,
+                    "seed": (int, ScenarioConfig.seed)}
 
 
 def _subband_from_dict(d: dict, ctx: str) -> SubbandSpec:
-    _take(d, {
-        "start_tone", "width_tones", "guard_tones_left", "guard_tones_right",
-        "numerology", "modulation", "power_offset_db", "timing_offset_samples",
-    }, ctx)
-    return SubbandSpec(
-        start_tone=_field(d, "start_tone", int, ctx),
-        width_tones=_field(d, "width_tones", int, ctx),
-        guard_tones_left=_field(d, "guard_tones_left", int, ctx, 0),
-        guard_tones_right=_field(d, "guard_tones_right", int, ctx, 0),
-        numerology=_numerology_from_dict(_field(d, "numerology", dict, ctx),
-                                         f"{ctx}.numerology"),
-        modulation=_field(d, "modulation", str, ctx),
-        power_offset_db=_field(d, "power_offset_db", float, ctx, SubbandSpec.power_offset_db),
-        timing_offset_samples=_field(d, "timing_offset_samples", int, ctx,
-                                     SubbandSpec.timing_offset_samples),
-    )
+    f = _fields(d, ctx, _SUBBAND_FIELDS)
+    n = _fields(f["numerology"], f"{ctx}.numerology", _NUMEROLOGY_FIELDS)
+    return SubbandSpec(**{**f, "numerology": Numerology(**n)})
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    ctx = "scenario"
-    _take(d, {"sample_rate_hz", "total_bandwidth_hz", "subbands", "seed"}, ctx)
-    return ScenarioConfig(
-        sample_rate_hz=_field(d, "sample_rate_hz", float, ctx),
-        total_bandwidth_hz=_field(d, "total_bandwidth_hz", float, ctx),
-        subbands=tuple(_subband_from_dict(s, f"{ctx}.subbands[{i}]")
-                       for i, s in enumerate(_field(d, "subbands", list, ctx))),
-        seed=_field(d, "seed", int, ctx, ScenarioConfig.seed),
-    )
+    f = _fields(d, "scenario", _SCENARIO_FIELDS)
+    f["subbands"] = [_subband_from_dict(s, f"scenario.subbands[{i}]")
+                     for i, s in enumerate(f["subbands"])]
+    return ScenarioConfig(**f)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:

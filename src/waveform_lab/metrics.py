@@ -199,6 +199,8 @@ def normalized_throughput(
     total_weight = sum(s.bandwidth_weight for s in subbands)
     if total_weight <= 0:
         raise ConfigError("bandwidth weights must sum to a positive value")
+    if not math.isfinite(total_weight):
+        raise ConfigError(f"bandwidth weights must sum to a finite value, got {total_weight}")
     fofdm_total = (sum(s.normalized_throughput * s.bandwidth_weight for s in subbands)
                    / total_weight)
     ofdm_total = baseline.normalized_throughput

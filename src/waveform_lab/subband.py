@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    MAX_ABS_DB,
     PACKED_EDGE_BACKOFF_TONES,
     REFERENCE_TONE_HZ,
     TONES_PER_RB,
@@ -502,9 +503,14 @@ def guardtone_sweep(
         raise ConfigError("at least one trial is required")
     if not math.isfinite(snr_db):
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    if abs(snr_db) > MAX_ABS_DB:
+        raise ConfigError(f"snr_db {snr_db:g} must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB")
     for p in power_offsets_db:  # a lone subband builds no cell whose validation would see it
         if not math.isfinite(p):
             raise ConfigError(f"power offsets must be finite, got {p}")
+        if abs(p) > MAX_ABS_DB:
+            raise ConfigError(f"power offset {p:g} must lie in "
+                              f"[-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB")
     for m in modulations:
         if m not in BITS_PER_SYMBOL:
             raise ConfigError(f"unknown modulation {m!r}")

@@ -513,9 +513,12 @@ def _throughput_file(tmp_path, edit) -> str:
     # The weights still sum to a positive 1.5, so only the row check catches it.
     (lambda t: t["subbands"][1].update(bandwidth_weight=-1.5),
      "bandwidth_weight -1.5 for 'urban' must be nonnegative"),
+    # Each weight is finite, but their sum is not.
+    (lambda t: [row.update(bandwidth_weight=1e308) for row in t["subbands"]],
+     "bandwidth weights must sum to a finite value, got inf"),
 ], ids=["missing-name", "string-fft-size", "leftover-duration-key", "bool-weight",
         "baseline-weight", "cp-not-below-fft", "non-object-entry", "missing-baseline",
-        "negative-weight"])
+        "negative-weight", "weight-sum-overflows"])
 def test_malformed_throughput_preset_exit_code(tmp_path, capsys, edit, message):
     rc = main(["throughput", "--scenario", _throughput_file(tmp_path, edit),
                "--out", str(tmp_path / "x")])
@@ -641,6 +644,9 @@ def _desk_file(tmp_path, edit) -> str:
      "subband 1: timing_offset_samples 1000000000"),
     (lambda c: c["subbands"][0]["numerology"].update(symbols_per_tti=10**7),
      "subband 0: timing_offset_samples 0 + symbols_per_tti 10000000"),
+    # A finite power offset whose linear amplitude would overflow a float.
+    (lambda c: c["subbands"][2].update(power_offset_db=7000),
+     "subband 2: power_offset_db 7000 must lie in [-300, 300] dB"),
 ])
 def test_malformed_scenario_field_exit_code(tmp_path, capsys, edit, field):
     scn = _desk_file(tmp_path, edit)
@@ -652,6 +658,9 @@ def test_malformed_scenario_field_exit_code(tmp_path, capsys, edit, field):
 
 @pytest.mark.parametrize("argv", [
     ["guardtone", "--snr-db", "nan"],
+    # Finite levels beyond 300 dB, which would write inf EVMs.
+    ["guardtone", "--snr-db", "-3080"],
+    ["guardtone", "--offsets-db", "0,3100"],
     ["guardtone", "--guards", "a"],
     ["guardtone", "--offsets-db", "x"],
     ["guardtone", "--guards", "0,0"],

@@ -185,6 +185,8 @@ _FLOAT_FIELDS = {
 @pytest.mark.parametrize("field, value", [
     ("power_offset_db", math.nan),
     ("power_offset_db", -math.inf),
+    # Finite, but 10 ** (7000 / 20) overflows a float.
+    ("power_offset_db", 7000.0),
     ("timing_offset_samples", -5),
 ])
 def test_validate_rejects_nonfinite_and_negative_offsets(field, value):

@@ -20,8 +20,10 @@ def _imported_names(tree: ast.Module) -> set[str]:
 
 
 # `__init__.py` is left out: its imports are the package's public re-exports.
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
