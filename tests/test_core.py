@@ -332,6 +332,13 @@ def test_scenario_from_dict_names_malformed_field(edit, field):
         scenario_from_dict(d)
 
 
+def test_scenario_unknown_key_rejected():
+    d = scenario_to_dict(_scenario([_subband(-24, 48)]))
+    d["extra"] = 1
+    with pytest.raises(ConfigError, match=re.escape("unknown keys in scenario: ['extra']")):
+        scenario_from_dict(d)
+
+
 def test_scenario_from_dict_defaults_come_from_the_dataclasses():
     d = _desk_dict()
     for key in ("power_offset_db", "timing_offset_samples", "guard_tones_left"):
