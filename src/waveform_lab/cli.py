@@ -104,13 +104,16 @@ def _write_csv(path: Path, lines: list[str]) -> None:
 
 class ManifestWriter:
     """Run manifest; `status` goes running -> complete, or failed (with the
-    error) when the verb raises inside the `with` block."""
+    error) when the verb raises inside the `with` block. `argv` is the
+    argument list `main` parsed, kept as strings, so a `nan` flag stays
+    valid JSON."""
 
-    def __init__(self, out_dir: Path, command: str, scn_hash: str, seed: int, preset: str):
+    def __init__(self, out_dir: Path, args, scn_hash: str, seed: int, preset: str):
         self.path = out_dir / "manifest.json"
         self.started = time.monotonic()
         self.doc = {
-            "command": command,
+            "command": args.command,
+            "argv": args.argv,
             "scenario_hash": scn_hash,
             "seed": seed,
             "preset": preset,
@@ -224,7 +227,7 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
 def cmd_psd(args) -> int:
     cfg, preset = _load_and_check(args)
     out_dir = _out_dir(args.out)
-    with ManifestWriter(out_dir, "psd", scenario_hash(cfg), cfg.seed, preset) as manifest:
+    with ManifestWriter(out_dir, args, scenario_hash(cfg), cfg.seed, preset) as manifest:
         if args.ttis < 1:
             raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
         fs = cfg.sample_rate_hz
@@ -282,7 +285,7 @@ def cmd_psd(args) -> int:
 def cmd_guardtone(args) -> int:
     cfg, preset = _load_and_check(args)
     out_dir = _out_dir(args.out)
-    with ManifestWriter(out_dir, "guardtone", scenario_hash(cfg), cfg.seed, preset) as manifest:
+    with ManifestWriter(out_dir, args, scenario_hash(cfg), cfg.seed, preset) as manifest:
         guards = _parse_list(args.guards, int, "--guards")
         offsets = _parse_list(args.offsets_db, float, "--offsets-db")
         mods = tuple(m.strip() for m in args.modulations.split(","))
@@ -329,7 +332,7 @@ def cmd_throughput(args) -> int:
     path, preset = resolve_scenario_path(args.scenario)
     subbands, baseline = load_throughput_preset(path)
     out_dir = _out_dir(args.out)
-    with ManifestWriter(out_dir, "throughput",
+    with ManifestWriter(out_dir, args,
                         hashlib.sha256(path.read_bytes()).hexdigest(), None, preset) as manifest:
         report = normalized_throughput(subbands, baseline)
         lines = ["name,data_tone_fraction,cp_overhead_fraction,normalized_throughput,"
@@ -506,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except ConfigError as e:

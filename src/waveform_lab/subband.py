@@ -241,7 +241,9 @@ def _mixed(samples: np.ndarray, carrier: Carrier) -> np.ndarray:
     whole = n // period * period
     rows = samples[:whole].reshape(-1, period)
     np.multiply(head, rows, out=rows)
-    np.multiply(head[:n - whole], samples[whole:], out=samples[whole:])
+    # Not in place: numpy multiplies a lone sample in place by a loop whose
+    # last bit can differ from that of the vector loop.
+    samples[whole:] = np.multiply(head[:n - whole], samples[whole:])
     return samples
 
 
@@ -380,14 +382,13 @@ def _edge_tone_count(spec: SubbandSpec) -> int:
 def _sweep_geometry(base: ScenarioConfig, guard: int, power_db: float, modulation: str):
     """Reposition the base subbands with `guard` empty tones between neighbors.
 
-    The second subband (interferer) stays put and carries the power offset and
-    a half-symbol delay; the first (victim) and optional third move outward.
-    "Half a symbol" is the interferer's own: its `samples_per_symbol // 2`
-    at the common sample rate, whatever the victim's numerology.
+    The second subband (interferer) stays put and carries the power offset;
+    the first (victim) and optional third move outward. Every subband takes
+    `modulation` and its guard tones from here, and every other field, each
+    timing offset among them, from the scenario.
     """
     subs = list(base.subbands)
     interferer = subs[1]
-    half_symbol = interferer.numerology.samples_per_symbol // 2
     out = []
     victim = replace(
         subs[0],
@@ -395,8 +396,6 @@ def _sweep_geometry(base: ScenarioConfig, guard: int, power_db: float, modulatio
         guard_tones_left=0,
         guard_tones_right=guard,
         modulation=modulation,
-        power_offset_db=0.0,
-        timing_offset_samples=0,
     )
     out.append(victim)
     out.append(replace(
@@ -405,7 +404,6 @@ def _sweep_geometry(base: ScenarioConfig, guard: int, power_db: float, modulatio
         guard_tones_right=0,
         modulation=modulation,
         power_offset_db=power_db,
-        timing_offset_samples=half_symbol,
     ))
     if len(subs) > 2:
         out.append(replace(
@@ -414,8 +412,6 @@ def _sweep_geometry(base: ScenarioConfig, guard: int, power_db: float, modulatio
             guard_tones_left=guard,
             guard_tones_right=0,
             modulation=modulation,
-            power_offset_db=0.0,
-            timing_offset_samples=2 * half_symbol,
         ))
     return out
 
@@ -473,12 +469,14 @@ def _add_noise_prefix(comp: np.ndarray, noise: np.ndarray) -> None:
     comp.imag[within:] += noise.imag[:length - within]
 
 
-def _reject_duplicates(axis: str, values) -> None:
+def _reject_duplicates(axis: str, values, key=str) -> None:
+    """Refuse two values of one axis that print alike: the rows and the RNG
+    labels print each value as `key` gives it."""
     seen = set()
     for v in values:
-        if v in seen:  # by value: 0.0 and -0.0 are one power offset
-            raise ConfigError(f"{axis} {v!r} appears more than once in the sweep")
-        seen.add(v)
+        if key(v) in seen:
+            raise ConfigError(f"{axis} {v!r} appears more than once in the sweep, as {key(v)}")
+        seen.add(key(v))
 
 
 def guardtone_sweep(
@@ -493,11 +491,12 @@ def guardtone_sweep(
 
     The victim is the first subband; its RB adjacent to the interferer is the
     edge measurement. Noise is calibrated so the victim's per-tone SNR equals
-    `snr_db` (per-sample variance 10^(-snr/10) under the unit-power
-    constellation and unitary FFT scaling), identically in the isolated
-    baselines, so baseline deltas isolate inter-subband interference. A
-    scenario of more than three subbands, or a victim with no tone beyond its
-    edge RB, is refused before any subband is sent.
+    `snr_db` (per-sample variance 10^(-snr/10) times the victim's power, under
+    the unit-power constellation and unitary FFT scaling), whatever its power
+    offset. The isolated baseline sends the victim with its own power and
+    timing, as every cell does, so baseline deltas isolate inter-subband
+    interference. A scenario of more than three subbands, or a victim with no
+    tone beyond its edge RB, is refused before any subband is sent.
     """
     if trials < 1:
         raise ConfigError("at least one trial is required")
@@ -515,7 +514,10 @@ def guardtone_sweep(
         if m not in BITS_PER_SYMBOL:
             raise ConfigError(f"unknown modulation {m!r}")
     _reject_duplicates("guard count", guard_counts)
-    _reject_duplicates("power offset", [float(p) for p in power_offsets_db])
+    # -0.0 + 0.0 is 0.0: `0` and `-0` are one cell, with one label and one row.
+    _reject_duplicates("power offset", [float(p) for p in power_offsets_db],
+                       key=lambda p: f"{p + 0.0:g}")
+    power_offsets_db = [float(p) + 0.0 for p in power_offsets_db]
     _reject_duplicates("modulation", modulations)
     report = validate_scenario(base)
     if not report.ok:
@@ -531,7 +533,7 @@ def guardtone_sweep(
             f"{victim_template.data_tones} data tones, none beyond its {edge_count}-tone "
             "edge RB: no inner tone is left to measure")
     fs = base.sample_rate_hz
-    sigma2 = 10.0 ** (-snr_db / 10.0)
+    sigma2 = 10.0 ** (-snr_db / 10.0) * victim_template.amplitude ** 2
     single = len(base.subbands) == 1
 
     filter_order, edge_backoff = scenario_filter_profile(base)
@@ -604,8 +606,7 @@ def guardtone_sweep(
     keys = [] if single else list(itertools.product(guard_counts, power_offsets_db))
     baselines, rows = {}, []
     for mod in modulations:
-        spec = replace(victim_template, modulation=mod, power_offset_db=0.0,
-                       timing_offset_samples=0)
+        spec = replace(victim_template, modulation=mod)
         cells = [(f"baseline/{mod}", [spec])]
         for guard, power_db in keys:
             subs = _sweep_geometry(base, guard, power_db, mod)

@@ -91,17 +91,21 @@ def test_preset_dir_env_override(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _read_manifest(out_dir: Path) -> dict:
+    """The manifest, refused unless it is strict JSON (no NaN or Infinity)."""
+    def refuse(constant):
+        raise ValueError(f"manifest holds {constant}")
     with open(out_dir / "manifest.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=refuse)
 
 
 def test_psd_outputs_and_manifest(tmp_path):
     out = tmp_path / "psd"
-    rc = main(["psd", "--scenario", "three-subband-desk", "--out", str(out),
-               "--ttis", "1"])
+    argv = ["psd", "--scenario", "three-subband-desk", "--out", str(out), "--ttis", "1"]
+    rc = main(argv)
     assert rc == 0
     doc = _read_manifest(out)
     assert doc["command"] == "psd"
+    assert doc["argv"] == argv  # so the manifest tells `--ttis` and `--pa-on` apart
     assert doc["status"] == "complete"
     assert doc["preset"] == "three-subband-desk"
     assert doc["wall_clock_s"] is not None
@@ -352,9 +356,9 @@ def _shrunk_desk(tmp_path) -> str:
 def test_guardtone_outputs(tmp_path):
     scn = _shrunk_desk(tmp_path)
     out = tmp_path / "gt"
-    rc = main(["guardtone", "--scenario", scn, "--out", str(out),
-               "--guards", "0,2", "--offsets-db", "0", "--trials", "2",
-               "--modulations", "qpsk"])
+    argv = ["guardtone", "--scenario", scn, "--out", str(out), "--guards", "0,2",
+            "--offsets-db", "0", "--trials", "2", "--modulations", "qpsk"]
+    rc = main(argv)
     assert rc == 0
     sweep = (out / "guardtone_sweep.csv").read_text().splitlines()
     assert sweep[0] == ("guard_tones,power_offset_db,modulation,snr_db,"
@@ -363,7 +367,9 @@ def test_guardtone_outputs(tmp_path):
     base = (out / "guardtone_baseline.csv").read_text().splitlines()
     assert base[0] == "modulation,snr_db,evm_db_edge,evm_db_inner,ber"
     assert len(base) == 2
-    assert _read_manifest(out)["status"] == "complete"
+    doc = _read_manifest(out)
+    assert doc["status"] == "complete"
+    assert doc["argv"] == argv
 
 
 def test_guardtone_rerun_byte_identical(tmp_path):
@@ -673,10 +679,12 @@ def test_malformed_scenario_field_exit_code(tmp_path, capsys, edit, field):
 def test_bad_verb_inputs_fail_the_run(tmp_path, capsys, argv):
     out = tmp_path / "x"
     trials = ["--trials", "1"] if argv[0] == "guardtone" else []
-    rc = main([*argv, *trials, "--scenario", _shrunk_desk(tmp_path), "--out", str(out)])
+    argv = [*argv, *trials, "--scenario", _shrunk_desk(tmp_path), "--out", str(out)]
+    rc = main(argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert _read_manifest(out)["status"] == "failed"
+    doc = _read_manifest(out)  # strict JSON, a `nan` flag included
+    assert doc["status"] == "failed" and doc["argv"] == argv
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 

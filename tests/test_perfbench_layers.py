@@ -68,8 +68,7 @@ def _sweep_convolutions(preset, guard, power_db, mod):
     composite on receive."""
     cfg = core.load_scenario(cli.resolve_scenario_path(preset)[0])
     order, backoff = subband.scenario_filter_profile(cfg)
-    baseline = replace(cfg.subbands[0], modulation=mod, power_offset_db=0.0,
-                       timing_offset_samples=0)
+    baseline = replace(cfg.subbands[0], modulation=mod)
     calls = samples = 0
     for subs in ([baseline], subband._sweep_geometry(cfg, guard, power_db, mod)):
         composite = 0

@@ -538,6 +538,20 @@ def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data)
     assert np.array_equal(x.view(np.uint64), expect.view(np.uint64))
 
 
+def test_mixing_a_lone_sample_past_the_rows_is_bitwise_the_product():
+    # A 3.84 MHz carrier at 30.72 MHz repeats every 8 samples, so a 585-sample
+    # frame leaves one sample past its rows; numpy multiplies a lone sample in
+    # place by a loop whose last bit can differ from the vector loop's.
+    spec = SimpleNamespace(numerology=replace(DESK, symbols_per_tti=1), shift_hz=3.84e6)
+    carrier = downconversion_carrier(spec, SimpleNamespace(taps=np.zeros(6)),
+                                     TailPolicy(extra_cp_samples=37), 30.72e6)
+    assert (len(carrier), len(carrier.head)) == (585, 8)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(585) + 1j * rng.standard_normal(585)
+    expect = np.multiply(carrier.materialize(), x)
+    assert np.array_equal(subband._mixed(x, carrier).view(np.uint64), expect.view(np.uint64))
+
+
 @pytest.mark.parametrize("preset", ["three-subband-desk", "three-subband-lte20"])
 def test_carriers_stay_accurate_over_long_streams(preset):
     # The exact phasor exp(2j*pi*((K*t) mod M)/M), shift/fs = K/M, in integer
@@ -851,11 +865,56 @@ def test_noise_prefix_is_the_shorter_draw_of_the_same_label(longest, data):
         assert np.array_equal(comp.view(np.uint64), want.view(np.uint64))
 
 
+def _desk_sweep(edit=None, offsets=(10.0,)):
+    """Two-trial guard-0 QPSK sweep of the desk preset, one subband edited."""
+    desk = load_scenario(preset_dir() / "three-subband-desk.json")
+    if edit is not None:
+        i, field, value = edit
+        subs = list(desk.subbands)
+        subs[i] = replace(subs[i], **{field: value})
+        desk = replace(desk, subbands=tuple(subs))
+    return guardtone_sweep(desk, [0], list(offsets), 30.0, 2, modulations=("qpsk",))
+
+
+@pytest.mark.parametrize("edit", [
+    (0, "timing_offset_samples", 100),
+    (1, "timing_offset_samples", 100),
+    (2, "timing_offset_samples", 100),
+    (2, "power_offset_db", 3.0),
+], ids=lambda e: f"subband {e[0]} {e[1]}")
+def test_sweep_reads_the_fields_it_does_not_sweep(edit):
+    # The sweep moves start tones and sets guards, modulation and the
+    # interferer's power; every other field is the scenario's and acts. Past
+    # the interferer's 288 tones, the third subband's power moves the rows
+    # only below the printed digits.
+    edited, preset = _desk_sweep(edit), _desk_sweep()
+    assert _row_bits(edited.rows) != _row_bits(preset.rows)
+    if edit[1] == "timing_offset_samples":
+        assert edited.csv_lines() != preset.csv_lines()
+
+
+def test_victim_power_offset_keeps_its_snr_and_its_baseline():
+    # The noise follows the victim's power, so its per-tone SNR stays
+    # `snr_db` and the baseline reads the same; only its ratio to the
+    # neighbors moves, and a stronger victim reads a cleaner edge.
+    preset, louder = _desk_sweep(), _desk_sweep((0, "power_offset_db", 3.0))
+    assert louder.baseline_csv_lines() == preset.baseline_csv_lines()
+    assert louder.rows[0].evm_db_edge < preset.rows[0].evm_db_edge - 1.0
+
+
+def test_negative_zero_offset_is_the_zero_offset_cell():
+    # One cell, one RNG label and one row, printed as 0.
+    assert _desk_sweep(offsets=[-0.0]).csv_lines() == _desk_sweep(offsets=[0.0]).csv_lines()
+
+
 @pytest.mark.parametrize("guards, offsets, modulations, repeated", [
     ([0, 0], [0.0], ("qpsk",), "guard count 0 "),
     ([0], [10.0, 10], ("qpsk",), "power offset 10.0 "),
     ([0], [0.0, -0.0], ("qpsk",), "power offset -0.0 "),
     ([0], [0.0], ("qpsk", "16qam", "qpsk"), "modulation 'qpsk' "),
+    # Distinct values that print alike would share one RNG label and one row.
+    ([0], [3.0000001, 3.0000002], ("qpsk",),
+     "power offset 3.0000002 appears more than once in the sweep, as 3"),
 ])
 def test_sweep_rejects_repeated_axis_values(guards, offsets, modulations, repeated):
     with pytest.raises(ConfigError, match=re.escape(repeated)):
