@@ -25,11 +25,10 @@ from . import __version__
 from .core import (
     MAX_PSD_SAMPLES,
     MODULATIONS,
+    REFERENCE_TONE_HZ,
     ConfigError,
     ScenarioConfig,
-    _fields,
     load_scenario,
-    read_json,
     scenario_hash,
     seeded_rng,
     validate_scenario,
@@ -185,6 +184,14 @@ def _scale_ttis(cfg: ScenarioConfig, n_ttis: int) -> ScenarioConfig:
 PSD_CHUNK_TTIS = 10
 
 
+def _designs(cfg: ScenarioConfig) -> list:
+    """Each subband's `(fir, policy)` under the scenario's filter profile."""
+    order, backoff = scenario_filter_profile(cfg)
+    firs = [design_subband_filter(sb, cfg.sample_rate_hz, order=order, edge_backoff_tones=backoff)
+            for sb in cfg.subbands]
+    return [(f, derive_tail_policy(f, sb.numerology)) for sb, f in zip(cfg.subbands, firs)]
+
+
 def _tti_samples(cfg: ScenarioConfig, designs) -> list[int]:
     """Samples in one TTI of each subband, its CP extended per policy."""
     return [_extended_numerology(sb, policy).tti_samples
@@ -231,10 +238,7 @@ def cmd_psd(args) -> int:
         if args.ttis < 1:
             raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
         fs = cfg.sample_rate_hz
-        order, backoff = scenario_filter_profile(cfg)
-        firs = [design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
-                for sb in cfg.subbands]
-        designs = [(f, derive_tail_policy(f, sb.numerology)) for sb, f in zip(cfg.subbands, firs)]
+        designs = _designs(cfg)
         lo = min(sb.occupied_low_hz for sb in cfg.subbands)
         hi = max(sb.occupied_high_hz for sb in cfg.subbands)
 
@@ -304,47 +308,23 @@ def cmd_guardtone(args) -> int:
 # throughput
 # ---------------------------------------------------------------------------
 
-# The baseline is the whole band, so it takes no bandwidth weight.
-_THROUGHPUT_BASELINE_FIELDS = {"name": str, "fft_size": int, "cp_samples": int,
-                               "data_tone_fraction": float}
-_THROUGHPUT_ROW_FIELDS = {**_THROUGHPUT_BASELINE_FIELDS,
-                          "bandwidth_weight": (float, ThroughputInput.bandwidth_weight)}
-
-
-def load_throughput_preset(path: Path) -> tuple[list[ThroughputInput], ThroughputInput]:
-    raw = _fields(read_json(path, "throughput preset"), "throughput",
-                  {"subbands": list, "baseline": dict})
-
-    def entry(d, ctx: str, kinds: dict) -> ThroughputInput:
-        f = _fields(d, ctx, kinds)
-        if any(c in f["name"] for c in ',"\r\n'):
-            # The name is written unquoted as the first throughput.csv column.
-            raise ConfigError(f"{ctx}.name {f['name']!r} must not contain a comma, "
-                              "a double quote, CR or LF")
-        return ThroughputInput(**f)
-
-    return ([entry(d, f"throughput.subbands[{i}]", _THROUGHPUT_ROW_FIELDS)
-             for i, d in enumerate(raw["subbands"])],
-            entry(raw["baseline"], "throughput.baseline", _THROUGHPUT_BASELINE_FIELDS))
-
-
 def cmd_throughput(args) -> int:
-    path, preset = resolve_scenario_path(args.scenario)
-    subbands, baseline = load_throughput_preset(path)
+    cfg, preset = _load_and_check(args)
     out_dir = _out_dir(args.out)
-    with ManifestWriter(out_dir, args,
-                        hashlib.sha256(path.read_bytes()).hexdigest(), None, preset) as manifest:
-        report = normalized_throughput(subbands, baseline)
-        lines = ["name,data_tone_fraction,cp_overhead_fraction,normalized_throughput,"
-                 "bandwidth_weight"]
-        for s in subbands:
-            lines.append(
-                f"{s.name},{s.data_tone_fraction:.9f},{s.cp_overhead_fraction:.9f},"
-                f"{s.normalized_throughput:.9f},{s.bandwidth_weight:.6g}"
-            )
-        lines.append(f"total_fofdm,,,{report.fofdm_total:.9f},")
-        lines.append(f"total_ofdm,,,{report.ofdm_total:.9f},")
-        lines.append(f"gain_percent,,,{report.gain_percent:.9f},")
+    with ManifestWriter(out_dir, args, scenario_hash(cfg), None, preset) as manifest:
+        # Each subband's share of the band, with its CP as sent.
+        rows = []
+        for sb, (_, policy) in zip(cfg.subbands, _designs(cfg)):
+            n = _extended_numerology(sb, policy)
+            rows.append(ThroughputInput(sb.width_tones * REFERENCE_TONE_HZ / cfg.total_bandwidth_hz,
+                                        n.fft_size, n.cp_samples))
+        report = normalized_throughput(rows)
+        lines = ["subband,band_fraction,cp_overhead_fraction,normalized_throughput"]
+        lines += [f"{i},{r.band_fraction:.9f},{r.cp_overhead_fraction:.9f},"
+                  f"{r.normalized_throughput:.9f}" for i, r in enumerate(rows)]
+        lines.append(f"total_fofdm,,,{report.fofdm_total:.9f}")
+        lines.append(f"total_ofdm,,,{report.ofdm_total:.9f}")
+        lines.append(f"gain_percent,,,{report.gain_percent:.9f}")
         out_path = out_dir / "throughput.csv"
         _write_csv(out_path, lines)
         manifest.finalize({"throughput": out_path})
@@ -482,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="output directory")
         if seed:
             sp.add_argument("--seed", type=int, default=None, help="override scenario seed")
+        else:  # read by `_load_and_check`; the verb draws no randomness
+            sp.set_defaults(seed=None)
 
     sp = sub.add_parser("psd", help="PSD and OOBE of OFDM vs f-OFDM")
     common(sp)

@@ -340,18 +340,15 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {**asdict(cfg), "subbands": [asdict(s) for s in cfg.subbands]}
 
 
-def read_json(path, what: str):
-    """The JSON document in the file at `path`; text that is not UTF-8, not
-    JSON or nested too deeply to parse is a ConfigError naming `what`."""
+def load_scenario(path) -> ScenarioConfig:
+    """The scenario in the JSON file at `path`; text that is not UTF-8, not
+    JSON or nested too deeply to parse is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from e
-
-
-def load_scenario(path) -> ScenarioConfig:
-    return scenario_from_dict(read_json(path, "scenario file"))
+        raise ConfigError(f"scenario file {path} is not valid JSON: {e}") from e
+    return scenario_from_dict(d)
 
 
 def scenario_hash(cfg: ScenarioConfig) -> str:

@@ -2,8 +2,9 @@
 
 PSD estimation is Welch with Hann segments at 50% overlap, implemented in
 numpy; curves are reported in dBr, normalized so the in-band mean sits at 0.
-The throughput calculator is pure overhead arithmetic (data-tone fraction
-times CP efficiency); it deliberately models no link adaptation.
+The throughput calculator is pure overhead arithmetic (each subband's share
+of the band times its CP efficiency); it deliberately models no link
+adaptation.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from .core import ConfigError
 
 THROUGHPUT_CAVEAT = (
     "Overhead arithmetic only: coded link adaptation is not modeled, so the "
-    "upper end of the reported range is not reachable by this calculator. "
-    "The f-OFDM rows assume a data-tone fraction of 1.0, that is no guard "
-    "tones, while 64QAM may need up to two guard tones per edge next to an "
-    "asynchronous neighbour."
+    "upper end of the reported range is not reachable by this calculator."
 )
 
 
@@ -149,14 +147,18 @@ def oobe(psd: PsdEstimate, band_edges_hz: tuple[float, float], offsets_hz) -> li
 # Normalized throughput
 # ---------------------------------------------------------------------------
 
+# The OFDM baseline: one 15 kHz numerology across the band with the extended
+# CP, 2,048 + 512 samples at 30.72 MHz, and 90% of the band occupied.
+OFDM_BASELINE_THROUGHPUT = 0.9 * 2048 / (2048 + 512)
+
+
 @dataclass(frozen=True)
 class ThroughputInput:
-    """One numerology in samples; its CP overhead needs no sample rate."""
-    name: str
+    """One subband's share of the band and its numerology in samples, the CP
+    as sent; its CP overhead needs no sample rate."""
+    band_fraction: float
     fft_size: int
     cp_samples: int
-    data_tone_fraction: float
-    bandwidth_weight: float = 1.0
 
     @property
     def cp_overhead_fraction(self) -> float:
@@ -164,7 +166,7 @@ class ThroughputInput:
 
     @property
     def normalized_throughput(self) -> float:
-        return self.data_tone_fraction * (1.0 - self.cp_overhead_fraction)
+        return self.band_fraction * (self.fft_size / (self.fft_size + self.cp_samples))
 
 
 @dataclass(frozen=True)
@@ -174,37 +176,9 @@ class ThroughputReport:
     gain_percent: float
 
 
-def _check(entry: ThroughputInput) -> None:
-    for name in ("data_tone_fraction", "bandwidth_weight"):
-        if not math.isfinite(getattr(entry, name)):
-            raise ConfigError(f"{name} for {entry.name!r} must be finite")
-    if not 0 <= entry.cp_samples < entry.fft_size:
-        raise ConfigError(f"cp_samples {entry.cp_samples} for {entry.name!r} "
-                          "must lie in [0, fft_size)")
-    if not 0.0 <= entry.data_tone_fraction <= 1.0:
-        raise ConfigError(f"data tone fraction for {entry.name!r} must lie in [0, 1]")
-    if entry.bandwidth_weight < 0:
-        raise ConfigError(f"bandwidth_weight {entry.bandwidth_weight:g} for {entry.name!r} "
-                          "must be nonnegative")
-
-
-def normalized_throughput(
-    subbands: list[ThroughputInput], baseline: ThroughputInput
-) -> ThroughputReport:
-    """Bandwidth-weighted overhead efficiency of the split waveform vs one baseline."""
-    if not subbands:
-        raise ConfigError("at least one subband is required")
-    for entry in (*subbands, baseline):
-        _check(entry)
-    total_weight = sum(s.bandwidth_weight for s in subbands)
-    if total_weight <= 0:
-        raise ConfigError("bandwidth weights must sum to a positive value")
-    if not math.isfinite(total_weight):
-        raise ConfigError(f"bandwidth weights must sum to a finite value, got {total_weight}")
-    fofdm_total = (sum(s.normalized_throughput * s.bandwidth_weight for s in subbands)
-                   / total_weight)
-    ofdm_total = baseline.normalized_throughput
-    if ofdm_total <= 0:
-        raise ConfigError("baseline throughput is zero; gain undefined")
-    gain = (fofdm_total - ofdm_total) / ofdm_total * 100.0
-    return ThroughputReport(fofdm_total=fofdm_total, ofdm_total=ofdm_total, gain_percent=gain)
+def normalized_throughput(subbands: list[ThroughputInput]) -> ThroughputReport:
+    """The subbands' summed throughput against `OFDM_BASELINE_THROUGHPUT`."""
+    fofdm_total = sum(s.normalized_throughput for s in subbands)
+    gain = (fofdm_total - OFDM_BASELINE_THROUGHPUT) / OFDM_BASELINE_THROUGHPUT * 100.0
+    return ThroughputReport(fofdm_total=fofdm_total, ofdm_total=OFDM_BASELINE_THROUGHPUT,
+                            gain_percent=gain)

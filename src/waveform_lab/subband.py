@@ -92,7 +92,8 @@ def default_filter_order(sample_rate_hz: float, passband_hz: float) -> int:
 def packed_filter_order(sample_rate_hz: float) -> int:
     """Half the 15 kHz symbol duration in samples, rounded down to even.
 
-    The longest order whose tap count stays within half a symbol. Subbands
+    The longest order whose tap count stays within half a 15 kHz symbol;
+    `design_subband_filter` cuts it to half the subband's own. Subbands
     that coexist with close neighbors take the sharpest affordable skirts;
     the extra self-interference this costs shows up on their own edge tones,
     where neighbor leakage dominates anyway.
@@ -120,7 +121,13 @@ def design_subband_filter(
     order: int | None = None,
     edge_backoff_tones: float = DEFAULT_EDGE_BACKOFF_TONES,
 ) -> FirFilter:
-    """Hann-windowed sinc bandpass centered on the subband's occupied interval."""
+    """Hann-windowed sinc bandpass centered on the subband's occupied interval.
+
+    A given `order` is capped at half the subband's own symbol (`fft_size //
+    2`, even), never raised: a filter longer than that spreads each symbol
+    into its neighbours, so a 30 or 60 kHz subband takes a shorter filter
+    than a 15 kHz one at the same sample rate.
+    """
     passband = (spec.width_tones - 2.0 * edge_backoff_tones) * REFERENCE_TONE_HZ
     if passband <= 0:
         raise ConfigError(
@@ -129,6 +136,9 @@ def design_subband_filter(
         )
     if order is None:
         order = default_filter_order(sample_rate_hz, passband)
+    else:
+        half_symbol = spec.numerology.fft_size // 2
+        order = min(order, half_symbol - half_symbol % 2)
     return design_windowed_sinc(order, passband, sample_rate_hz, spec.center_hz)
 
 
@@ -555,15 +565,20 @@ def guardtone_sweep(
         holds the victim's stream, the composite buffer, the noise and at
         most one other stream in flight. Returns one accumulator per cell."""
         @functools.cache
-        def design(s: SubbandSpec):
-            """(filter, tail policy, upconversion carrier) of a subband."""
+        def zero_power_design(s: SubbandSpec):
             fir = design_subband_filter(s, fs, order=filter_order, edge_backoff_tones=edge_backoff)
             policy = derive_tail_policy(fir, s.numerology)
             return fir, policy, upconversion_carrier(s, fs, policy)
 
+        def design(s: SubbandSpec):
+            """(filter, tail policy, upconversion carrier) of a subband, built
+            once for every power offset: none of them depends on it."""
+            return zero_power_design(replace(s, power_offset_db=0.0))
+
         @functools.cache
         def receiver(victim: SubbandSpec):
-            """(downconversion carrier, genie estimate) of a victim."""
+            """(downconversion carrier, genie estimate) of a victim; the
+            estimate takes the victim's amplitude."""
             fir, policy, _ = design(victim)
             return (downconversion_carrier(victim, fir, policy, fs),
                     genie_estimates(victim, fir, policy))
@@ -573,7 +588,7 @@ def guardtone_sweep(
         # composite length, accumulator), victims in order of first appearance.
         groups = {}
         for (label, subs), acc in zip(cells, accs):
-            built = [design(replace(s, power_offset_db=0.0)) for s in subs]
+            built = [design(s) for s in subs]
             comp_len = max(s.timing_offset_samples + len(up) + len(fir.taps) - 1
                            for s, (fir, _, up) in zip(subs, built))
             groups.setdefault(subs[0], []).append(

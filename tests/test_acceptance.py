@@ -28,7 +28,6 @@ from waveform_lab.filters import (
     design_windowed_sinc,
     direct_convolve,
 )
-from waveform_lab.metrics import normalized_throughput
 from waveform_lab.modem import (
     BITS_PER_SYMBOL,
     ber,
@@ -177,6 +176,37 @@ def test_packed_profile_self_interference_floor(preset, mod):
     assert row.ber == pytest.approx(PACKED_BER_FLOOR[(preset, mod)], rel=0.25)
 
 
+FOUR_SERVICES = ("highway", "pedestrian", "v2v", "urban")  # the preset's subbands, in tone order
+
+
+@pytest.mark.parametrize("index", range(4), ids=FOUR_SERVICES)
+def test_four_service_subband_alone_holds_the_packed_edge_floor(index):
+    # Each subband takes the packed filter cut to half its own symbol: at
+    # 30 and 60 kHz a half 15 kHz symbol (1,025 taps at 30.72 MHz) spans
+    # one and two of their symbols and read -14 dB on the edge RB. Alone
+    # and noiseless, QPSK, each must hold the desk floor's edge plus 0.5 dB.
+    cfg = load_scenario(preset_dir() / "four-service.json")
+    fs = cfg.sample_rate_hz
+    order, backoff = scenario_filter_profile(cfg)
+    spec = cfg.subbands[index]
+    assert spec.modulation == "qpsk"
+    fir = design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff)
+    assert len(fir.taps) == min(order, spec.numerology.fft_size // 2) + 1
+    policy = derive_tail_policy(fir, spec.numerology)
+    up = upconversion_carrier(spec, fs, policy)
+    down = downconversion_carrier(spec, fir, policy, fs)
+    estimates = genie_estimates(spec, fir, policy)
+    acc = _ErrorAccumulator(_edge_tone_count(spec))
+    for trial in range(3):
+        bits = payload_bits(spec, seeded_rng(cfg.seed, f"accept/four-service/{index}/{trial}"))
+        sig, grid = tx_subband(spec, bits, fir, policy, up)
+        res = rx_subband(sig, spec, fir, grid, policy, down, estimates)
+        acc.add(grid, res.grid, bits, res.bits)
+    row = acc.row(0, 0.0, "qpsk", math.inf)
+    assert row.evm_db_edge <= PACKED_EVM_FLOOR_DB[("desk", "qpsk")][0] + 0.5
+    assert row.ber == 0.0
+
+
 # ---------------------------------------------------------------------------
 # 3. Out-of-band emission ordering, amplifier off and on
 # ---------------------------------------------------------------------------
@@ -260,19 +290,16 @@ def test_two_guards_absorb_strong_interferer(desk_sweep):
 # ---------------------------------------------------------------------------
 
 def test_throughput_gain_range(tmp_path, capsys):
-    from waveform_lab.cli import load_throughput_preset
-    subbands, baseline = load_throughput_preset(
-        preset_dir() / "throughput-table.json")
-    # Four services and an extended-CP baseline, as 30.72 MHz sample counts:
-    # 3.75 kHz twice, 30 kHz and 60 kHz against 15 kHz.
-    assert [(s.fft_size, s.cp_samples) for s in (*subbands, baseline)] == [
-        (8192, 80), (8192, 230), (1024, 90), (512, 60), (2048, 512)]
-    rep = normalized_throughput(subbands, baseline)
-    assert rep.ofdm_total == pytest.approx(0.720, abs=1e-3)
-    assert 25.0 <= rep.gain_percent <= 46.0
-
-    assert main(["throughput", "--scenario", "throughput-table",
-                 "--out", str(tmp_path)]) == 0
+    cfg = load_scenario(preset_dir() / "four-service.json")
+    # Four services in one 20 MHz band, as 30.72 MHz sample counts: 30 kHz,
+    # 3.75 kHz, 60 kHz and 3.75 kHz, against an extended-CP 15 kHz baseline.
+    assert [(sb.numerology.fft_size, sb.numerology.cp_samples) for sb in cfg.subbands] == [
+        (1024, 90), (8192, 80), (512, 60), (8192, 230)]
+    assert main(["throughput", "--scenario", "four-service", "--out", str(tmp_path)]) == 0
+    rows = {ln.split(",")[0]: ln.split(",")
+            for ln in (tmp_path / "throughput.csv").read_text().splitlines()[1:]}
+    assert float(rows["total_ofdm"][3]) == pytest.approx(0.720, abs=1e-3)
+    assert 25.0 <= float(rows["gain_percent"][3]) <= 46.0
     printed = capsys.readouterr().out
     assert "link adaptation" in printed  # the gain needs it; report says so
 

@@ -58,8 +58,13 @@ def test_importing_the_cli_does_not_load_scipy():
 # Preset resolution
 # ---------------------------------------------------------------------------
 
+# Every preset the package ships, so a new one is covered without a test edit.
+SHIPPED_PRESETS = sorted(p.stem for p in preset_dir().glob("*.json"))
+
+
 def test_shipped_presets_resolve_by_name():
-    for name in ("three-subband-desk", "three-subband-lte20", "throughput-table"):
+    assert "four-service" in SHIPPED_PRESETS and "three-subband-desk" in SHIPPED_PRESETS
+    for name in SHIPPED_PRESETS:
         path, preset = resolve_scenario_path(name)
         assert path.is_file()
         assert preset == name
@@ -235,10 +240,7 @@ def test_subband_too_narrow_for_its_filter_is_rejected_up_front(tmp_path, capsys
 
 def _preset_designs(preset="three-subband-desk"):
     cfg = load_scenario(resolve_scenario_path(preset)[0])
-    order, backoff = scenario_filter_profile(cfg)
-    firs = [design_subband_filter(sb, cfg.sample_rate_hz, order=order, edge_backoff_tones=backoff)
-            for sb in cfg.subbands]
-    return cfg, [(f, derive_tail_policy(f, sb.numerology)) for sb, f in zip(cfg.subbands, firs)]
+    return cfg, cli._designs(cfg)
 
 
 def _whole_stream_composites(cfg, ttis):
@@ -471,99 +473,83 @@ def test_a_victim_one_tone_past_its_edge_rb_runs(tmp_path):
 # throughput
 # ---------------------------------------------------------------------------
 
+def _throughput_rows(out_dir: Path) -> dict[str, list[str]]:
+    return {ln.split(",")[0]: ln.split(",")
+            for ln in (out_dir / "throughput.csv").read_text().splitlines()[1:]}
+
+
 def test_throughput_report(tmp_path, capsys):
     out = tmp_path / "tp"
-    rc = main(["throughput", "--scenario", "throughput-table", "--out", str(out)])
+    rc = main(["throughput", "--scenario", "four-service", "--out", str(out)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "OFDM 0.7200" in printed
     assert "link adaptation" in printed
-    rows = {ln.split(",")[0]: ln.split(",")
-            for ln in (out / "throughput.csv").read_text().splitlines()[1:]}
+    rows = _throughput_rows(out)
+    assert list(rows) == ["0", "1", "2", "3", "total_fofdm", "total_ofdm", "gain_percent"]
     ofdm = float(rows["total_ofdm"][3])
     fofdm = float(rows["total_fofdm"][3])
     gain = float(rows["gain_percent"][3])
     assert ofdm == pytest.approx(0.72, abs=1e-6)
+    assert fofdm == pytest.approx(sum(float(rows[str(i)][3]) for i in range(4)), abs=1e-8)
     assert gain == pytest.approx((fofdm / ofdm - 1) * 100, abs=1e-6)
-    assert 25.0 <= gain <= 46.0
-
-
-def test_throughput_rejects_waveform_scenario(tmp_path):
-    rc = main(["throughput", "--scenario", "three-subband-desk",
-               "--out", str(tmp_path / "x")])
-    assert rc == 2
+    assert gain == pytest.approx(29.058923, abs=1e-6)
 
 
 def _throughput_file(tmp_path, edit) -> str:
-    table = json.loads(resolve_scenario_path("throughput-table")[0].read_text())
-    edit(table)
-    p = tmp_path / "table.json"
-    p.write_text(json.dumps(table))
+    scenario = json.loads(resolve_scenario_path("four-service")[0].read_text())
+    edit(scenario)
+    p = tmp_path / "four-service-edited.json"
+    p.write_text(json.dumps(scenario))
     return str(p)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda t: t["subbands"][0].pop("name"), "throughput.subbands[0].name is missing"),
-    (lambda t: t["subbands"][1].update(fft_size="8192"),
-     "throughput.subbands[1].fft_size must be of type int"),
+    (lambda t: t["subbands"][1]["numerology"].update(fft_size="8192"),
+     "scenario.subbands[1].numerology.fft_size must be of type int"),
     (lambda t: t["subbands"][1].update(symbol_duration_us=266.67),
-     "unknown keys in throughput.subbands[1]: ['symbol_duration_us']"),
-    (lambda t: t["subbands"][2].update(bandwidth_weight=True),
-     "throughput.subbands[2].bandwidth_weight must be of type float"),
-    (lambda t: t["baseline"].update(bandwidth_weight=1.0),
-     "unknown keys in throughput.baseline: ['bandwidth_weight']"),
-    (lambda t: t["subbands"][3].update(cp_samples=512),
-     "cp_samples 512 for 'v2v' must lie in [0, fft_size)"),
-    (lambda t: t["subbands"].append(3), "throughput.subbands[4] must be a JSON object"),
-    (lambda t: t.pop("baseline"), "throughput.baseline is missing"),
-    # The weights still sum to a positive 1.5, so only the row check catches it.
-    (lambda t: t["subbands"][1].update(bandwidth_weight=-1.5),
-     "bandwidth_weight -1.5 for 'urban' must be nonnegative"),
-    # Each weight is finite, but their sum is not.
-    (lambda t: [row.update(bandwidth_weight=1e308) for row in t["subbands"]],
-     "bandwidth weights must sum to a finite value, got inf"),
-], ids=["missing-name", "string-fft-size", "leftover-duration-key", "bool-weight",
-        "baseline-weight", "cp-not-below-fft", "non-object-entry", "missing-baseline",
-        "negative-weight", "weight-sum-overflows"])
+     "unknown keys in scenario.subbands[1]: ['symbol_duration_us']"),
+    (lambda t: t["subbands"][2]["numerology"].update(cp_samples=512),
+     "invalid scenario: subband 2: cp_samples 512 must lie in [0, fft_size)"),
+    (lambda t: t["subbands"].append(3), "scenario.subbands[4] must be a JSON object"),
+    # The throughput table's baseline section is no longer a scenario key.
+    (lambda t: t.update(baseline={"fft_size": 2048, "cp_samples": 512}),
+     "unknown keys in scenario: ['baseline']"),
+], ids=["string-fft-size", "leftover-duration-key", "cp-not-below-fft", "non-object-entry",
+        "leftover-baseline"])
 def test_malformed_throughput_preset_exit_code(tmp_path, capsys, edit, message):
-    rc = main(["throughput", "--scenario", _throughput_file(tmp_path, edit),
-               "--out", str(tmp_path / "x")])
+    out = tmp_path / "x"
+    rc = main(["throughput", "--scenario", _throughput_file(tmp_path, edit), "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
-
-
-@pytest.mark.parametrize("name", ["ped,estrian", 'say "hi"', "cr\rname", "lf\nname"],
-                         ids=["comma", "quote", "cr", "lf"])
-def test_throughput_name_that_would_break_the_csv_is_rejected(tmp_path, capsys, name):
-    out = tmp_path / "x"
-    rc = main(["throughput", "--scenario",
-               _throughput_file(tmp_path, lambda t: t["subbands"][0].update(name=name)),
-               "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: throughput.subbands[0].name {name!r}")
     assert not out.exists()
 
 
-def test_throughput_rows_are_numerologies_the_simulator_builds():
-    # Each row, and the baseline, is an FFT and a CP at the full-scale rate:
-    # as a lone 12-tone subband at scs = fs / fft_size it passes the scenario
-    # validator, so the table describes waveforms a scenario can hold.
-    subbands, baseline = cli.load_throughput_preset(resolve_scenario_path("throughput-table")[0])
-    spacings = []
-    for row in (*subbands, baseline):
-        scs_hz = cli.FULL_SCALE_RATE_HZ / row.fft_size
-        spec = SubbandSpec(start_tone=-6, width_tones=12, guard_tones_left=0,
-                           guard_tones_right=0, modulation="qpsk",
-                           numerology=Numerology(scs_hz=scs_hz, fft_size=row.fft_size,
-                                                 cp_samples=row.cp_samples, symbols_per_tti=14))
-        cfg = ScenarioConfig(cli.FULL_SCALE_RATE_HZ, 20e6, (spec,))
-        assert validate_scenario(cfg).ok, row.name
-        spacings.append(scs_hz)
-    assert spacings == [3.75e3, 3.75e3, 30e3, 60e3, 15e3]
+def test_throughput_rows_are_numerologies_the_simulator_builds(tmp_path):
+    # Each row is the subband's share of the band with the CP it is sent
+    # with: a 4-sample CP under v2v's 12-sample filter mainlobe is extended
+    # to 12 samples, as `psd` sends it, and the row counts those 12.
+    scn = _throughput_file(tmp_path, lambda t: t["subbands"][2]["numerology"].update(
+        cp_samples=4))
+    cfg = load_scenario(scn)
+    order, backoff = scenario_filter_profile(cfg)
+    sent = []
+    for sb in cfg.subbands:
+        fir = design_subband_filter(sb, cfg.sample_rate_hz, order=order,
+                                    edge_backoff_tones=backoff)
+        sent.append(sb.numerology.cp_samples + derive_tail_policy(fir, sb.numerology).extra_cp_samples)
+    assert sent == [90, 80, 12, 230]
+    out = tmp_path / "tp"
+    assert main(["throughput", "--scenario", scn, "--out", str(out)]) == 0
+    rows = _throughput_rows(out)
+    for i, (sb, cp) in enumerate(zip(cfg.subbands, sent)):
+        fft = sb.numerology.fft_size
+        assert rows[str(i)][1:] == [f"{328 * 15e3 / 20e6:.9f}", f"{cp / (fft + cp):.9f}",
+                                    f"{328 * 15e3 / 20e6 * fft / (fft + cp):.9f}"]
 
 
 @pytest.mark.parametrize("verb, scenario", [("psd", "scenario file"),
-                                             ("throughput", "throughput preset")])
+                                             ("throughput", "scenario file")])
 @pytest.mark.parametrize("content, reason", [
     (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
     (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
@@ -581,7 +567,7 @@ def test_non_object_throughput_preset_exit_code(tmp_path, capsys):
     p = tmp_path / "table.json"
     p.write_text("[1, 2]")
     assert main(["throughput", "--scenario", str(p), "--out", str(tmp_path / "x")]) == 2
-    assert "throughput must be a JSON object" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: scenario must be a JSON object\n"
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +608,7 @@ def test_jobs_flag_rejected(capsys, flag):
 def test_seed_flag_rejected_where_unused(verb, tmp_path, capsys):
     argv = [verb, "--seed", "1"]
     if verb == "throughput":
-        argv += ["--scenario", "throughput-table", "--out", str(tmp_path / "tp")]
+        argv += ["--scenario", "four-service", "--out", str(tmp_path / "tp")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -721,8 +707,7 @@ def test_unusable_out_exit_code(tmp_path, capsys, verb, below_file):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     out = blocker / "sub" if below_file else blocker
-    scenario = "throughput-table" if verb == "throughput" else "three-subband-desk"
-    rc = main([verb, "--scenario", scenario, "--out", str(out)])
+    rc = main([verb, "--scenario", "three-subband-desk", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --out ") and "Traceback" not in err
@@ -739,10 +724,11 @@ def test_invalid_scenario_exit_code(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
-def test_shipped_presets_validate():
-    for name in ("three-subband-desk", "three-subband-lte20"):
+def test_shipped_presets_validate(tmp_path):
+    for name in SHIPPED_PRESETS:
         cfg = load_scenario(resolve_scenario_path(name)[0])
         assert validate_scenario(cfg).ok
+        assert main(["psd", "--scenario", name, "--out", str(tmp_path / name), "--ttis", "1"]) == 0
 
 
 @st.composite

@@ -27,8 +27,8 @@ from waveform_lab.core import (
 
 DESK = Numerology(scs_hz=15e3, fft_size=512, cp_samples=36, symbols_per_tti=14)
 FS = 7.68e6
-DESK_PRESET = load_scenario(
-    resources.files("waveform_lab") / "data" / "presets" / "three-subband-desk.json")
+PRESETS = resources.files("waveform_lab") / "data" / "presets"
+DESK_PRESET = load_scenario(PRESETS / "three-subband-desk.json")
 
 
 def _scenario(subbands, fs=FS, bw=6.5e6, seed=1):
@@ -354,12 +354,12 @@ def test_scenario_from_dict_defaults_come_from_the_dataclasses():
 @pytest.mark.parametrize("preset, digest", [
     ("three-subband-desk", "6b53c85d3a61b66bdd17420f4a921f231266b6a3cc0c462f34aa705d25416218"),
     ("three-subband-lte20", "6e93ab2cae4a15a5510618ee888f8fad57e2c896b21f6f5513e60f77d6f3611c"),
+    ("four-service", "8a8baaeb8033b08f98c05b0e383325c1f0c2f238d4d851ced5c2bae954ba9e58"),
 ])
 def test_preset_scenario_hashes_are_pinned(preset, digest):
     # A manifest's scenario_hash moves only when a scenario's content or its
     # serialized form does.
-    path = resources.files("waveform_lab") / "data" / "presets" / f"{preset}.json"
-    assert scenario_hash(load_scenario(path)) == digest
+    assert scenario_hash(load_scenario(PRESETS / f"{preset}.json")) == digest
 
 
 def test_scenario_hash_tracks_content():
@@ -398,10 +398,11 @@ def test_scenario_dict_round_trip_is_identity(cfg):
     assert scenario_hash(again) == scenario_hash(cfg)
 
 
-@pytest.mark.parametrize("preset", ["three-subband-desk", "three-subband-lte20"])
+@pytest.mark.parametrize("preset", sorted(p.name[:-5] for p in PRESETS.iterdir()
+                                           if p.name.endswith(".json")))
 def test_shipped_presets_hold_only_parsed_keys(preset):
     # Every key a preset writes is one the parser reads back, with its value.
-    path = resources.files("waveform_lab") / "data" / "presets" / f"{preset}.json"
+    path = PRESETS / f"{preset}.json"
     with open(path, encoding="utf-8") as fh:
         assert scenario_to_dict(load_scenario(path)) == json.load(fh)
 

@@ -45,10 +45,11 @@ CASES = {
     "guardtone-lte20": ["guardtone", "--scenario", "three-subband-lte20", "--guards", "0",
                         "--offsets-db", "10", "--modulations", "qpsk", "--trials", "1"],
     "psd-desk": ["psd", "--scenario", "three-subband-desk", "--ttis", "2"],
+    "psd-four-service": ["psd", "--scenario", "four-service", "--ttis", "2"],
     "psd-desk-pa": ["psd", "--scenario", "three-subband-desk", "--ttis", "2", "--pa-on"],
     "psd-lte20": ["psd", "--scenario", "three-subband-lte20", "--ttis", "2"],
     "psd-lte20-pa": ["psd", "--scenario", "three-subband-lte20", "--ttis", "2", "--pa-on"],
-    "throughput": ["throughput", "--scenario", "throughput-table"],
+    "throughput": ["throughput", "--scenario", "four-service"],
 }
 
 
@@ -120,7 +121,7 @@ def cross_host_violations(got: bytes, expected: bytes) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("case", ["psd-desk", "psd-lte20"])
+@pytest.mark.parametrize("case", ["psd-desk", "psd-four-service", "psd-lte20"])
 def test_psd_csvs_hold_the_cross_host_rule_at_baseline_dispatch(case, tmp_path):
     out = tmp_path / case
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,

@@ -902,6 +902,22 @@ def test_victim_power_offset_keeps_its_snr_and_its_baseline():
     assert louder.rows[0].evm_db_edge < preset.rows[0].evm_db_edge - 1.0
 
 
+@pytest.mark.parametrize("victim_db", [0.0, 3.0])
+def test_a_victim_power_offset_builds_no_second_design(monkeypatch, victim_db):
+    # Designs are keyed at zero power offset, the victim's too: three
+    # victims (the baseline's is guard 2's), the interferer and three third
+    # subbands, whatever the victim's power.
+    designed = []
+    real = subband.design_subband_filter
+    monkeypatch.setattr(subband, "design_subband_filter",
+                        lambda *a, **k: designed.append(a[0]) or real(*a, **k))
+    desk = load_scenario(preset_dir() / "three-subband-desk.json")
+    victim = replace(desk.subbands[0], power_offset_db=victim_db)
+    desk = replace(desk, subbands=(victim, *desk.subbands[1:]))
+    guardtone_sweep(desk, [0, 1, 2], [0.0, 10.0], 30.0, 1, modulations=("qpsk",))
+    assert len(designed) == 7
+
+
 def test_negative_zero_offset_is_the_zero_offset_cell():
     # One cell, one RNG label and one row, printed as 0.
     assert _desk_sweep(offsets=[-0.0]).csv_lines() == _desk_sweep(offsets=[0.0]).csv_lines()
