@@ -54,16 +54,12 @@ from .subband import (
     upconversion_carrier,
 )
 
-PRESET_ENV = "WAVEFORM_LAB_PRESETS"
 FULL_SCALE_RATE_HZ = 30.72e6
 PA_BACKOFF_DB = 9.6
 PA_SMOOTHNESS = 2.0
 
 
 def preset_dir() -> Path:
-    override = os.environ.get(PRESET_ENV)
-    if override:
-        return Path(override)
     return Path(resources.files("waveform_lab")) / "data" / "presets"
 
 

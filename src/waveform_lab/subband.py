@@ -72,23 +72,6 @@ class TailPolicy:
 TAIL_NONE = TailPolicy()
 
 
-def default_filter_order(sample_rate_hz: float, passband_hz: float) -> int:
-    """Order scaled to the subband's own bandwidth: ~6 sinc mainlobes of taps.
-
-    Short relative to the symbol (well under the half-symbol cap): the window
-    then soft-truncates the sinc tails close to the peak, which keeps the
-    post-equalization inter-symbol leakage of the tx+rx filter cascade below
-    the CP protection at every subband width. Narrow subbands get longer
-    filters (their sinc decays slowly); wide subbands need only a few dozen
-    taps. Clipped to [32, half-symbol cap].
-    """
-    if passband_hz <= 0:
-        raise ConfigError(f"passband {passband_hz} Hz must be positive")
-    order = int(6.0 * sample_rate_hz / passband_hz)
-    order = max(32, min(order, packed_filter_order(sample_rate_hz)))
-    return order - (order % 2)
-
-
 def packed_filter_order(sample_rate_hz: float) -> int:
     """Half the 15 kHz symbol duration in samples, rounded down to even.
 
@@ -123,10 +106,14 @@ def design_subband_filter(
 ) -> FirFilter:
     """Hann-windowed sinc bandpass centered on the subband's occupied interval.
 
-    A given `order` is capped at half the subband's own symbol (`fft_size //
-    2`, even), never raised: a filter longer than that spreads each symbol
-    into its neighbours, so a 30 or 60 kHz subband takes a shorter filter
-    than a 15 kHz one at the same sample rate.
+    With no `order` given, the order scales with the passband: ~6 sinc
+    mainlobes of taps, in [32, `packed_filter_order`], even. The window then
+    soft-truncates the sinc tails close to the peak, so narrow subbands get
+    longer filters (their sinc decays slowly) and wide ones a few dozen taps.
+    Every order, given or not, is then capped at half the subband's own
+    symbol (`fft_size // 2`, even), never raised: a filter longer than that
+    spreads each symbol into its neighbours, so a 30 or 60 kHz subband takes
+    a shorter filter than a 15 kHz one at the same sample rate.
     """
     passband = (spec.width_tones - 2.0 * edge_backoff_tones) * REFERENCE_TONE_HZ
     if passband <= 0:
@@ -135,10 +122,11 @@ def design_subband_filter(
             f"{spec.width_tones} tones"
         )
     if order is None:
-        order = default_filter_order(sample_rate_hz, passband)
-    else:
-        half_symbol = spec.numerology.fft_size // 2
-        order = min(order, half_symbol - half_symbol % 2)
+        order = max(32, min(int(6.0 * sample_rate_hz / passband),
+                            packed_filter_order(sample_rate_hz)))
+        order -= order % 2
+    half_symbol = spec.numerology.fft_size // 2
+    order = min(order, half_symbol - half_symbol % 2)
     return design_windowed_sinc(order, passband, sample_rate_hz, spec.center_hz)
 
 
@@ -505,8 +493,10 @@ def guardtone_sweep(
     the unit-power constellation and unitary FFT scaling), whatever its power
     offset. The isolated baseline sends the victim with its own power and
     timing, as every cell does, so baseline deltas isolate inter-subband
-    interference. A scenario of more than three subbands, or a victim with no
-    tone beyond its edge RB, is refused before any subband is sent.
+    interference. A scenario of one subband (no interferer) or of more than
+    three, or a victim with no tone beyond its edge RB, is refused before any
+    subband is sent; so is every cell that `validate_scenario` rejects, such
+    as one whose power offset is not finite.
     """
     if trials < 1:
         raise ConfigError("at least one trial is required")
@@ -514,12 +504,6 @@ def guardtone_sweep(
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
     if abs(snr_db) > MAX_ABS_DB:
         raise ConfigError(f"snr_db {snr_db:g} must lie in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB")
-    for p in power_offsets_db:  # a lone subband builds no cell whose validation would see it
-        if not math.isfinite(p):
-            raise ConfigError(f"power offsets must be finite, got {p}")
-        if abs(p) > MAX_ABS_DB:
-            raise ConfigError(f"power offset {p:g} must lie in "
-                              f"[-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB")
     for m in modulations:
         if m not in BITS_PER_SYMBOL:
             raise ConfigError(f"unknown modulation {m!r}")
@@ -532,6 +516,9 @@ def guardtone_sweep(
     report = validate_scenario(base)
     if not report.ok:
         raise ConfigError(f"invalid scenario: {report.describe()}")
+    if len(base.subbands) == 1:
+        raise ConfigError("the scenario has 1 subband; the sweep needs a victim and an "
+                          "interferer")
     if len(base.subbands) > 3:
         raise ConfigError(f"the scenario has {len(base.subbands)} subbands; the sweep sends "
                           "three at most: a victim, an interferer and one more neighbor")
@@ -544,7 +531,6 @@ def guardtone_sweep(
             "edge RB: no inner tone is left to measure")
     fs = base.sample_rate_hz
     sigma2 = 10.0 ** (-snr_db / 10.0) * victim_template.amplitude ** 2
-    single = len(base.subbands) == 1
 
     filter_order, edge_backoff = scenario_filter_profile(base)
 
@@ -618,7 +604,7 @@ def guardtone_sweep(
             del sig, grid, noise  # before the next trial's are made
         return accs
 
-    keys = [] if single else list(itertools.product(guard_counts, power_offsets_db))
+    keys = list(itertools.product(guard_counts, power_offsets_db))
     baselines, rows = {}, []
     for mod in modulations:
         spec = replace(victim_template, modulation=mod)
@@ -634,10 +620,6 @@ def guardtone_sweep(
         baselines[mod] = isolated.row(-1, 0.0, mod, snr_db)
         rows += [acc.row(guard, power_db, mod, snr_db)
                  for (guard, power_db), acc in zip(keys, guarded)]
-        if single:
-            # No interferer: every guard count reads the baseline.
-            rows += [replace(baselines[mod], guard_tones=guard, power_offset_db=power_db)
-                     for guard in guard_counts for power_db in power_offsets_db]
 
     rows.sort(key=lambda r: (r.guard_tones, r.power_offset_db, r.modulation))
     return SweepResult(rows=tuple(rows), baselines=baselines)

@@ -83,14 +83,6 @@ def test_unknown_preset_rejected():
         resolve_scenario_path("no-such-scenario")
 
 
-def test_preset_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("WAVEFORM_LAB_PRESETS", str(tmp_path))
-    assert preset_dir() == tmp_path
-    (tmp_path / "mine.json").write_text("{}")
-    path, _ = resolve_scenario_path("mine")
-    assert path == tmp_path / "mine.json"
-
-
 # ---------------------------------------------------------------------------
 # psd
 # ---------------------------------------------------------------------------
@@ -442,11 +434,15 @@ def _lone_interferer(cfg):
      "--guards 3 at --offsets-db 0 makes an invalid scenario: subband 0: subband "
      "(including guard tones) exceeds total bandwidth; subband 2: subband (including guard "
      "tones) exceeds total bandwidth"),
-    # A lone subband builds no sweep cell, so no cell validation would see
-    # the offset: every row would copy the baseline with `nan` as its offset.
-    (_lone_interferer, ["--offsets-db", "nan", "--modulations", "qpsk"],
-     "power offsets must be finite, got nan"),
-], ids=["four-subbands", "one-rb-victim", "guards-past-the-band", "non-finite-lone-offset"])
+    # With no interferer every row would copy the baseline.
+    (_lone_interferer, [], "the scenario has 1 subband; the sweep needs a victim and an "
+                           "interferer"),
+    # Each offset reaches a sweep cell, whose validation refuses it.
+    (lambda cfg: None, ["--offsets-db", "nan"],
+     "--guards 0 at --offsets-db nan makes an invalid scenario: subband 1: "
+     "power_offset_db must be finite"),
+], ids=["four-subbands", "one-rb-victim", "guards-past-the-band", "lone-subband",
+        "non-finite-offset"])
 def test_guardtone_refuses_a_sweep_it_cannot_run_before_sending(
         tmp_path, capsys, edit, argv, message):
     out = tmp_path / "x"

@@ -32,7 +32,6 @@ from waveform_lab.subband import (
     TailPolicy,
     assemble,
     build_grid,
-    default_filter_order,
     derive_tail_policy,
     design_subband_filter,
     downconversion_carrier,
@@ -94,16 +93,47 @@ def _period(shift_hz, fs):
 # Filter defaults and tail policy
 # ---------------------------------------------------------------------------
 
+def _taps(width, numerology=DESK):
+    return len(design_subband_filter(_subband(width=width, numerology=numerology), FS).taps)
+
+
 def test_default_order_scales_with_subband_width():
-    assert default_filter_order(FS, 48 * 15e3) == 64
-    assert default_filter_order(FS, 288 * 15e3) == 32  # clipped at the floor
-    assert default_filter_order(FS, 12 * 15e3) == 256
+    assert _taps(48) == 65
+    assert _taps(288) == 33  # clipped at the floor
+    assert _taps(12) == 257
 
 
 def test_default_order_within_half_symbol():
     for width in (12, 48, 144, 433):
-        order = default_filter_order(FS, width * 15e3)
-        assert order + 1 <= (512 + 36) // 2
+        assert _taps(width) <= (512 + 36) // 2
+
+
+def _numerology(fft):
+    """The desk numerology scaled to `fft` points at 7.68 MHz."""
+    return Numerology(scs_hz=FS / fft, fft_size=fft, cp_samples=fft * 36 // 512,
+                      symbols_per_tti=14 * 512 // fft)
+
+
+@pytest.mark.parametrize("fft", [1024, 512, 256, 128])
+@pytest.mark.parametrize("width", [12, 24, 48])
+def test_default_order_within_half_the_subbands_own_symbol(fft, width):
+    # A narrow subband's width-aware order outgrows a 30 or 60 kHz symbol's
+    # half; like a given order, it is capped there.
+    assert _taps(width, _numerology(fft)) - 1 <= fft // 2
+
+
+def test_narrow_60khz_64qam_lone_subband_is_error_free_without_noise():
+    # 24 reference tones at 60 kHz: 6 data tones of a 128-point FFT. A filter
+    # longer than its FFT (129 taps) spread each symbol into the next.
+    spec = _subband(start=-12, width=24, mod="64qam", numerology=_numerology(128))
+    fir = design_subband_filter(spec, FS)
+    policy = derive_tail_policy(fir, spec.numerology)
+    for trial in range(40):
+        bits = payload_bits(spec, seeded_rng(1, f"lone-60khz/{trial}"))
+        sig, grid = _tx(spec, bits, fir, policy)
+        res = _rx(sig, spec, fir, grid, policy)
+        assert ber(bits, res.bits).errors == 0
+        assert res.evm_db <= -35.0
 
 
 def test_packed_order_is_half_symbol_bound():
@@ -358,8 +388,7 @@ def _numerology_subbands(draw):
     7.5, 15, 30 or 60 kHz spacing: the 7.68 MHz FFT sizes 1,024 to 128, the
     desk CP scaled with the FFT, and a 1 ms TTI of symbols."""
     fft = draw(st.sampled_from([1024, 512, 256, 128]))
-    n = Numerology(scs_hz=FS / fft, fft_size=fft, cp_samples=fft * 36 // 512,
-                   symbols_per_tti=14 * 512 // fft)
+    n = _numerology(fft)
     step = max(1, 512 // fft)  # reference tones per subcarrier
     width = step * draw(st.integers(-(-24 // step), 192 // step))
     return _subband(start=draw(st.integers(-256, 256 - width)), width=width, numerology=n)
@@ -691,13 +720,15 @@ def test_sweep_guard_monotone_and_baseline_anchor():
     assert by_guard[2] - res.baselines["qpsk"].evm_db_edge < 1.0
 
 
-def test_sweep_single_subband_degenerates_to_baseline():
+def test_sweep_refuses_a_lone_subband_before_sending(monkeypatch):
+    # With no interferer every row would copy the baseline.
+    sent, real = [], subband.tx_subband
+    monkeypatch.setattr(subband, "tx_subband", lambda *a: sent.append(a) or real(*a))
     base = ScenarioConfig(FS, 6.5e6, (_subband(),), seed=1)
-    small = replace(base, subbands=(replace(
-        base.subbands[0], numerology=replace(DESK, symbols_per_tti=4)),))
-    res = guardtone_sweep(small, [0, 2], [0.0], 30.0, 2, modulations=("qpsk",))
-    evms = {r.evm_db_edge for r in res.rows}
-    assert len(evms) == 1  # no interferer: identical rows per guard count
+    with pytest.raises(ConfigError, match="^the scenario has 1 subband; the sweep needs "
+                                          "a victim and an interferer$"):
+        guardtone_sweep(base, [0, 2], [0.0], 30.0, 2, modulations=("qpsk",))
+    assert sent == []
 
 
 def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
