@@ -340,12 +340,23 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {**asdict(cfg), "subbands": [asdict(s) for s in cfg.subbands]}
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs. A key given twice is a
+    ConfigError: its first value would be read and then dropped."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConfigError(f"key {key!r} appears more than once in one JSON object")
+        d[key] = value
+    return d
+
+
 def load_scenario(path) -> ScenarioConfig:
     """The scenario in the JSON file at `path`; text that is not UTF-8, not
-    JSON or nested too deeply to parse is a ConfigError."""
+    JSON, nested too deeply to parse or holding a repeated key is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
+            d = json.load(fh, object_pairs_hook=_json_object)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"scenario file {path} is not valid JSON: {e}") from e
     return scenario_from_dict(d)

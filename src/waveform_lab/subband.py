@@ -531,92 +531,81 @@ def guardtone_sweep(
             "edge RB: no inner tone is left to measure")
     fs = base.sample_rate_hz
     sigma2 = 10.0 ** (-snr_db / 10.0) * victim_template.amplitude ** 2
-
     filter_order, edge_backoff = scenario_filter_profile(base)
 
-    def run_pass(mod: str, cells: list[tuple[str, list[SubbandSpec]]]):
-        """All trials of `mod`'s cells (label, subbands): the isolated
-        baseline, then one cell per (guard, power offset). Each cell builds
-        its composite in the pass's one buffer: the victim (subbands[0]),
-        then each other subband, added as it is sent and dropped, then the
-        noise; it then receives the victim. Filters, tail policies and
-        carriers depend on neither the payload, the noise nor the power
-        offset, so they are built once per distinct subband at zero power
-        offset; downconversion carriers and genie estimates once per
-        distinct victim. Per trial the victim's payload and the longest
-        noise are drawn once, as in the baseline, so baseline deltas isolate
-        inter-subband interference; each cell adds a prefix of that noise in
-        place. Cells that share a victim run back to back, so each distinct
-        victim is sent once per trial and held across its cells. A cell
-        holds the victim's stream, the composite buffer, the noise and at
-        most one other stream in flight. Returns one accumulator per cell."""
-        @functools.cache
-        def zero_power_design(s: SubbandSpec):
-            fir = design_subband_filter(s, fs, order=filter_order, edge_backoff_tones=edge_backoff)
-            policy = derive_tail_policy(fir, s.numerology)
-            return fir, policy, upconversion_carrier(s, fs, policy)
+    # The plan, built once for every modulation. Cells (label, subbands) are
+    # the isolated baseline, then one per (guard, power offset), each
+    # validated once at the victim's modulation: validation reads a
+    # modulation only to check that it is known, as each swept one is.
+    keys = list(itertools.product(guard_counts, power_offsets_db))
+    cells = [("baseline", [victim_template])]
+    for guard, power_db in keys:
+        subs = _sweep_geometry(base, guard, power_db, victim_template.modulation)
+        rep = validate_scenario(replace(base, subbands=tuple(subs)))
+        if not rep.ok:
+            raise ConfigError(f"--guards {guard} at --offsets-db {power_db:g} makes an "
+                              f"invalid scenario: {rep.describe()}")
+        cells.append((f"g{guard}/p{power_db:g}", subs))
 
-        def design(s: SubbandSpec):
-            """(filter, tail policy, upconversion carrier) of a subband, built
-            once for every power offset: none of them depends on it."""
-            return zero_power_design(replace(s, power_offset_db=0.0))
+    @functools.cache
+    def design(s: SubbandSpec):
+        """(filter, tail policy, upconversion carrier) of a subband at zero
+        power offset, built once per place and numerology: neither the power
+        offset nor the modulation changes any of them."""
+        fir = design_subband_filter(s, fs, order=filter_order, edge_backoff_tones=edge_backoff)
+        policy = derive_tail_policy(fir, s.numerology)
+        return fir, policy, upconversion_carrier(s, fs, policy)
 
-        @functools.cache
-        def receiver(victim: SubbandSpec):
-            """(downconversion carrier, genie estimate) of a victim; the
-            estimate takes the victim's amplitude."""
-            fir, policy, _ = design(victim)
-            return (downconversion_carrier(victim, fir, policy, fs),
-                    genie_estimates(victim, fir, policy))
+    # victim -> (its design, its cells (index, label, others with their designs, composite
+    # length)), in order of first appearance, so cells sharing a victim run back to back.
+    groups = {}
+    for index, (label, subs) in enumerate(cells):
+        built = [design(replace(s, power_offset_db=0.0)) for s in subs]
+        comp_len = max(s.timing_offset_samples + len(up) + len(fir.taps) - 1
+                       for s, (fir, _, up) in zip(subs, built))
+        groups.setdefault(subs[0], (built[0], []))[1].append(
+            (index, label, list(zip(subs[1:], built[1:])), comp_len))
+    longest = max(cell[3] for _, group in groups.values() for cell in group)
+    buffer = np.empty(longest, dtype=np.complex128)
+    receivers = {}  # victim -> (downconversion carrier, genie estimate at its amplitude)
 
+    # Each modulation runs its trials over the plan. Per trial the victim's
+    # payload and the longest noise are drawn once, as in the baseline, so
+    # baseline deltas isolate inter-subband interference; each cell adds a
+    # prefix of that noise in place. Each distinct victim is sent once per
+    # trial and held across its cells. A cell builds its composite in the
+    # one buffer: the victim, then each other subband, added as it is sent
+    # and dropped, then the noise; it then receives the victim. So it holds
+    # the victim's stream, the buffer, the noise and at most one other
+    # stream in flight.
+    baselines, rows = {}, []
+    for mod in modulations:
         accs = [_ErrorAccumulator(edge_count) for _ in cells]
-        # victim -> its cells (label, other subbands with their designs,
-        # composite length, accumulator), victims in order of first appearance.
-        groups = {}
-        for (label, subs), acc in zip(cells, accs):
-            built = [design(s) for s in subs]
-            comp_len = max(s.timing_offset_samples + len(up) + len(fir.taps) - 1
-                           for s, (fir, _, up) in zip(subs, built))
-            groups.setdefault(subs[0], []).append(
-                (label, list(zip(subs[1:], built[1:])), comp_len, acc))
-        baseline = cells[0][1][0]  # every victim carries the baseline's payload
-        longest = max(cell[2] for group in groups.values() for cell in group)
-        buffer = np.empty(longest, dtype=np.complex128)
         for trial in range(trials):
-            bits = payload_bits(baseline, seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
+            bits = payload_bits(replace(victim_template, modulation=mod),
+                                seeded_rng(base.seed, f"bits/baseline/{mod}/{trial}"))
             noise = _sweep_noise(longest, sigma2,
                                  seeded_rng(base.seed, f"noise/baseline/{mod}/{trial}"))
-            for victim, group in groups.items():
-                fir, policy, up = design(victim)
-                sig, grid = tx_subband(victim, bits, fir, policy, up)
-                for label, others, comp_len, acc in group:
-                    # Each other subband is added as it is sent, then dropped;
-                    # noise last, as `((victim + s1) + s2) + noise`.
+            for victim, ((fir, policy, up), group) in groups.items():
+                sent = replace(victim, modulation=mod)
+                sig, grid = tx_subband(sent, bits, fir, policy, up)
+                for index, label, others, comp_len in group:
+                    # Noise last, as `((victim + s1) + s2) + noise`.
                     comp = buffer[:comp_len]
                     comp.fill(0)
                     assemble(comp, sig, victim.timing_offset_samples)
                     for i, (s, built) in enumerate(others, start=1):
-                        b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{trial}/s{i}"))
+                        s = replace(s, modulation=mod)
+                        b = payload_bits(s, seeded_rng(base.seed, f"bits/{label}/{mod}/{trial}/s{i}"))
                         assemble(comp, tx_subband(s, b, *built)[0], s.timing_offset_samples)
                     _add_noise_prefix(comp, noise)
-                    res = rx_subband(comp, victim, fir, grid, policy, *receiver(victim))
-                    acc.add(grid, res.grid, bits, res.bits)
+                    if victim not in receivers:  # built at its first receive
+                        receivers[victim] = (downconversion_carrier(victim, fir, policy, fs),
+                                             genie_estimates(victim, fir, policy))
+                    res = rx_subband(comp, sent, fir, grid, policy, *receivers[victim])
+                    accs[index].add(grid, res.grid, bits, res.bits)
             del sig, grid, noise  # before the next trial's are made
-        return accs
-
-    keys = list(itertools.product(guard_counts, power_offsets_db))
-    baselines, rows = {}, []
-    for mod in modulations:
-        spec = replace(victim_template, modulation=mod)
-        cells = [(f"baseline/{mod}", [spec])]
-        for guard, power_db in keys:
-            subs = _sweep_geometry(base, guard, power_db, mod)
-            rep = validate_scenario(replace(base, subbands=tuple(subs)))
-            if not rep.ok:
-                raise ConfigError(f"--guards {guard} at --offsets-db {power_db:g} makes an "
-                                  f"invalid scenario: {rep.describe()}")
-            cells.append((f"g{guard}/p{power_db:g}/{mod}", subs))
-        isolated, *guarded = run_pass(mod, cells)
+        isolated, *guarded = accs
         baselines[mod] = isolated.row(-1, 0.0, mod, snr_db)
         rows += [acc.row(guard, power_db, mod, snr_db)
                  for (guard, power_db), acc in zip(keys, guarded)]

@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +340,21 @@ def test_scenario_unknown_key_rejected():
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("old, repeated, key", [
+    ('"seed": 1,', '"seed": 1, "seed": 7,', "seed"),
+    ('"fft_size": 512,', '"fft_size": 512, "fft_size": 1024,', "fft_size"),
+], ids=["scenario.seed", "numerology.fft_size"])
+def test_scenario_file_repeated_key_rejected(tmp_path, old, repeated, key):
+    # JSON keeps the last of two values under one key and drops the first;
+    # the file is refused instead, whichever object repeats it.
+    text = (PRESETS / "three-subband-desk.json").read_text()
+    assert old in text
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, repeated, 1))
+    with pytest.raises(ConfigError, match=re.escape(f"key '{key}' appears more than once")):
+        load_scenario(path)
+
+
 def test_scenario_from_dict_defaults_come_from_the_dataclasses():
     d = _desk_dict()
     for key in ("power_offset_db", "timing_offset_samples", "guard_tones_left"):
@@ -398,11 +414,12 @@ def test_scenario_dict_round_trip_is_identity(cfg):
     assert scenario_hash(again) == scenario_hash(cfg)
 
 
-@pytest.mark.parametrize("preset", sorted(p.name[:-5] for p in PRESETS.iterdir()
-                                           if p.name.endswith(".json")))
-def test_shipped_presets_hold_only_parsed_keys(preset):
+@pytest.mark.parametrize("path", [
+    *sorted((p for p in PRESETS.iterdir() if p.name.endswith(".json")), key=lambda p: p.name),
+    Path(__file__).parent / "data" / "desk-mixed.json",  # test data in the presets' form
+], ids=lambda p: p.name[:-5])
+def test_shipped_presets_hold_only_parsed_keys(path):
     # Every key a preset writes is one the parser reads back, with its value.
-    path = PRESETS / f"{preset}.json"
     with open(path, encoding="utf-8") as fh:
         assert scenario_to_dict(load_scenario(path)) == json.load(fh)
 

@@ -38,13 +38,17 @@ import waveform_lab
 from waveform_lab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DESK_MIXED = str(Path(__file__).parent / "data" / "desk-mixed.json")
 
 CASES = {
     "guardtone-desk": ["guardtone", "--scenario", "three-subband-desk", "--guards", "0,2",
                        "--offsets-db", "0,10", "--trials", "2", "--seed", "3"],
     "guardtone-lte20": ["guardtone", "--scenario", "three-subband-lte20", "--guards", "0",
                         "--offsets-db", "10", "--modulations", "qpsk", "--trials", "1"],
+    "guardtone-desk-mixed": ["guardtone", "--scenario", DESK_MIXED, "--guards", "0,2",
+                             "--offsets-db", "0,10", "--trials", "2"],
     "psd-desk": ["psd", "--scenario", "three-subband-desk", "--ttis", "2"],
+    "psd-desk-mixed": ["psd", "--scenario", DESK_MIXED, "--ttis", "2"],
     "psd-four-service": ["psd", "--scenario", "four-service", "--ttis", "2"],
     "psd-desk-pa": ["psd", "--scenario", "three-subband-desk", "--ttis", "2", "--pa-on"],
     "psd-lte20": ["psd", "--scenario", "three-subband-lte20", "--ttis", "2"],
@@ -121,7 +125,8 @@ def cross_host_violations(got: bytes, expected: bytes) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("case", ["psd-desk", "psd-four-service", "psd-lte20"])
+@pytest.mark.parametrize("case", ["psd-desk", "psd-desk-mixed", "psd-four-service",
+                                  "psd-lte20"])
 def test_psd_csvs_hold_the_cross_host_rule_at_baseline_dispatch(case, tmp_path):
     out = tmp_path / case
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,

@@ -732,13 +732,13 @@ def test_sweep_refuses_a_lone_subband_before_sending(monkeypatch):
 
 
 def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
-    # Filters, carriers and genie estimates depend on neither the trial nor
-    # the power offset: each is built once per distinct subband of a
-    # modulation's pass, and each downconversion carrier, like each genie
-    # estimate, once per distinct victim. The interferer does not move
-    # with the guard count, and the baseline's victim is guard 2's. In each
-    # trial of a modulation the victim's payload and the noise are drawn
-    # once, and each distinct victim is sent once, for every group and offset.
+    # Filters, carriers and genie estimates depend on neither the trial, the
+    # power offset nor the modulation: each is built once per call for each
+    # distinct subband, and each downconversion carrier, like each genie
+    # estimate, once per distinct victim. The interferer does not move with
+    # the guard count, and the baseline's victim is guard 2's. In each trial
+    # of a modulation the victim's payload and the noise are drawn once, and
+    # each distinct victim is sent once, for every group and offset.
     calls = {}
 
     def counted(name):
@@ -761,8 +761,8 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
     monkeypatch.setattr(FirFilter, "spectrum", spectrum)
     guards, offsets, mods, trials = [0, 2], [0.0, 10.0], ("qpsk", "16qam"), 3
     guardtone_sweep(_sweep_base(), guards, offsets, 30.0, trials, modulations=mods)
-    victims = len(guards) * len(mods)  # guard 0's and guard 2's, which is the baseline's
-    designed = victims + len(mods) + len(guards) * len(mods)  # victims, interferer, third
+    victims = len(guards)  # guard 0's and guard 2's, which is the baseline's
+    designed = victims + 1 + len(guards)  # victims, interferer, third subbands
     cells = len(guards) * len(offsets) * len(mods)
     assert {name: len(args) for name, args in calls.items()} == {
         "design_subband_filter": designed,
@@ -771,22 +771,29 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
         "upconversion_carrier": designed,
         "payload_bits": trials * (len(mods) + 2 * cells),  # interferer, third subband per cell
         "_sweep_noise": trials * len(mods),
-        "tx_subband": trials * (victims + 2 * cells),
+        "tx_subband": trials * (victims * len(mods) + 2 * cells),
     }
     assert len({args[0] for args in calls["design_subband_filter"]}) == designed
     victim_bits = [a for a in calls["payload_bits"] if a[0].timing_offset_samples == 0]
     assert len(victim_bits) == trials * len(mods)
     sent = [a[0] for a in calls["tx_subband"] if a[0].timing_offset_samples == 0]
-    per_trial = victims // len(mods)
-    assert len(sent) == trials * victims
-    assert all(len(set(sent[i:i + per_trial])) == per_trial
-               for i in range(0, len(sent), per_trial))
-    # Each (filter, block) is transformed once for all trials and offsets.
+    assert len(sent) == trials * len(mods) * victims
+    assert all(len(set(sent[i:i + victims])) == victims
+               for i in range(0, len(sent), victims))
+    # Each (filter, block) is transformed once for all trials, offsets and
+    # modulations.
     transforms = {id(s) for _, _, s in spectra}
     assert len(transforms) == len({(id(f), block) for f, block, _ in spectra})
     assert len({id(f) for f, _, _ in spectra}) == designed
     # Per trial: each victim's tx, two more tx and one rx per cell, one rx per baseline.
-    assert len(spectra) == trials * (victims + 3 * cells + len(mods))
+    assert len(spectra) == trials * (victims * len(mods) + 3 * cells + len(mods))
+    # A one-modulation call builds as much.
+    built = ("design_subband_filter", "genie_estimates", "upconversion_carrier",
+             "downconversion_carrier")
+    counts = {name: len(calls[name]) for name in built}
+    calls.clear()
+    guardtone_sweep(_sweep_base(), guards, offsets, 30.0, 1, modulations=mods[:1])
+    assert {name: len(calls[name]) for name in built} == counts
 
 
 def test_sweep_memory_is_scoped_to_one_pass():
