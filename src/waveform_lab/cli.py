@@ -39,16 +39,13 @@ from .metrics import (THROUGHPUT_CAVEAT, ThroughputInput, normalized_throughput,
                       oobe_windows, psd_welch, welch_freqs)
 from .modem import evm_db, ofdm_demodulate, ofdm_modulate
 from .subband import (
-    _extended_numerology,
     assemble,
-    derive_tail_policy,
-    design_subband_filter,
+    design_subband,
     downconversion_carrier,
     genie_estimates,
     guardtone_sweep,
     payload_bits,
     rx_subband,
-    scenario_filter_profile,
     tx_subband,
     tx_subband_unfiltered,
     upconversion_carrier,
@@ -180,25 +177,13 @@ def _scale_ttis(cfg: ScenarioConfig, n_ttis: int) -> ScenarioConfig:
 PSD_CHUNK_TTIS = 10
 
 
-def _designs(cfg: ScenarioConfig) -> list:
-    """Each subband's `(fir, policy)` under the scenario's filter profile."""
-    order, backoff = scenario_filter_profile(cfg)
-    firs = [design_subband_filter(sb, cfg.sample_rate_hz, order=order, edge_backoff_tones=backoff)
-            for sb in cfg.subbands]
-    return [(f, derive_tail_policy(f, sb.numerology)) for sb, f in zip(cfg.subbands, firs)]
-
-
-def _tti_samples(cfg: ScenarioConfig, designs) -> list[int]:
-    """Samples in one TTI of each subband, its CP extended per policy."""
-    return [_extended_numerology(sb, policy).tti_samples
-            for sb, (_, policy) in zip(cfg.subbands, designs)]
-
-
 def _psd_length(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> int:
     """Samples in the f-OFDM (`filtered`) or plain-OFDM composite of `ttis`
-    TTIs per subband; the f-OFDM one is longer by the filter tails."""
-    return max(sb.timing_offset_samples + ttis * n + (len(fir.taps) - 1 if filtered else 0)
-               for sb, n, (fir, _) in zip(cfg.subbands, _tti_samples(cfg, designs), designs))
+    TTIs per subband, given each subband's `design_subband`; the f-OFDM one
+    is longer by the filter tails."""
+    return max(sb.timing_offset_samples + ttis * n.tti_samples
+               + (len(fir.taps) - 1 if filtered else 0)
+               for sb, (fir, _, n) in zip(cfg.subbands, designs))
 
 
 def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> np.ndarray:
@@ -210,20 +195,19 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
     whole-stream one; filtering is linear, so the f-OFDM one matches it up
     to rounding."""
     fs = cfg.sample_rate_hz
-    tti_samples = _tti_samples(cfg, designs)
     out = np.zeros(_psd_length(cfg, ttis, designs, filtered), dtype=np.complex128)
     # Subband specs of a whole chunk and of the last one, which may be shorter.
     full = _scale_ttis(cfg, PSD_CHUNK_TTIS).subbands
     last = _scale_ttis(cfg, (ttis - 1) % PSD_CHUNK_TTIS + 1).subbands
-    for i, (sb, n, (fir, policy)) in enumerate(zip(cfg.subbands, tti_samples, designs)):
+    for i, (sb, (fir, policy, sent)) in enumerate(zip(cfg.subbands, designs)):
         rng = seeded_rng(cfg.seed, f"psd/bits/{i}")
         for first in range(0, ttis, PSD_CHUNK_TTIS):
             chunk = (full if ttis - first > PSD_CHUNK_TTIS else last)[i]
-            carrier = upconversion_carrier(chunk, fs, policy, first * n)
+            carrier = upconversion_carrier(chunk, fs, policy, first * sent.tti_samples)
             bits = payload_bits(chunk, rng)
             sig = (tx_subband(chunk, bits, fir, policy, carrier)[0] if filtered
                    else tx_subband_unfiltered(chunk, bits, policy, carrier))
-            assemble(out, sig, sb.timing_offset_samples + first * n)
+            assemble(out, sig, sb.timing_offset_samples + first * sent.tti_samples)
     return out
 
 
@@ -234,7 +218,7 @@ def cmd_psd(args) -> int:
         if args.ttis < 1:
             raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
         fs = cfg.sample_rate_hz
-        designs = _designs(cfg)
+        designs = [design_subband(sb, cfg) for sb in cfg.subbands]
         lo = min(sb.occupied_low_hz for sb in cfg.subbands)
         hi = max(sb.occupied_high_hz for sb in cfg.subbands)
 
@@ -310,8 +294,8 @@ def cmd_throughput(args) -> int:
     with ManifestWriter(out_dir, args, scenario_hash(cfg), None, preset) as manifest:
         # Each subband's share of the band, with its CP as sent.
         rows = []
-        for sb, (_, policy) in zip(cfg.subbands, _designs(cfg)):
-            n = _extended_numerology(sb, policy)
+        for sb in cfg.subbands:
+            n = design_subband(sb, cfg).numerology
             rows.append(ThroughputInput(sb.width_tones * REFERENCE_TONE_HZ / cfg.total_bandwidth_hz,
                                         n.fft_size, n.cp_samples))
         report = normalized_throughput(rows)
@@ -379,11 +363,9 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
     spec = SubbandSpec(start_tone=-24, width_tones=48, guard_tones_left=0,
                        guard_tones_right=0, numerology=n, modulation="16qam")
     bits = rng.integers(0, 2, 48 * 14 * 4)
-    fir = design_subband_filter(spec, fs)
-    policy = derive_tail_policy(fir, n)
+    fir, policy, _ = design_subband(spec, ScenarioConfig(fs, 6.5e6, (spec,)))  # alone in the band
     sig, grid = tx_subband(spec, bits, fir, policy, upconversion_carrier(spec, fs, policy))
-    res = rx_subband(sig, spec, fir, grid, policy,
-                     downconversion_carrier(spec, fir, policy, fs),
+    res = rx_subband(sig, spec, fir, grid, policy, downconversion_carrier(spec, fir, policy),
                      genie_estimates(spec, fir, policy))
     r = _ber(bits, res.bits)
     results.append(("fofdm_loopback",

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     REFERENCE_TONE_HZ,
     TONES_PER_RB,
     ConfigError,
+    Numerology,
     ScenarioConfig,
     SubbandSpec,
     seeded_rng,
@@ -148,6 +150,23 @@ def _extended_numerology(spec: SubbandSpec, policy: TailPolicy):
     return replace(n, cp_samples=n.cp_samples + policy.extra_cp_samples)
 
 
+class SubbandDesign(NamedTuple):
+    fir: FirFilter
+    policy: TailPolicy
+    numerology: Numerology  # as sent: the CP extended per policy
+
+
+def design_subband(spec: SubbandSpec, scenario: ScenarioConfig) -> SubbandDesign:
+    """The subband's filter under the scenario's filter profile, its tail
+    policy, and the numerology it is sent with: the one place a profile is
+    applied."""
+    order, backoff = scenario_filter_profile(scenario)
+    fir = design_subband_filter(spec, scenario.sample_rate_hz, order=order,
+                                edge_backoff_tones=backoff)
+    policy = derive_tail_policy(fir, spec.numerology)
+    return SubbandDesign(fir, policy, _extended_numerology(spec, policy))
+
+
 def build_grid(spec: SubbandSpec, bits) -> np.ndarray:
     """Symbol-major fill of the subband's (tones, symbols) grid: a transposed
     view of the mapped symbols."""
@@ -181,14 +200,13 @@ def upconversion_carrier(
                     _extended_numerology(spec, policy).tti_samples)
 
 
-def downconversion_carrier(
-    spec: SubbandSpec, fir: FirFilter, policy: TailPolicy, sample_rate_hz: float
-) -> Carrier:
+def downconversion_carrier(spec: SubbandSpec, fir: FirFilter, policy: TailPolicy) -> Carrier:
     """Phasor that brings the subband's frame (CP extended per policy) back to
-    baseband from the matched-filter output, with t counted from the
-    subband's timing offset: the frame starts at t = len(fir.taps) - 1, the
-    delay of the two filter passes, so t is never negative."""
-    carrier = _carrier(-spec.shift_hz, sample_rate_hz, len(fir.taps) - 1,
+    baseband from the matched-filter output, at the filter's sample rate,
+    with t counted from the subband's timing offset: the frame starts at
+    t = len(fir.taps) - 1, the delay of the two filter passes, so t is never
+    negative."""
+    carrier = _carrier(-spec.shift_hz, fir.sample_rate_hz, len(fir.taps) - 1,
                        _extended_numerology(spec, policy).tti_samples)
     carrier.head.imag += 0.0  # at a zero phase, +0.0 as in `np.exp(-2j * ...)`, never -0.0
     return carrier
@@ -531,7 +549,6 @@ def guardtone_sweep(
             "edge RB: no inner tone is left to measure")
     fs = base.sample_rate_hz
     sigma2 = 10.0 ** (-snr_db / 10.0) * victim_template.amplitude ** 2
-    filter_order, edge_backoff = scenario_filter_profile(base)
 
     # The plan, built once for every modulation. Cells (label, subbands) are
     # the isolated baseline, then one per (guard, power offset), each
@@ -552,8 +569,7 @@ def guardtone_sweep(
         """(filter, tail policy, upconversion carrier) of a subband at zero
         power offset, built once per place and numerology: neither the power
         offset nor the modulation changes any of them."""
-        fir = design_subband_filter(s, fs, order=filter_order, edge_backoff_tones=edge_backoff)
-        policy = derive_tail_policy(fir, s.numerology)
+        fir, policy, _ = design_subband(s, base)
         return fir, policy, upconversion_carrier(s, fs, policy)
 
     # victim -> (its design, its cells (index, label, others with their designs, composite
@@ -600,7 +616,7 @@ def guardtone_sweep(
                         assemble(comp, tx_subband(s, b, *built)[0], s.timing_offset_samples)
                     _add_noise_prefix(comp, noise)
                     if victim not in receivers:  # built at its first receive
-                        receivers[victim] = (downconversion_carrier(victim, fir, policy, fs),
+                        receivers[victim] = (downconversion_carrier(victim, fir, policy),
                                              genie_estimates(victim, fir, policy))
                     res = rx_subband(comp, sent, fir, grid, policy, *receivers[victim])
                     accs[index].add(grid, res.grid, bits, res.bits)

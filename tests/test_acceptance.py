@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from waveform_lab import subband
 from waveform_lab.cli import main, preset_dir, run_selftest
 from waveform_lab.core import (
     Numerology,
@@ -23,6 +24,7 @@ from waveform_lab.core import (
     seeded_rng,
 )
 from waveform_lab.filters import (
+    FirFilter,
     _overlap_save,
     default_block_size,
     design_windowed_sinc,
@@ -42,13 +44,14 @@ from waveform_lab.subband import (
     _edge_tone_count,
     _ErrorAccumulator,
     derive_tail_policy,
+    design_subband,
     design_subband_filter,
     downconversion_carrier,
     genie_estimates,
     guardtone_sweep,
+    packed_filter_order,
     payload_bits,
     rx_subband,
-    scenario_filter_profile,
     tx_subband,
     upconversion_carrier,
 )
@@ -150,7 +153,7 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
     assert len(bits) >= 100_000
     sig, grid = tx_subband(spec, bits, fir, policy, upconversion_carrier(spec, FS, policy))
     res = rx_subband(sig, spec, fir, grid, policy,
-                     downconversion_carrier(spec, fir, policy, FS),
+                     downconversion_carrier(spec, fir, policy),
                      genie_estimates(spec, fir, policy))
     assert ber(bits, res.bits).errors == 0
     assert res.evm_db <= -35.0
@@ -161,12 +164,10 @@ def test_fofdm_loopback_error_free_with_pinned_floor(width, mod):
 def test_packed_profile_self_interference_floor(preset, mod):
     cfg = load_scenario(preset_dir() / f"three-subband-{preset}.json")
     fs = cfg.sample_rate_hz
-    order, backoff = scenario_filter_profile(cfg)
     spec = replace(cfg.subbands[0], modulation=mod)
-    fir = design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff)
-    policy = derive_tail_policy(fir, spec.numerology)
+    fir, policy, _ = design_subband(spec, cfg)
     up = upconversion_carrier(spec, fs, policy)
-    down = downconversion_carrier(spec, fir, policy, fs)
+    down = downconversion_carrier(spec, fir, policy)
     estimates = genie_estimates(spec, fir, policy)
     acc = _ErrorAccumulator(_edge_tone_count(spec))  # the sweep's edge RB and inner tones
     for trial in range(3):
@@ -192,14 +193,12 @@ def test_four_service_subband_alone_holds_the_packed_edge_floor(index):
     # and noiseless, QPSK, each must hold the desk floor's edge plus 0.5 dB.
     cfg = load_scenario(preset_dir() / "four-service.json")
     fs = cfg.sample_rate_hz
-    order, backoff = scenario_filter_profile(cfg)
     spec = cfg.subbands[index]
     assert spec.modulation == "qpsk"
-    fir = design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff)
-    assert len(fir.taps) == min(order, spec.numerology.fft_size // 2) + 1
-    policy = derive_tail_policy(fir, spec.numerology)
+    fir, policy, _ = design_subband(spec, cfg)
+    assert len(fir.taps) == min(packed_filter_order(fs), spec.numerology.fft_size // 2) + 1
     up = upconversion_carrier(spec, fs, policy)
-    down = downconversion_carrier(spec, fir, policy, fs)
+    down = downconversion_carrier(spec, fir, policy)
     estimates = genie_estimates(spec, fir, policy)
     acc = _ErrorAccumulator(_edge_tone_count(spec))
     for trial in range(3):
@@ -288,6 +287,28 @@ def test_two_guards_absorb_strong_interferer(desk_sweep):
     for mod in ("qpsk", "16qam", "64qam"):
         delta = _edge(desk_sweep, 2, 10.0, mod) - desk_sweep.baselines[mod].evm_db_edge
         assert delta < 1.0
+
+
+def test_fofdm_confines_a_strong_neighbor_that_plain_ofdm_does_not(monkeypatch):
+    # The desk sweep once as is and once as plain OFDM: every subband filter
+    # replaced by a one-tap pass-through. QPSK edge EVM at seed 1: plain
+    # OFDM's baseline reads the 30 dB noise (-30.1 dB), f-OFDM's its filter's
+    # self-interference floor (-17.2 dB). A +10 dB neighbour two guard tones
+    # away leaves f-OFDM at that floor and lifts plain OFDM to -8.0 dB; with
+    # sixteen guard tones plain OFDM still reads -13.2 dB. Not bounded: next
+    # to a 0 dB neighbour at two guard tones f-OFDM's floor (-17.2 dB) sits
+    # above plain OFDM (-17.7 dB).
+    cfg = load_scenario(preset_dir() / "three-subband-desk.json")
+
+    def edges():
+        result = guardtone_sweep(cfg, [2, 16], [10.0], 30.0, 20, modulations=("qpsk",))
+        return {g: _edge(result, g, 10.0, "qpsk") for g in (2, 16)}
+    fofdm = edges()
+    monkeypatch.setattr(subband, "design_subband_filter", lambda spec, fs, **_: FirFilter(
+        taps=[1.0], sample_rate_hz=fs, mainlobe_samples=1))
+    plain = edges()
+    assert fofdm[2] <= plain[2] - 5.0
+    assert plain[16] > fofdm[2]
 
 
 def test_two_guards_absorb_strong_interferer_across_numerologies():

@@ -32,10 +32,8 @@ from waveform_lab.core import (
 from waveform_lab.filters import FirFilter
 from waveform_lab.subband import (
     assemble,
-    derive_tail_policy,
-    design_subband_filter,
+    design_subband,
     payload_bits,
-    scenario_filter_profile,
     tx_subband,
     tx_subband_unfiltered,
     upconversion_carrier,
@@ -232,21 +230,18 @@ def test_subband_too_narrow_for_its_filter_is_rejected_up_front(tmp_path, capsys
 
 def _preset_designs(preset="three-subband-desk"):
     cfg = load_scenario(resolve_scenario_path(preset)[0])
-    return cfg, cli._designs(cfg)
+    return cfg, [design_subband(sb, cfg) for sb in cfg.subbands]
 
 
 def _whole_stream_composites(cfg, ttis):
     """(f-OFDM, plain) composites built the unchunked way: every subband's
     whole stream transmitted in one call, then assembled."""
-    fs = cfg.sample_rate_hz
-    order, backoff = scenario_filter_profile(cfg)
     long_subbands = cli._scale_ttis(cfg, ttis).subbands
     filtered, plain = [], []
     for i, sb in enumerate(long_subbands):
         bits = payload_bits(sb, seeded_rng(cfg.seed, f"psd/bits/{i}"))
-        fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
-        policy = derive_tail_policy(fir, sb.numerology)
-        carrier = upconversion_carrier(sb, fs, policy)
+        fir, policy, _ = design_subband(sb, cfg)
+        carrier = upconversion_carrier(sb, cfg.sample_rate_hz, policy)
         filtered.append(tx_subband(sb, bits, fir, policy, carrier)[0])
         plain.append(tx_subband_unfiltered(sb, bits, policy, carrier))
     composites = []
@@ -528,12 +523,7 @@ def test_throughput_rows_are_numerologies_the_simulator_builds(tmp_path):
     scn = _throughput_file(tmp_path, lambda t: t["subbands"][2]["numerology"].update(
         cp_samples=4))
     cfg = load_scenario(scn)
-    order, backoff = scenario_filter_profile(cfg)
-    sent = []
-    for sb in cfg.subbands:
-        fir = design_subband_filter(sb, cfg.sample_rate_hz, order=order,
-                                    edge_backoff_tones=backoff)
-        sent.append(sb.numerology.cp_samples + derive_tail_policy(fir, sb.numerology).extra_cp_samples)
+    sent = [design_subband(sb, cfg).numerology.cp_samples for sb in cfg.subbands]
     assert sent == [90, 80, 12, 230]
     out = tmp_path / "tp"
     assert main(["throughput", "--scenario", scn, "--out", str(out)]) == 0

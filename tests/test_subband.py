@@ -33,6 +33,7 @@ from waveform_lab.subband import (
     assemble,
     build_grid,
     derive_tail_policy,
+    design_subband,
     design_subband_filter,
     downconversion_carrier,
     genie_estimates,
@@ -69,7 +70,7 @@ def _tx(spec, bits, fir, policy):
 
 def _rx(composite, spec, fir, grid, policy):
     return rx_subband(composite, spec, fir, grid, policy,
-                      downconversion_carrier(spec, fir, policy, FS),
+                      downconversion_carrier(spec, fir, policy),
                       genie_estimates(spec, fir, policy))
 
 
@@ -180,10 +181,21 @@ def test_tail_policy_threshold_parameter():
 
 
 def test_scenario_profiles():
-    iso = ScenarioConfig(FS, 6.5e6, (_subband(),), 1)
-    packed = ScenarioConfig(FS, 6.5e6, (_subband(-100), _subband(0)), 1)
+    # `design_subband` applies each profile: the explicit chain's filter and
+    # tail policy, and the numerology with its CP as sent. An 8-sample CP
+    # under the 22-sample filter mainlobe is sent 22 samples long.
+    short_cp = replace(DESK, cp_samples=8)
+    iso = ScenarioConfig(FS, 6.5e6, (_subband(numerology=short_cp),), 1)
+    packed = ScenarioConfig(FS, 6.5e6, (_subband(-100), _subband(0, numerology=short_cp)), 1)
     assert scenario_filter_profile(iso) == (None, 0.0)
     assert scenario_filter_profile(packed) == (256, 1.0)
+    for scenario, (order, backoff) in ((iso, (None, 0.0)), (packed, (256, 1.0))):
+        spec = scenario.subbands[-1]
+        fir = design_subband_filter(spec, FS, order=order, edge_backoff_tones=backoff)
+        design = design_subband(spec, scenario)
+        assert np.array_equal(design.fir.taps, fir.taps)
+        assert design.policy == derive_tail_policy(fir, short_cp)
+        assert design.numerology == replace(short_cp, cp_samples=22)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +317,7 @@ def _desk_chunk():
     fs, sb = desk.sample_rate_hz, desk.subbands[1]
     spec = replace(sb, numerology=replace(sb.numerology,
                                           symbols_per_tti=10 * sb.numerology.symbols_per_tti))
-    order, backoff = scenario_filter_profile(desk)
-    fir = design_subband_filter(spec, fs, order=order, edge_backoff_tones=backoff)
-    policy = derive_tail_policy(fir, spec.numerology)
+    fir, policy, _ = design_subband(spec, desk)
     carrier = upconversion_carrier(spec, fs, policy)
     bits = payload_bits(spec, seeded_rng(1, "chunk"))
     return spec, fs, bits, policy, fir, carrier
@@ -476,7 +486,7 @@ def test_carrier_length_must_match_the_stream():
     sig, grid = _tx(spec, bits, fir, TAIL_NONE)
     with pytest.raises(ConfigError, match="carrier of"):
         rx_subband(sig, spec, fir, grid, TAIL_NONE,
-                   downconversion_carrier(longer, fir, TAIL_NONE, FS),
+                   downconversion_carrier(longer, fir, TAIL_NONE),
                    genie_estimates(spec, fir, TAIL_NONE))
 
 
@@ -499,8 +509,8 @@ def test_carriers_are_bitwise_the_complex_exponential(shift_hz, fs):
     for taps in (1, 257, 1025):  # the frame starts at t = taps - 1
         r = np.mod(np.arange(taps - 1, taps - 1 + length), period)
         oracle = np.exp(-2j * np.pi * shift_hz * r / fs)
-        got = downconversion_carrier(spec, SimpleNamespace(taps=np.zeros(taps)), policy,
-                                     fs).materialize()
+        fir = SimpleNamespace(taps=np.zeros(taps), sample_rate_hz=fs)
+        got = downconversion_carrier(spec, fir, policy).materialize()
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
 
 
@@ -530,16 +540,16 @@ def test_carriers_are_bitwise_slices_of_longer_streams(shift_hz, fs, data):
     # its frame `lead` samples earlier, on the same phasor.
     taps = data.draw(st.integers(1, 300))
     lead = data.draw(st.integers(0, taps - 1))
-    got = downconversion_carrier(spec(symbols), SimpleNamespace(taps=np.zeros(taps)), policy,
-                                 fs).materialize()
-    whole = downconversion_carrier(spec(symbols + 1), SimpleNamespace(taps=np.zeros(taps - lead)),
-                                   policy, fs).materialize()
+    def fir(taps):
+        return SimpleNamespace(taps=np.zeros(taps), sample_rate_hz=fs)
+
+    got = downconversion_carrier(spec(symbols), fir(taps), policy).materialize()
+    whole = downconversion_carrier(spec(symbols + 1), fir(taps - lead), policy).materialize()
     assert np.array_equal(got.view(np.uint64), whole[lead:lead + len(got)].view(np.uint64))
     if shift_hz % 7.5e3 == 0:
         # On the grid the carrier repeats every period: a frame one period
         # later is bitwise the same.
-        moved = downconversion_carrier(
-            spec(symbols), SimpleNamespace(taps=np.zeros(taps + _period(shift_hz, fs))), policy, fs)
+        moved = downconversion_carrier(spec(symbols), fir(taps + _period(shift_hz, fs)), policy)
         assert np.array_equal(got.view(np.uint64), moved.materialize().view(np.uint64))
 
 
@@ -557,8 +567,8 @@ def test_mixing_by_a_carrier_is_the_product_with_its_samples(shift_hz, fs, data)
     if data.draw(st.booleans()):
         carrier = upconversion_carrier(spec, fs, policy, data.draw(st.integers(0, 10**6)))
     else:
-        fir = SimpleNamespace(taps=np.zeros(data.draw(st.integers(1, 300))))
-        carrier = downconversion_carrier(spec, fir, policy, fs)
+        fir = SimpleNamespace(taps=np.zeros(data.draw(st.integers(1, 300))), sample_rate_hz=fs)
+        carrier = downconversion_carrier(spec, fir, policy)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal(len(carrier)) + 1j * rng.standard_normal(len(carrier))
     expect = np.multiply(carrier.materialize(), x.copy())
@@ -572,8 +582,8 @@ def test_mixing_a_lone_sample_past_the_rows_is_bitwise_the_product():
     # frame leaves one sample past its rows; numpy multiplies a lone sample in
     # place by a loop whose last bit can differ from the vector loop's.
     spec = SimpleNamespace(numerology=replace(DESK, symbols_per_tti=1), shift_hz=3.84e6)
-    carrier = downconversion_carrier(spec, SimpleNamespace(taps=np.zeros(6)),
-                                     TailPolicy(extra_cp_samples=37), 30.72e6)
+    fir = SimpleNamespace(taps=np.zeros(6), sample_rate_hz=30.72e6)
+    carrier = downconversion_carrier(spec, fir, TailPolicy(extra_cp_samples=37))
     assert (len(carrier), len(carrier.head)) == (585, 8)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(585) + 1j * rng.standard_normal(585)
@@ -617,7 +627,7 @@ def test_downconversion_carrier_is_exact_off_the_sample_rate_grid():
     k, m = q.numerator, q.denominator
     assert (fs, m) == (7_679_744.0, 30_718_976)
     fir = design_subband_filter(spec, fs)
-    got = downconversion_carrier(spec, fir, derive_tail_policy(fir, n), fs).materialize()
+    got = downconversion_carrier(spec, fir, derive_tail_policy(fir, n)).materialize()
     t = len(fir.taps) - 1 + np.arange(len(got))
     exact = np.exp(-2j * np.pi * np.array([k * i % m for i in t.tolist()]) / m)
     assert np.abs(got - exact).max() <= 1e-11
@@ -813,14 +823,15 @@ def test_sweep_memory_is_scoped_to_one_pass():
 def test_sweep_cell_holds_one_stream_beyond_the_baseline():
     # A guard cell adds each other subband to the composite as it is sent and
     # its noise prefix in place, so it peaks under two transmitted streams
-    # above the baseline-only sweep: 1.2 streams on LTE-20, against 4.0 when
-    # every stream was held until assembly and the noise prefix was a copy.
+    # above the baseline-only sweep, against 4.0 when every stream was held
+    # until assembly and the noise prefix was a copy. The 1.2 streams it
+    # reads on LTE-20 say where the receiver is built, not what a cell holds:
+    # the baseline-only sweep peaks while its genie estimate's temporary is
+    # built beside the trial's streams, a higher reference than a cell's own
+    # streams alone would set.
     lte = load_scenario(preset_dir() / "three-subband-lte20.json")
-    fs, sb = lte.sample_rate_hz, lte.subbands[1]
-    order, backoff = scenario_filter_profile(lte)
-    fir = design_subband_filter(sb, fs, order=order, edge_backoff_tones=backoff)
-    carrier = upconversion_carrier(sb, fs, derive_tail_policy(fir, sb.numerology))
-    stream = 16 * (len(carrier) + len(fir.taps) - 1)  # complex128 samples
+    fir, _, sent = design_subband(lte.subbands[1], lte)
+    stream = 16 * (sent.tti_samples + len(fir.taps) - 1)  # complex128 samples
 
     def sweep(*guards):
         return guardtone_sweep(lte, list(guards), [0.0], 30.0, 1, modulations=("64qam",))
