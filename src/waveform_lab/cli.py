@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
-Verbs: psd | guardtone | throughput | selftest. Every command writes a run
-manifest before any data file, then finalizes it with output hashes and wall
-clock, or marks it failed with the error, so partial runs are detectable.
+Verbs: psd | guardtone | throughput | selftest. Each data verb is a function
+of the validated scenario that returns its CSV lines by file stem; one runner,
+`_run_verb`, writes a run manifest before any data file, then the CSVs, then
+finalizes the manifest with output hashes and wall clock, or marks it failed
+with the error, so partial runs are detectable. `selftest` writes no file.
 Files are replaced atomically. All CSVs use "." decimals and "\\n" line
 endings; identical (scenario, seed, version) reruns are byte-identical.
 """
@@ -140,7 +142,11 @@ class ManifestWriter:
         self._flush()
 
 
-def _load_and_check(args) -> tuple[ScenarioConfig, str]:
+def _run_verb(args) -> int:
+    """Load and validate the scenario, then run the data verb inside one
+    manifest and write each CSV it returns as `--out/<stem>.csv`. Scenario
+    and `--out` errors come before the manifest; the verb's own error marks
+    it failed."""
     path, preset = resolve_scenario_path(args.scenario)
     cfg = load_scenario(path)
     if args.seed is not None:
@@ -148,7 +154,16 @@ def _load_and_check(args) -> tuple[ScenarioConfig, str]:
     report = validate_scenario(cfg)
     if not report.ok:
         raise ConfigError(f"invalid scenario: {report.describe()}")
-    return cfg, preset
+    out_dir = _out_dir(args.out)
+    seed = cfg.seed if args.seeded else None
+    with ManifestWriter(out_dir, args, scenario_hash(cfg), seed, preset) as manifest:
+        outputs = {}
+        for stem, lines in args.verb(cfg, args).items():
+            outputs[stem] = out_dir / f"{stem}.csv"
+            _write_csv(outputs[stem], lines)
+        manifest.finalize(outputs)
+    print(f"{args.command}: wrote {', '.join(p.name for p in outputs.values())} to {out_dir}")
+    return 0
 
 
 def _parse_list(text: str, kind: type, flag: str) -> list:
@@ -211,107 +226,80 @@ def _psd_composite(cfg: ScenarioConfig, ttis: int, designs, filtered: bool) -> n
     return out
 
 
-def cmd_psd(args) -> int:
-    cfg, preset = _load_and_check(args)
-    out_dir = _out_dir(args.out)
-    with ManifestWriter(out_dir, args, scenario_hash(cfg), cfg.seed, preset) as manifest:
-        if args.ttis < 1:
-            raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
-        fs = cfg.sample_rate_hz
-        designs = [design_subband(sb, cfg) for sb in cfg.subbands]
-        lo = min(sb.occupied_low_hz for sb in cfg.subbands)
-        hi = max(sb.occupied_high_hz for sb in cfg.subbands)
+def cmd_psd(cfg: ScenarioConfig, args) -> dict[str, list[str]]:
+    if args.ttis < 1:
+        raise ConfigError(f"--ttis must be at least 1, got {args.ttis}")
+    fs = cfg.sample_rate_hz
+    designs = [design_subband(sb, cfg) for sb in cfg.subbands]
+    lo = min(sb.occupied_low_hz for sb in cfg.subbands)
+    hi = max(sb.occupied_high_hz for sb in cfg.subbands)
 
-        longer = _psd_length(cfg, args.ttis, designs, filtered=True)
-        if longer > MAX_PSD_SAMPLES:
-            raise ConfigError(f"--ttis {args.ttis} asks for a {longer}-sample composite, "
-                              f"above the {MAX_PSD_SAMPLES} samples one may hold")
-        # One chain at a time: each composite is dropped after its Welch. Both
-        # take the segment size of the plain composite, the shorter one; it
-        # fixes the bins, so the OOBE windows are checked before any transform.
-        shorter = _psd_length(cfg, args.ttis, designs, filtered=False)
-        segment = min(4096, 1 << (shorter // 2).bit_length() - 1)
-        offsets_hz = [mhz * 1e6 * (fs / FULL_SCALE_RATE_HZ) for mhz in (0.5, 1.0, 2.0)]
-        oobe_windows(welch_freqs(segment, fs), (lo, hi), offsets_hz)
-        estimates = {}
-        for name, filtered in (("fofdm", True), ("ofdm", False)):
-            composite = _psd_composite(cfg, args.ttis, designs, filtered)
-            if args.pa_on:  # in place: the PA output is the composite's buffer
-                pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS)
-            estimates[name] = psd_welch(composite, fs, segment_size=segment, in_band_hz=(lo, hi))
-            del composite
+    longer = _psd_length(cfg, args.ttis, designs, filtered=True)
+    if longer > MAX_PSD_SAMPLES:
+        raise ConfigError(f"--ttis {args.ttis} asks for a {longer}-sample composite, "
+                          f"above the {MAX_PSD_SAMPLES} samples one may hold")
+    # One chain at a time: each composite is dropped after its Welch. Both
+    # take the segment size of the plain composite, the shorter one; it
+    # fixes the bins, so the OOBE windows are checked before any transform.
+    shorter = _psd_length(cfg, args.ttis, designs, filtered=False)
+    segment = min(4096, 1 << (shorter // 2).bit_length() - 1)
+    offsets_hz = [mhz * 1e6 * (fs / FULL_SCALE_RATE_HZ) for mhz in (0.5, 1.0, 2.0)]
+    oobe_windows(welch_freqs(segment, fs), (lo, hi), offsets_hz)
+    estimates = {}
+    for name, filtered in (("fofdm", True), ("ofdm", False)):
+        composite = _psd_composite(cfg, args.ttis, designs, filtered)
+        if args.pa_on:  # in place: the PA output is the composite's buffer
+            pa_rapp(composite, PA_BACKOFF_DB, PA_SMOOTHNESS)
+        estimates[name] = psd_welch(composite, fs, segment_size=segment, in_band_hz=(lo, hi))
+        del composite
 
-        summary = ["waveform,offset_hz,oobe_dbr"]
-        for name in ("ofdm", "fofdm"):
-            for off, val in zip(offsets_hz, oobe(estimates[name], (lo, hi), offsets_hz)):
-                summary.append(f"{name},{off:.6g},{val:.6f}")
-
-        outputs = {}
-        for name in ("ofdm", "fofdm"):
-            est = estimates[name]
-            path = out_dir / f"{name}_psd.csv"
-            _write_csv(path, ["freq_hz,power_dbr"] + [
-                f"{f:.6f},{p:.6f}" for f, p in zip(est.freqs_hz, est.power_dbr)
-            ])
-            outputs[f"{name}_psd"] = path
-        summary_path = out_dir / "oobe_summary.csv"
-        _write_csv(summary_path, summary)
-        outputs["oobe_summary"] = summary_path
-        manifest.finalize(outputs)
-    print(f"psd: wrote {len(outputs)} files to {out_dir}")
-    return 0
+    files = {}
+    summary = ["waveform,offset_hz,oobe_dbr"]
+    for name in ("ofdm", "fofdm"):
+        est = estimates[name]
+        files[f"{name}_psd"] = ["freq_hz,power_dbr"] + [
+            f"{f:.6f},{p:.6f}" for f, p in zip(est.freqs_hz, est.power_dbr)]
+        for off, val in zip(offsets_hz, oobe(est, (lo, hi), offsets_hz)):
+            summary.append(f"{name},{off:.6g},{val:.6f}")
+    files["oobe_summary"] = summary
+    return files
 
 
 # ---------------------------------------------------------------------------
 # guardtone
 # ---------------------------------------------------------------------------
 
-def cmd_guardtone(args) -> int:
-    cfg, preset = _load_and_check(args)
-    out_dir = _out_dir(args.out)
-    with ManifestWriter(out_dir, args, scenario_hash(cfg), cfg.seed, preset) as manifest:
-        guards = _parse_list(args.guards, int, "--guards")
-        offsets = _parse_list(args.offsets_db, float, "--offsets-db")
-        mods = tuple(m.strip() for m in args.modulations.split(","))
-        result = guardtone_sweep(cfg, guards, offsets, args.snr_db, args.trials,
-                                 modulations=mods)
-        sweep_path = out_dir / "guardtone_sweep.csv"
-        _write_csv(sweep_path, result.csv_lines())
-        base_path = out_dir / "guardtone_baseline.csv"
-        _write_csv(base_path, result.baseline_csv_lines())
-        manifest.finalize({"sweep": sweep_path, "baseline": base_path})
-    print(f"guardtone: {len(result.rows)} rows -> {sweep_path}")
-    return 0
+def cmd_guardtone(cfg: ScenarioConfig, args) -> dict[str, list[str]]:
+    guards = _parse_list(args.guards, int, "--guards")
+    offsets = _parse_list(args.offsets_db, float, "--offsets-db")
+    mods = tuple(m.strip() for m in args.modulations.split(","))
+    result = guardtone_sweep(cfg, guards, offsets, args.snr_db, args.trials, modulations=mods)
+    return {"guardtone_sweep": result.csv_lines(),
+            "guardtone_baseline": result.baseline_csv_lines()}
 
 
 # ---------------------------------------------------------------------------
 # throughput
 # ---------------------------------------------------------------------------
 
-def cmd_throughput(args) -> int:
-    cfg, preset = _load_and_check(args)
-    out_dir = _out_dir(args.out)
-    with ManifestWriter(out_dir, args, scenario_hash(cfg), None, preset) as manifest:
-        # Each subband's share of the band, with its CP as sent.
-        rows = []
-        for sb in cfg.subbands:
-            n = design_subband(sb, cfg).numerology
-            rows.append(ThroughputInput(sb.width_tones * REFERENCE_TONE_HZ / cfg.total_bandwidth_hz,
-                                        n.fft_size, n.cp_samples))
-        report = normalized_throughput(rows)
-        lines = ["subband,band_fraction,cp_overhead_fraction,normalized_throughput"]
-        lines += [f"{i},{r.band_fraction:.9f},{r.cp_overhead_fraction:.9f},"
-                  f"{r.normalized_throughput:.9f}" for i, r in enumerate(rows)]
-        lines.append(f"total_fofdm,,,{report.fofdm_total:.9f}")
-        lines.append(f"total_ofdm,,,{report.ofdm_total:.9f}")
-        lines.append(f"gain_percent,,,{report.gain_percent:.9f}")
-        out_path = out_dir / "throughput.csv"
-        _write_csv(out_path, lines)
-        manifest.finalize({"throughput": out_path})
+def cmd_throughput(cfg: ScenarioConfig, args) -> dict[str, list[str]]:
+    # Each subband's share of the band, with its CP as sent.
+    rows = []
+    for sb in cfg.subbands:
+        n = design_subband(sb, cfg).numerology
+        rows.append(ThroughputInput(sb.width_tones * REFERENCE_TONE_HZ / cfg.total_bandwidth_hz,
+                                    n.fft_size, n.cp_samples))
+    report = normalized_throughput(rows)
+    lines = ["subband,band_fraction,cp_overhead_fraction,normalized_throughput"]
+    lines += [f"{i},{r.band_fraction:.9f},{r.cp_overhead_fraction:.9f},"
+              f"{r.normalized_throughput:.9f}" for i, r in enumerate(rows)]
+    lines.append(f"total_fofdm,,,{report.fofdm_total:.9f}")
+    lines.append(f"total_ofdm,,,{report.ofdm_total:.9f}")
+    lines.append(f"gain_percent,,,{report.gain_percent:.9f}")
     print(f"throughput: OFDM {report.ofdm_total:.4f}, f-OFDM {report.fofdm_total:.4f}, "
           f"gain {report.gain_percent:.1f}%")
     print(f"note: {THROUGHPUT_CAVEAT}")
-    return 0
+    return {"throughput": lines}
 
 
 # ---------------------------------------------------------------------------
@@ -435,33 +423,33 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Batch f-OFDM waveform experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(sp, verb, seed=True):
+        """A data verb, run by `_run_verb`; `seed` says whether it takes
+        `--seed` and its manifest records the scenario's seed."""
         sp.add_argument("--scenario", required=True, help="scenario file path or preset name")
         sp.add_argument("--out", required=True, help="output directory")
         if seed:
             sp.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        else:  # read by `_load_and_check`; the verb draws no randomness
+        else:  # read by `_run_verb`; the verb draws no randomness
             sp.set_defaults(seed=None)
+        sp.set_defaults(func=_run_verb, verb=verb, seeded=seed)
 
     sp = sub.add_parser("psd", help="PSD and OOBE of OFDM vs f-OFDM")
-    common(sp)
+    common(sp, cmd_psd)
     sp.add_argument("--pa-on", action="store_true",
                     help=f"apply the Rapp PA ({PA_BACKOFF_DB} dB backoff)")
     sp.add_argument("--ttis", type=int, default=8, help="TTIs to average over")
-    sp.set_defaults(func=cmd_psd)
 
     sp = sub.add_parser("guardtone", help="guard-tone / power-offset interference sweep")
-    common(sp)
+    common(sp, cmd_guardtone)
     sp.add_argument("--guards", default="0,1,2", help="comma list of guard tone counts")
     sp.add_argument("--offsets-db", default="0,10", help="comma list of interferer power offsets")
     sp.add_argument("--snr-db", type=float, default=30.0)
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--modulations", default=",".join(MODULATIONS))
-    sp.set_defaults(func=cmd_guardtone)
 
     sp = sub.add_parser("throughput", help="normalized throughput report")
-    common(sp, seed=False)
-    sp.set_defaults(func=cmd_throughput)
+    common(sp, cmd_throughput, seed=False)
 
     sp = sub.add_parser("selftest", help="run the built-in oracle suite")
     sp.set_defaults(func=cmd_selftest)

@@ -1,6 +1,7 @@
 """Command-line front end: preset resolution, output files, manifests, and
 rerun determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -93,23 +94,38 @@ def _read_manifest(out_dir: Path) -> dict:
         return json.load(fh, parse_constant=refuse)
 
 
-def test_psd_outputs_and_manifest(tmp_path):
-    out = tmp_path / "psd"
-    argv = ["psd", "--scenario", "three-subband-desk", "--out", str(out), "--ttis", "1"]
-    rc = main(argv)
-    assert rc == 0
+@pytest.mark.parametrize("verb, scenario, extra, stems", [
+    ("psd", "three-subband-desk", ["--ttis", "1"], ["fofdm_psd", "ofdm_psd", "oobe_summary"]),
+    ("guardtone", None, ["--trials", "1"], ["guardtone_baseline", "guardtone_sweep"]),
+    ("throughput", "four-service", [], ["throughput"]),
+], ids=["psd", "guardtone", "throughput"])
+def test_verb_outputs_and_manifest(tmp_path, capsys, verb, scenario, extra, stems):
+    # The manifest names exactly the CSVs in `--out`, keyed by file stem, and
+    # records the scenario's seed unless the verb draws no randomness.
+    scenario = scenario or _shrunk_desk(tmp_path)
+    out = tmp_path / verb
+    argv = [verb, "--scenario", scenario, "--out", str(out), *extra]
+    assert main(argv) == 0
     doc = _read_manifest(out)
-    assert doc["command"] == "psd"
+    assert doc["command"] == verb
     assert doc["argv"] == argv  # so the manifest tells `--ttis` and `--pa-on` apart
     assert doc["status"] == "complete"
-    assert doc["preset"] == "three-subband-desk"
+    assert doc["preset"] == Path(scenario).stem
     assert doc["wall_clock_s"] is not None
-    for key in ("ofdm_psd", "fofdm_psd", "oobe_summary"):
-        entry = doc["outputs"][key]
+    seed = load_scenario(resolve_scenario_path(scenario)[0]).seed
+    assert doc["seed"] == (None if verb == "throughput" else seed)
+    assert sorted(doc["outputs"]) == stems
+    # No `.tmp` file is left beside them.
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json", *(f"{stem}.csv" for stem in stems)])
+    for stem, entry in doc["outputs"].items():
         p = Path(entry["path"])
-        assert p.is_file()
-        import hashlib
+        assert p == out / f"{stem}.csv"
         assert hashlib.sha256(p.read_bytes()).hexdigest() == entry["sha256"]
+    # Its last printed line names the files written.
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert printed.startswith(f"{verb}: wrote ") and printed.endswith(f" to {out}")
+    assert all(f"{stem}.csv" in printed for stem in stems)
 
 
 def test_psd_confinement_advantage(tmp_path):

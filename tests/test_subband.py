@@ -807,9 +807,10 @@ def test_sweep_builds_trial_invariants_once_per_cell(monkeypatch):
 
 
 def test_sweep_memory_is_scoped_to_one_pass():
-    # Each modulation's pass frees its designs, carriers, estimates and
-    # buffer before the next pass builds its own, so three passes peak as
-    # high as one.
+    # The designs, carriers, estimates and buffer are built once per call and
+    # shared by every modulation, and one modulation's trial streams are
+    # freed before the next modulation's are sent, so three modulations peak
+    # as high as one.
     desk = load_scenario(preset_dir() / "three-subband-desk.json")
 
     def sweep(*mods):
