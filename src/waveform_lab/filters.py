@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import ConfigError
 
@@ -138,20 +137,17 @@ def _overlap_save(
     step = block - lead
     n_blocks = -(-n_out // step)
     rows = np.empty((n_blocks, block), dtype=np.complex128)
-    # Row i holds x[i*step - lead : i*step - lead + block], zero outside x.
-    # Rows 1 to inner-1 lie wholly inside x and are copied in one go.
-    inner = len(x) // step
-    if inner > 1:
-        item = x.strides[0]
-        rows[1:inner] = as_strided(x[step - lead:], (inner - 1, block), (step * item, item),
-                                   writeable=False)
-    for i in (0, *range(max(inner, 1), n_blocks)):
-        start = i * step - lead
-        lo, hi = max(start, 0) - start, min(start + block, len(x)) - start
-        row = rows[i]
-        row[:lo] = 0
-        row[lo:hi] = x[start + lo:start + hi]
-        row[hi:] = 0
+    # Row i holds x[i*step - lead : i*step + step], zero outside x: its body,
+    # rows[i, lead:], is x's i-th step-long slice, and its head, rows[i, :lead],
+    # repeats row i-1's last `lead` body samples (zero for row 0).
+    full = len(x) // step
+    body = rows[:, lead:]
+    body[:full] = x[:full * step].reshape(full, step)
+    body[full:] = 0
+    # The short tail; a slice, not an index, as a one-tap filter can fill every row.
+    body[full:full + 1, :len(x) - full * step] = x[full * step:]
+    rows[0, :lead] = 0
+    rows[1:, :lead] = rows[:-1, step:]
     np.fft.fft(rows, axis=1, out=rows)
     rows *= spectrum
     np.fft.ifft(rows, axis=1, out=rows)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ConfigError, Numerology
 
@@ -129,11 +129,10 @@ def ofdm_demodulate(
     n_sym = len(samples) // sps
     if n_sym < 1:
         raise ConfigError(f"signal of {len(samples)} samples is shorter than one symbol ({sps})")
-    x = np.ascontiguousarray(samples, dtype=np.complex128)[n.cp_samples - window_advance_samples:]
+    x = np.asarray(samples, dtype=np.complex128)[n.cp_samples - window_advance_samples:]
     # Window k starts k*sps + cp - advance into the signal and, as advance >= 0,
     # ends by (k + 1) * sps: every window lies inside the signal.
-    step = x.strides[0]
-    windows = as_strided(x, (n_sym, n.fft_size), (sps * step, step), writeable=False)
+    windows = sliding_window_view(x, n.fft_size)[::sps][:n_sym]
     spectrum = np.fft.fft(windows, axis=1, norm="ortho")
     return spectrum[:, _tone_bins(tones, n.fft_size)].T
 

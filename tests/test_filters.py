@@ -200,6 +200,8 @@ def _assert_bitwise_staged(x, taps, block):
     (32, 17, 64),           # the outputs fill one block's 48 valid samples
     (47, 17, 64),           # shorter than block - taps + 1: two blocks
     (3 * 48 - 16, 17, 64),  # the outputs end exactly on a block boundary
+    (96, 17, 64),           # the input ends exactly on a step: the last row's body is zeros
+    (48, 17, 64),
     (500, 1, 2),            # a one-tap filter: nothing overlaps
     (7672, 257, 2048),      # desk sweep: transmit streams, then the cell's composite
     (8476, 257, 2048),

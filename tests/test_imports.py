@@ -1,5 +1,6 @@
-"""Every name a `waveform_lab` module imports is used in that module, and
-every function and class it defines is used somewhere in the package."""
+"""Every name a `waveform_lab` module imports is used in that module,
+every function and class it defines is used somewhere in the package, and
+no module builds array strides by hand."""
 
 import ast
 from collections import Counter
@@ -47,3 +48,14 @@ def test_module_defines_nothing_the_package_never_uses(path):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     # A definition's reads of its own name (recursion) do not count as a use.
     assert [d.name for d in defs if package[d.name] == _references(d)[d.name]] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_builds_no_strides_by_hand(path):
+    # Windows over a stream are `sliding_window_view`s or reshapes, whose
+    # bounds numpy checks; only the test oracles may call `as_strided`.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set(_references(tree)) | {a.name for node in ast.walk(tree)
+                                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                                      for a in node.names}
+    assert "as_strided" not in names

@@ -225,6 +225,19 @@ def test_demodulate_rejects_short_signal():
         ofdm_demodulate(sig[:500], DESK, 0, 48)
 
 
+def test_demodulate_reads_a_strided_input():
+    # The windows are views of the input as given: a strided or reversed
+    # stream must transform exactly as its contiguous copy does.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2 * 14 * 548 + 301) + 1j * rng.standard_normal(2 * 14 * 548 + 301)
+    for strided in (x[::2], x[::-2]):
+        got = ofdm_demodulate(strided, DESK, 11, 48)
+        ref = ofdm_demodulate(strided.copy(), DESK, 11, 48)
+        assert got.shape == ref.shape == (48, 14)
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                              np.ascontiguousarray(ref).view(np.uint64))
+
+
 def test_modulate_allocates_only_its_output():
     # The LTE-20 interferer: 1,200 tones on a 2,048-point FFT. The grid is
     # scattered into the output's symbol bodies and transformed there, so no
